@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "benchlib/bench_utils.h"
@@ -37,6 +39,34 @@ inline IvfScenario BuildIvfScenario(const SyntheticSpec& spec,
   s.ordered = ReorderByBuckets(s.dataset.data, s.index);
   s.truth = ComputeGroundTruth(s.dataset.data, s.dataset.queries, k);
   return s;
+}
+
+/// MakeSearcher for bench code: over the shared `index` when non-null (the
+/// paper's "all competitors share one IVF index"), else over `vectors`
+/// alone. A config the bench got wrong aborts with its status instead of
+/// running on a null searcher.
+inline std::unique_ptr<Searcher> MustMakeSearcher(
+    const VectorSet& vectors, const IvfIndex* index,
+    const SearcherConfig& config) {
+  Result<std::unique_ptr<Searcher>> made =
+      index != nullptr ? MakeSearcher(vectors, *index, config)
+                       : MakeSearcher(vectors, config);
+  if (!made.ok()) {
+    std::fprintf(stderr, "MakeSearcher failed: %s\n",
+                 made.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(made).value();
+}
+
+/// Facade config of one PDX searcher with the paper's defaults.
+inline SearcherConfig PdxConfig(SearcherLayout layout, PrunerKind pruner,
+                                size_t k = 10) {
+  SearcherConfig config;
+  config.layout = layout;
+  config.pruner = pruner;
+  config.k = k;
+  return config;
 }
 
 /// Runs `search(query_index)` for every query; returns mean recall, QPS,

@@ -21,17 +21,23 @@ void RunDataset(const SyntheticSpec& spec, TextTable& table) {
   bench::IvfScenario s = bench::BuildIvfScenario(spec);
   const size_t nprobe = std::min<size_t>(64, s.index.num_buckets());
 
-  auto linear = MakeLinearIvfSearcher(s.dataset.data, s.index);
+  auto linear = bench::MustMakeSearcher(
+      s.dataset.data, &s.index,
+      bench::PdxConfig(SearcherLayout::kIvf, PrunerKind::kLinear, s.k));
   const bench::SweepResult linear_result =
       bench::MeasureSweep(s, [&](size_t q) {
-        return linear->Search(s.dataset.queries.Vector(q), s.k, nprobe);
+        return linear->SearchWith(0, {s.k, nprobe},
+                                  s.dataset.queries.Vector(q));
       });
 
-  auto ads = MakeAdsIvfSearcher(s.dataset.data, s.index, {});
   for (float threshold : {0.02f, 0.05f, 0.10f, 0.20f, 0.40f, 0.60f, 0.80f}) {
-    ads->mutable_options().selection_fraction = threshold;
+    // One PDX-ADS searcher per threshold, all over the shared index.
+    SearcherConfig config =
+        bench::PdxConfig(SearcherLayout::kIvf, PrunerKind::kAdsampling, s.k);
+    config.search.selection_fraction = threshold;
+    auto ads = bench::MustMakeSearcher(s.dataset.data, &s.index, config);
     const bench::SweepResult r = bench::MeasureSweep(s, [&](size_t q) {
-      return ads->Search(s.dataset.queries.Vector(q), s.k, nprobe);
+      return ads->SearchWith(0, {s.k, nprobe}, s.dataset.queries.Vector(q));
     });
     table.AddRow({spec.name,
                   TextTable::Num(100.0 * threshold, 0) + "%",

@@ -35,11 +35,12 @@ void RunExact(const SyntheticSpec& spec, Speedups& out) {
   const size_t nq = dataset.queries.count();
   PdxStore pdx_store = PdxStore::FromVectorSet(dataset.data);
   DsmStore dsm_store = DsmStore::FromVectorSet(dataset.data);
-  BondConfig bond_config = DefaultFlatBondConfig();
+  SearcherConfig bond_config =
+      bench::PdxConfig(SearcherLayout::kFlat, PrunerKind::kBond, k);
   bond_config.block_capacity =
       std::min<size_t>(kExactSearchBlockCapacity,
                        std::max<size_t>(1024, dataset.data.count() / 8));
-  auto bond = MakeBondFlatSearcher(dataset.data, bond_config);
+  auto bond = bench::MustMakeSearcher(dataset.data, nullptr, bond_config);
 
   auto qps = [&](auto&& fn) {
     Timer timer;
@@ -67,7 +68,7 @@ void RunExact(const SyntheticSpec& spec, Speedups& out) {
           }) /
               base);
   out.Add("exact/PDX-BOND",
-          qps([&](const float* q) { bond->Search(q, k); }) / base);
+          qps([&](const float* q) { bond->SearchWith(0, {k, 0}, q); }) / base);
 }
 
 void RunApproximate(const SyntheticSpec& spec, Speedups& out) {
@@ -76,8 +77,13 @@ void RunApproximate(const SyntheticSpec& spec, Speedups& out) {
   const size_t dim = s.dataset.dim();
   const size_t delta_d = std::min<size_t>(32, std::max<size_t>(1, dim / 4));
 
-  auto ads = MakeAdsIvfSearcher(s.dataset.data, s.index, {});
-  const AdSamplingPruner& pruner = ads->pruner();
+  // The horizontal SIMD-ADS rotates with the searcher's seed, so both scan
+  // the same transformed collection.
+  const SearcherConfig ads_config =
+      bench::PdxConfig(SearcherLayout::kIvf, PrunerKind::kAdsampling, s.k);
+  auto ads = bench::MustMakeSearcher(s.dataset.data, &s.index, ads_config);
+  const AdSamplingPruner pruner(dim, ads_config.ads_epsilon0,
+                                ads_config.ads_seed);
   VectorSet rotated = pruner.TransformCollection(s.dataset.data);
   BucketOrderedSet rotated_ordered = ReorderByBuckets(rotated, s.index);
   DualBlockStore dual =
@@ -110,8 +116,9 @@ void RunApproximate(const SyntheticSpec& spec, Speedups& out) {
           }) /
               base);
   out.Add("ivf/PDX-ADS",
-          qps([&](const float* q) { return ads->Search(q, s.k, nprobe); }) /
-              base);
+          qps([&](const float* q) {
+            return ads->SearchWith(0, {s.k, nprobe}, q);
+          }) / base);
 }
 
 }  // namespace

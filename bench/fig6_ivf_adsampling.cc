@@ -22,10 +22,13 @@ void RunDataset(const SyntheticSpec& spec) {
   const size_t dim = s.dataset.dim();
   const size_t delta_d = std::min<size_t>(32, std::max<size_t>(1, dim / 4));
 
-  // Shared preprocessing: one rotation used by all three ADS variants.
-  AdsConfig ads_config;
-  auto pdx_ads = MakeAdsIvfSearcher(s.dataset.data, s.index, ads_config);
-  const AdSamplingPruner& pruner = pdx_ads->pruner();
+  // Shared preprocessing: one rotation used by all three ADS variants (the
+  // same seed gives the horizontal variants the searcher's transform).
+  const SearcherConfig ads_config =
+      bench::PdxConfig(SearcherLayout::kIvf, PrunerKind::kAdsampling, s.k);
+  auto pdx_ads = bench::MustMakeSearcher(s.dataset.data, &s.index, ads_config);
+  const AdSamplingPruner pruner(dim, ads_config.ads_epsilon0,
+                                ads_config.ads_seed);
   VectorSet rotated = pruner.TransformCollection(s.dataset.data);
   BucketOrderedSet rotated_ordered = ReorderByBuckets(rotated, s.index);
   DualBlockStore dual =
@@ -59,7 +62,8 @@ void RunDataset(const SyntheticSpec& spec) {
               nprobe, HorizontalKernel::kSimd, delta_d);
         }));
     add("PDX-ADS", bench::MeasureSweep(s, [&](size_t q) {
-          return pdx_ads->Search(s.dataset.queries.Vector(q), s.k, nprobe);
+          return pdx_ads->SearchWith(0, {s.k, nprobe},
+                                     s.dataset.queries.Vector(q));
         }));
     add("FAISS-like", bench::MeasureSweep(s, [&](size_t q) {
           return IvfNarySearch(s.index, s.ordered,

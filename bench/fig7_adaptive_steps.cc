@@ -28,14 +28,15 @@ int main() {
   spec.seed = 42 + 960;
 
   bench::IvfScenario s = bench::BuildIvfScenario(spec);
-  AdsConfig adaptive_config;
+  SearcherConfig adaptive_config =
+      bench::PdxConfig(SearcherLayout::kIvf, PrunerKind::kAdsampling, s.k);
   adaptive_config.search.adaptive_steps = true;
-  auto adaptive = MakeAdsIvfSearcher(s.dataset.data, s.index,
-                                     adaptive_config);
-  AdsConfig fixed_config;
+  auto adaptive =
+      bench::MustMakeSearcher(s.dataset.data, &s.index, adaptive_config);
+  SearcherConfig fixed_config = adaptive_config;
   fixed_config.search.adaptive_steps = false;
   fixed_config.search.fixed_step = 32;
-  auto fixed = MakeAdsIvfSearcher(s.dataset.data, s.index, fixed_config);
+  auto fixed = bench::MustMakeSearcher(s.dataset.data, &s.index, fixed_config);
 
   const size_t nprobe = std::min<size_t>(64, s.index.num_buckets());
   size_t faster_150 = 0;
@@ -46,9 +47,9 @@ int main() {
   for (size_t q = 0; q < s.dataset.queries.count(); ++q) {
     const float* query = s.dataset.queries.Vector(q);
     const double fixed_ns = MedianRunNanos(
-        [&]() { fixed->Search(query, s.k, nprobe); }, 5);
+        [&]() { fixed->SearchWith(0, {s.k, nprobe}, query); }, 5);
     const double adaptive_ns = MedianRunNanos(
-        [&]() { adaptive->Search(query, s.k, nprobe); }, 5);
+        [&]() { adaptive->SearchWith(0, {s.k, nprobe}, query); }, 5);
     const double speedup = fixed_ns / adaptive_ns;
     speedups.push_back(speedup);
     if (speedup >= 1.5) ++faster_150;

@@ -25,11 +25,12 @@ void RunDataset(const SyntheticSpec& spec) {
   DsmStore dsm_store = DsmStore::FromVectorSet(dataset.data);
   // Flat PDX-BOND: <=10K partitions, distance-to-means order (Section 6.5),
   // partition size capped so small collections still have several blocks.
-  BondConfig bond_config = DefaultFlatBondConfig();
+  SearcherConfig bond_config =
+      bench::PdxConfig(SearcherLayout::kFlat, PrunerKind::kBond, k);
   bond_config.block_capacity =
       std::min<size_t>(kExactSearchBlockCapacity,
                        std::max<size_t>(1024, dataset.data.count() / 8));
-  auto bond = MakeBondFlatSearcher(dataset.data, bond_config);
+  auto bond = bench::MustMakeSearcher(dataset.data, nullptr, bond_config);
 
   const size_t nq = dataset.queries.count();
   TextTable table({"dataset", "method", "QPS", "speedup vs scalar"});
@@ -58,7 +59,7 @@ void RunDataset(const SyntheticSpec& spec) {
   measure("PDX-LINEAR-SCAN", [&](const float* q) {
     FlatSearchPdx(pdx_store, q, k, Metric::kL2);
   });
-  measure("PDX-BOND", [&](const float* q) { bond->Search(q, k); });
+  measure("PDX-BOND", [&](const float* q) { bond->SearchWith(0, {k, 0}, q); });
   table.Print();
 }
 

@@ -22,15 +22,18 @@ void RunIvf(const SyntheticSpec& spec, TextTable& table) {
   const size_t nprobe = std::min<size_t>(64, s.index.num_buckets());
 
   auto measure = [&](DimensionOrder order, size_t zone_size) {
-    BondConfig config;
-    config.order = order;
-    config.zone_size = zone_size;
-    auto searcher = MakeBondIvfSearcher(s.dataset.data, s.index, config);
+    SearcherConfig config =
+        bench::PdxConfig(SearcherLayout::kIvf, PrunerKind::kBond, s.k);
+    config.bond_order = order;
+    config.bond_zone_size = zone_size;
+    auto searcher = bench::MustMakeSearcher(s.dataset.data, &s.index, config);
     double power = 0.0;
     Timer timer;
     for (size_t q = 0; q < s.dataset.queries.count(); ++q) {
-      searcher->Search(s.dataset.queries.Vector(q), s.k, nprobe);
-      power += searcher->last_profile().pruning_power();
+      PdxearchProfile profile;
+      searcher->SearchWith(0, {s.k, nprobe}, s.dataset.queries.Vector(q),
+                           &profile);
+      power += profile.pruning_power();
     }
     const double qps = s.dataset.queries.count() / timer.ElapsedSeconds();
     std::string label = DimensionOrderName(order);
@@ -54,16 +57,18 @@ void RunIvf(const SyntheticSpec& spec, TextTable& table) {
 void RunFlat(const SyntheticSpec& spec, TextTable& table) {
   Dataset dataset = GenerateDataset(spec);
   auto measure = [&](DimensionOrder order) {
-    BondConfig config = DefaultFlatBondConfig();
-    config.order = order;
+    SearcherConfig config =
+        bench::PdxConfig(SearcherLayout::kFlat, PrunerKind::kBond);
+    config.bond_order = order;
     config.block_capacity =
         std::max<size_t>(1024, dataset.data.count() / 8);
-    auto searcher = MakeBondFlatSearcher(dataset.data, config);
+    auto searcher = bench::MustMakeSearcher(dataset.data, nullptr, config);
     double power = 0.0;
     Timer timer;
     for (size_t q = 0; q < dataset.queries.count(); ++q) {
-      searcher->Search(dataset.queries.Vector(q), 10);
-      power += searcher->last_profile().pruning_power();
+      PdxearchProfile profile;
+      searcher->SearchWith(0, {10, 0}, dataset.queries.Vector(q), &profile);
+      power += profile.pruning_power();
     }
     const double qps = dataset.queries.count() / timer.ElapsedSeconds();
     table.AddRow({spec.name, "flat", DimensionOrderName(order),

@@ -9,7 +9,6 @@
 // collapses exponentially; PDX-BOND's power is slightly below ADSampling's.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,29 +27,33 @@ struct PowerSummary {
   std::vector<double> median_curve_checkpoints;  // Alive at D/8, D/4, D/2.
 };
 
-template <typename Searcher>
-PowerSummary MeasurePruningPower(Searcher& searcher, const Dataset& dataset) {
+/// Pruning power of the flat searcher `config` describes, tested at every
+/// dimension: the config's step observer feeds one PruningTrace per query.
+PowerSummary MeasurePruningPower(SearcherConfig config,
+                                 const Dataset& dataset) {
   const size_t dim = dataset.dim();
-  searcher->mutable_options().adaptive_steps = false;
-  searcher->mutable_options().fixed_step = 1;  // Test at every dimension.
+  PruningTrace* trace = nullptr;  // The current query's.
+  config.search.adaptive_steps = false;
+  config.search.fixed_step = 1;  // Test at every dimension.
+  config.search.step_observer = [&trace](size_t dims, size_t alive,
+                                         size_t n) {
+    trace->Observe(dims, alive, n);
+  };
+  auto searcher = bench::MustMakeSearcher(dataset.data, nullptr, config);
 
   std::vector<float> avoided;
   std::vector<float> alive_d8;
   std::vector<float> alive_d4;
   std::vector<float> alive_d2;
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
-    PruningTrace trace(dim);
-    searcher->mutable_options().step_observer =
-        [&trace](size_t dims, size_t alive, size_t n) {
-          trace.Observe(dims, alive, n);
-        };
-    searcher->Search(dataset.queries.Vector(q), 10);
-    avoided.push_back(static_cast<float>(trace.ValuesAvoided()));
-    alive_d8.push_back(static_cast<float>(trace.AliveFraction(dim / 8)));
-    alive_d4.push_back(static_cast<float>(trace.AliveFraction(dim / 4)));
-    alive_d2.push_back(static_cast<float>(trace.AliveFraction(dim / 2)));
+    PruningTrace query_trace(dim);
+    trace = &query_trace;
+    searcher->SearchWith(0, {10, 0}, dataset.queries.Vector(q));
+    avoided.push_back(static_cast<float>(query_trace.ValuesAvoided()));
+    alive_d8.push_back(static_cast<float>(query_trace.AliveFraction(dim / 8)));
+    alive_d4.push_back(static_cast<float>(query_trace.AliveFraction(dim / 4)));
+    alive_d2.push_back(static_cast<float>(query_trace.AliveFraction(dim / 2)));
   }
-  searcher->mutable_options().step_observer = nullptr;
 
   PowerSummary out;
   out.best = Percentile(avoided, 100);
@@ -101,17 +104,17 @@ int main() {
     Dataset dataset = GenerateDataset(spec);
     const char* dist = ValueDistributionName(spec.distribution);
 
-    AdsConfig ads_config;
+    SearcherConfig ads_config =
+        bench::PdxConfig(SearcherLayout::kFlat, PrunerKind::kAdsampling);
     ads_config.block_capacity = 1024;
-    auto ads = MakeAdsFlatSearcher(dataset.data, ads_config);
     AddRows(table, spec.name.c_str(), dist, "ADSampling",
-            MeasurePruningPower(ads, dataset));
+            MeasurePruningPower(ads_config, dataset));
 
-    BondConfig bond_config = DefaultFlatBondConfig();
+    SearcherConfig bond_config =
+        bench::PdxConfig(SearcherLayout::kFlat, PrunerKind::kBond);
     bond_config.block_capacity = 1024;
-    auto bond = MakeBondFlatSearcher(dataset.data, bond_config);
     AddRows(table, spec.name.c_str(), dist, "PDX-BOND",
-            MeasurePruningPower(bond, dataset));
+            MeasurePruningPower(bond_config, dataset));
   }
   table.Print();
   std::printf(

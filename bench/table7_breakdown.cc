@@ -91,25 +91,31 @@ int main() {
               per_test_ns);
 
   // PDX variants: native phase instrumentation.
-  AdsConfig ads_config;
-  ads_config.search.collect_phase_times = true;
-  auto pdx_ads = MakeAdsIvfSearcher(s.dataset.data, s.index, ads_config);
-  BsaConfig bsa_config;
-  bsa_config.multiplier = 0.8f;
-  bsa_config.search.collect_phase_times = true;
-  auto pdx_bsa = MakeBsaIvfSearcher(s.dataset.data, s.index, bsa_config);
-  BondConfig bond_config;
-  bond_config.search.collect_phase_times = true;
-  auto pdx_bond = MakeBondIvfSearcher(s.dataset.data, s.index, bond_config);
+  auto pdx_config = [&](PrunerKind pruner) {
+    SearcherConfig config =
+        bench::PdxConfig(SearcherLayout::kIvf, pruner, s.k);
+    config.bsa_multiplier = 0.8f;  // Ignored by the other pruners.
+    config.search.collect_phase_times = true;
+    return config;
+  };
+  const SearcherConfig ads_config = pdx_config(PrunerKind::kAdsampling);
+  const SearcherConfig bsa_config = pdx_config(PrunerKind::kBsa);
+  auto pdx_ads = bench::MustMakeSearcher(s.dataset.data, &s.index, ads_config);
+  auto pdx_bsa = bench::MustMakeSearcher(s.dataset.data, &s.index, bsa_config);
+  auto pdx_bond = bench::MustMakeSearcher(s.dataset.data, &s.index,
+                                          pdx_config(PrunerKind::kBond));
 
-  // Horizontal variants share the rotation/projection of the PDX ones.
-  const AdSamplingPruner& ads_pruner = pdx_ads->pruner();
+  // Horizontal variants share the rotation/projection of the PDX ones: the
+  // same seed and data give the same transforms.
+  const AdSamplingPruner ads_pruner(spec.dim, ads_config.ads_epsilon0,
+                                    ads_config.ads_seed);
   VectorSet rotated = ads_pruner.TransformCollection(s.dataset.data);
   BucketOrderedSet rotated_ordered = ReorderByBuckets(rotated, s.index);
   DualBlockStore rotated_dual =
       DualBlockStore::FromVectorSet(rotated_ordered.vectors, 32);
 
-  const BsaPruner& bsa_pruner = pdx_bsa->pruner();
+  const BsaPruner bsa_pruner(s.dataset.data, bsa_config.bsa_multiplier,
+                             bsa_config.bsa_max_fit_samples);
   VectorSet projected = bsa_pruner.TransformCollection(s.dataset.data);
   BucketOrderedSet projected_ordered = ReorderByBuckets(projected, s.index);
   DualBlockStore projected_dual =
@@ -159,11 +165,11 @@ int main() {
   }
 
   // --- PDX ADS / PDX BSA / PDX BOND: native profiles ---
-  auto run_pdx = [&](const char* name, auto& searcher) {
+  auto run_pdx = [&](const char* name, Searcher& searcher) {
     Breakdown b;
     for (size_t q = 0; q < nq; ++q) {
-      searcher->Search(s.dataset.queries.Vector(q), s.k, nprobe);
-      const PdxearchProfile& p = searcher->last_profile();
+      PdxearchProfile p;
+      searcher.SearchWith(0, {s.k, nprobe}, s.dataset.queries.Vector(q), &p);
       b.preprocess_ms += p.preprocess_ms;
       b.buckets_ms += p.find_buckets_ms;
       b.bounds_ms += p.bounds_ms;
@@ -177,7 +183,7 @@ int main() {
         b.preprocess_ms + b.buckets_ms + b.bounds_ms + b.distance_ms;
     AddRow(table, name, b);
   };
-  run_pdx("PDX ADS", pdx_ads);
+  run_pdx("PDX ADS", *pdx_ads);
 
   // --- N-ary BSA ---
   {
@@ -213,8 +219,8 @@ int main() {
     AddRow(table, "N-ary BSA", b);
   }
 
-  run_pdx("PDX BSA", pdx_bsa);
-  run_pdx("PDX BOND", pdx_bond);
+  run_pdx("PDX BSA", *pdx_bsa);
+  run_pdx("PDX BOND", *pdx_bond);
   table.Print();
   std::printf(
       "\nExpected shape: PDX rows collapse the bounds-eval share to a few "

@@ -80,10 +80,13 @@ int Search(const char* data_path, const char* query_path, size_t k) {
         "data and query dimensionality differ"));
   }
 
-  auto searcher = pdx::MakeBondFlatSearcher(data.value());
+  pdx::SearcherConfig config;  // Flat PDX-BOND: exact search.
+  config.k = k;
+  auto made = pdx::MakeSearcher(data.value(), std::move(config));
+  if (!made.ok()) return Fail(made.status());
+  pdx::Searcher& searcher = *made.value();
   for (size_t q = 0; q < queries.value().count(); ++q) {
-    const auto neighbors =
-        searcher->Search(queries.value().Vector(q), k);
+    const auto neighbors = searcher.Search(queries.value().Vector(q));
     std::printf("query %zu:", q);
     for (const pdx::Neighbor& n : neighbors) {
       std::printf(" %u:%.4f", n.id, n.distance);

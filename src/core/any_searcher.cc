@@ -8,7 +8,9 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/persist.h"
-#include "core/searcher.h"
+#include "pruning/adsampling.h"
+#include "pruning/bsa.h"
+#include "pruning/pdx_bond.h"
 #include "quant/quantized_searcher.h"
 #include "storage/collection_format.h"
 
@@ -189,8 +191,6 @@ std::vector<std::vector<Neighbor>> Searcher::SearchBatchWith(
 }
 
 SearcherConfig ResolveConfig(SearcherConfig config) {
-  config.search.k = config.k;
-  config.search.metric = config.metric;
   if (config.quantization == QuantizationKind::kU8) {
     // The quantized tier runs a linear scan over codes; pin the pruner so
     // the persisted/reported config names what actually runs.
@@ -220,55 +220,28 @@ SearcherConfig LeafConfig(SearcherConfig config) {
 
 namespace {
 
-AdsConfig ToAdsConfig(const SearcherConfig& config) {
-  AdsConfig ads;
-  ads.epsilon0 = config.ads_epsilon0;
-  ads.seed = config.ads_seed;
-  ads.block_capacity = config.block_capacity;
-  ads.search = config.search;
-  return ads;
-}
-
-BsaConfig ToBsaConfig(const SearcherConfig& config) {
-  BsaConfig bsa;
-  bsa.multiplier = config.bsa_multiplier;
-  bsa.max_fit_samples = config.bsa_max_fit_samples;
-  bsa.block_capacity = config.block_capacity;
-  bsa.search = config.search;
-  return bsa;
-}
-
-BondConfig ToBondConfig(const SearcherConfig& config) {
-  BondConfig bond;
-  bond.order = *config.bond_order;
-  bond.zone_size = config.bond_zone_size;
-  bond.block_capacity = config.block_capacity;
-  bond.search = config.search;
-  return bond;
-}
-
-/// The one concrete facade implementation: holds either a flat or an IVF
-/// searcher for pruner P, plus the per-worker engines SearchBatch fans out
-/// over. Worker engines share the inner searcher's (read-only) store and
-/// pruner, so a batch costs no extra copies of the collection.
+/// The one float-tier facade implementation: the PDX store, the pruner P
+/// that understands the store's transformation, the IVF index queries are
+/// routed through (none on the flat layout), and one PDXearch engine per
+/// scratch slot. Every slot's engine shares the (read-only) store and
+/// pruner, so a batch costs no extra copies of the collection. Built and
+/// restored searchers alike end in this constructor.
 template <typename P>
 class AnySearcherImpl final : public Searcher {
  public:
-  AnySearcherImpl(SearcherConfig config,
-                  std::unique_ptr<FlatPdxSearcher<P>> flat)
-      : Searcher(std::move(config)), flat_(std::move(flat)) {}
-
-  /// `owned_index` is null when the caller keeps ownership of `index`.
+  /// `owned_index` is null when the caller keeps ownership of `index`;
+  /// `index` is null on the flat layout.
   AnySearcherImpl(SearcherConfig config, std::unique_ptr<IvfIndex> owned_index,
-                  const IvfIndex* index, std::unique_ptr<IvfPdxSearcher<P>> ivf)
+                  const IvfIndex* index, PdxStore store, P pruner)
       : Searcher(std::move(config)),
         owned_index_(std::move(owned_index)),
         index_(index),
-        ivf_(std::move(ivf)) {}
-
-  const PdxStore& store() const override {
-    return flat_ != nullptr ? flat_->store() : ivf_->store();
+        store_(std::move(store)),
+        pruner_(std::move(pruner)) {
+    pruner_.BuildAux(store_);
   }
+
+  const PdxStore& store() const override { return store_; }
 
   const IvfIndex* index() const override { return index_; }
 
@@ -278,28 +251,12 @@ class AnySearcherImpl final : public Searcher {
     out.meta.dim = dim();
     out.meta.count = count();
     SavedShard shard;
-    shard.store = ExportStore(store());
-    if (index_ != nullptr) {
-      shard.has_ivf = true;
-      // The centroid PDX store is persisted (not rebuilt at load): packing
-      // it again would both cost a repack and let future packing changes
-      // silently alter the saved index's bucket ranking.
-      shard.centroids = ExportStore(index_->centroids_pdx());
-      const VectorSet& rows = index_->centroids();
-      shard.centroid_rows.assign(rows.data(),
-                                 rows.data() + rows.count() * rows.dim());
-      shard.bucket_offsets.reserve(index_->num_buckets() + 1);
-      shard.bucket_offsets.push_back(0);
-      for (const std::vector<VectorId>& bucket : index_->buckets()) {
-        shard.bucket_ids.insert(shard.bucket_ids.end(), bucket.begin(),
-                                bucket.end());
-        shard.bucket_offsets.push_back(shard.bucket_ids.size());
-      }
-    }
+    shard.store = ExportStore(store_);
+    if (index_ != nullptr) ExportIvf(*index_, shard);
     if constexpr (std::is_same_v<P, AdSamplingPruner>) {
-      shard.ads_rotation = pruner().rotation();
+      shard.ads_rotation = pruner_.rotation();
     } else if constexpr (std::is_same_v<P, BsaPruner>) {
-      const Pca& pca = pruner().pca();
+      const Pca& pca = pruner_.pca();
       shard.pca_mean = pca.mean();
       shard.pca_variance = pca.explained_variance();
       shard.pca_components = pca.components();
@@ -320,132 +277,84 @@ class AnySearcherImpl final : public Searcher {
     // engines_).
     if (slot >= engines_.size()) GrowEngines(slot + 1);
     PdxearchEngine<P>& engine = *engines_[slot];
-    // The knobs live on the slot's engine (k) or the call itself (nprobe),
-    // never on the shared config — distinct slots never share engine
-    // state, so per-call overrides are race-free under concurrent
+    // The knobs are resolved per call, never stored on the shared config
+    // or the engines, so per-call overrides are race-free under concurrent
     // dispatch.
-    engine.mutable_options().k = knobs.k > 0 ? knobs.k : config_.k;
+    const size_t k = knobs.k > 0 ? knobs.k : config_.k;
     const size_t nprobe = knobs.nprobe > 0 ? knobs.nprobe : config_.nprobe;
     std::vector<Neighbor> result =
-        flat_ != nullptr ? engine.SearchFlat(query)
-                         : engine.SearchIvf(*index_, query, nprobe);
+        index_ == nullptr ? engine.SearchFlat(query, k)
+                          : engine.SearchIvf(*index_, query, k, nprobe);
     if (profile != nullptr) *profile = engine.last_profile();
     return result;
   }
 
  private:
-  const P& pruner() const {
-    return flat_ != nullptr ? flat_->pruner() : ivf_->pruner();
-  }
-
-  // Appends engines until `n` slots exist. Growth only — knobs are pushed
-  // per call (SearchWith), never here, so a reserved band carries no state
-  // another band could observe.
+  // Appends engines until `n` slots exist.
   void GrowEngines(size_t n) {
     while (engines_.size() < n) {
       engines_.push_back(std::make_unique<PdxearchEngine<P>>(
-          &store(), &pruner(), config_.search));
+          &store_, &pruner_, config_.metric, config_.search));
     }
   }
 
   // Declaration order doubles as lifetime order: engines_ sits on top of
-  // the inner searcher's store/pruner, which sit on top of the (possibly
-  // owned) index — members below destroy first. (The lazily owned batch
-  // pool lives in the Searcher base and is idle between calls.)
+  // the store and pruner, which sit on top of the (possibly owned) index —
+  // members below destroy first. (The lazily owned batch pool lives in the
+  // Searcher base and is idle between calls.)
   std::unique_ptr<IvfIndex> owned_index_;
   const IvfIndex* index_ = nullptr;
-  std::unique_ptr<FlatPdxSearcher<P>> flat_;
-  std::unique_ptr<IvfPdxSearcher<P>> ivf_;
+  PdxStore store_;
+  P pruner_;
   std::vector<std::unique_ptr<PdxearchEngine<P>>> engines_;
 };
 
-template <typename P>
-std::unique_ptr<Searcher> WrapFlat(SearcherConfig config,
-                                   std::unique_ptr<FlatPdxSearcher<P>> flat) {
-  return std::make_unique<AnySearcherImpl<P>>(std::move(config),
-                                              std::move(flat));
-}
-
-template <typename P>
-std::unique_ptr<Searcher> WrapIvf(SearcherConfig config,
-                                  std::unique_ptr<IvfIndex> owned_index,
-                                  const IvfIndex* index,
-                                  std::unique_ptr<IvfPdxSearcher<P>> ivf) {
-  return std::make_unique<AnySearcherImpl<P>>(
-      std::move(config), std::move(owned_index), index, std::move(ivf));
-}
-
-std::unique_ptr<Searcher> MakeFlatSearcher(const VectorSet& vectors,
-                                           SearcherConfig config) {
+/// Builds the searcher a validated, resolved `config` describes over
+/// `vectors`. `index` is null on the flat layout, whose store is one group
+/// (the whole collection) where IVF's groups are the buckets; `owned` is
+/// null when the caller keeps ownership of `index`.
+std::unique_ptr<Searcher> BuildSearcher(const VectorSet& vectors,
+                                        SearcherConfig config,
+                                        std::unique_ptr<IvfIndex> owned,
+                                        const IvfIndex* index) {
+  if (config.quantization == QuantizationKind::kU8) {
+    return BuildQuantizedSearcher(vectors, std::move(config), std::move(owned),
+                                  index);
+  }
+  const size_t capacity = config.block_capacity;
+  auto pack = [&](const VectorSet& rows) {
+    return index != nullptr
+               ? PdxStore::FromGroups(rows, index->buckets(), capacity)
+               : PdxStore::FromVectorSet(rows, capacity);
+  };
+  auto make = [&](PdxStore store, auto pruner) -> std::unique_ptr<Searcher> {
+    return std::make_unique<AnySearcherImpl<decltype(pruner)>>(
+        std::move(config), std::move(owned), index, std::move(store),
+        std::move(pruner));
+  };
   switch (config.pruner) {
     case PrunerKind::kLinear:
-      return WrapFlat<NoPruner>(
-          config, MakeLinearFlatSearcher(vectors, config.search,
-                                         config.block_capacity));
-    case PrunerKind::kAdsampling:
-      return WrapFlat<AdSamplingPruner>(
-          config, MakeAdsFlatSearcher(vectors, ToAdsConfig(config)));
-    case PrunerKind::kBsa:
-      return WrapFlat<BsaPruner>(
-          config, MakeBsaFlatSearcher(vectors, ToBsaConfig(config)));
-    case PrunerKind::kBond:
-      return WrapFlat<PdxBondPruner>(
-          config, MakeBondFlatSearcher(vectors, ToBondConfig(config)));
+      return make(pack(vectors), NoPruner{});
+    case PrunerKind::kAdsampling: {
+      AdSamplingPruner pruner(vectors.dim(), config.ads_epsilon0,
+                              config.ads_seed);
+      PdxStore store = pack(pruner.TransformCollection(vectors));
+      return make(std::move(store), std::move(pruner));
+    }
+    case PrunerKind::kBsa: {
+      BsaPruner pruner(vectors, config.bsa_multiplier,
+                       config.bsa_max_fit_samples);
+      PdxStore store = pack(pruner.TransformCollection(vectors));
+      return make(std::move(store), std::move(pruner));
+    }
+    case PrunerKind::kBond: {
+      PdxStore store = pack(vectors);
+      PdxBondPruner pruner(store.stats().means, *config.bond_order,
+                           config.bond_zone_size);
+      return make(std::move(store), std::move(pruner));
+    }
   }
   return nullptr;
-}
-
-std::unique_ptr<Searcher> MakeIvfSearcher(const VectorSet& vectors,
-                                          std::unique_ptr<IvfIndex> owned,
-                                          const IvfIndex& index,
-                                          SearcherConfig config) {
-  switch (config.pruner) {
-    case PrunerKind::kLinear:
-      return WrapIvf<NoPruner>(
-          config, std::move(owned), &index,
-          MakeLinearIvfSearcher(vectors, index, config.search,
-                                config.block_capacity));
-    case PrunerKind::kAdsampling:
-      return WrapIvf<AdSamplingPruner>(
-          config, std::move(owned), &index,
-          MakeAdsIvfSearcher(vectors, index, ToAdsConfig(config)));
-    case PrunerKind::kBsa:
-      return WrapIvf<BsaPruner>(
-          config, std::move(owned), &index,
-          MakeBsaIvfSearcher(vectors, index, ToBsaConfig(config)));
-    case PrunerKind::kBond:
-      return WrapIvf<PdxBondPruner>(
-          config, std::move(owned), &index,
-          MakeBondIvfSearcher(vectors, index, ToBondConfig(config)));
-  }
-  return nullptr;
-}
-
-/// Wraps a restored (store, pruner) pair — and, on kIvf, the restored
-/// index — into the same facade MakeSearcher products use, via the direct
-/// FlatPdxSearcher/IvfPdxSearcher constructors: no factory pipeline, no
-/// transform, no packing.
-template <typename P>
-std::unique_ptr<Searcher> WrapImageSearcher(const SearcherConfig& config,
-                                            std::unique_ptr<IvfIndex> owned,
-                                            PdxStore store, P pruner) {
-  if (config.layout == SearcherLayout::kFlat) {
-    return WrapFlat<P>(config, std::make_unique<FlatPdxSearcher<P>>(
-                                   std::move(store), std::move(pruner),
-                                   config.search));
-  }
-  const IvfIndex* index = owned.get();
-  return WrapIvf<P>(config, std::move(owned), index,
-                    std::make_unique<IvfPdxSearcher<P>>(
-                        index, std::move(store), std::move(pruner),
-                        config.search));
-}
-
-PdxStore StoreFromImage(StoreImage&& si) {
-  return PdxStore::FromView(si.dim, si.count, si.block_counts,
-                            std::move(si.group_block_start), si.ids,
-                            std::move(si.stats), std::move(si.block_stats),
-                            si.arena);
 }
 
 }  // namespace
@@ -456,40 +365,35 @@ Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
   PDX_RETURN_IF_ERROR(ValidateSearcherConfig(config));
   config = ResolveConfig(std::move(config));
   if (config.quantization == QuantizationKind::kU8) {
-    return MakeQuantizedSearcherFromImage(std::move(image), shard,
-                                          std::move(config));
+    return RestoreQuantizedSearcher(std::move(image), shard,
+                                    std::move(config));
   }
 
-  Result<StoreImage> decoded = DecodeStore(*image, 2 * shard);
+  // No transform, no packing: the store views the image and the pruner is
+  // reloaded (or, for PDX-BOND, rebuilt from the persisted store stats).
+  Result<PdxStore> decoded = DecodePdxStore(*image, 2 * shard);
   if (!decoded.ok()) return decoded.status();
-  PdxStore store = StoreFromImage(std::move(decoded).value());
-
+  PdxStore store = std::move(decoded).value();
   std::unique_ptr<IvfIndex> owned;
   if (config.layout == SearcherLayout::kIvf) {
-    Result<IvfImage> ivf = DecodeIvf(*image, shard);
+    Result<std::unique_ptr<IvfIndex>> ivf =
+        DecodeIvfIndex(*image, shard, store.dim(), store.count());
     if (!ivf.ok()) return ivf.status();
-    Result<StoreImage> cent = DecodeStore(*image, 2 * shard + 1);
-    if (!cent.ok()) return cent.status();
-    if (cent.value().count != ivf.value().num_buckets ||
-        cent.value().dim != store.dim()) {
-      return Status::Corruption(
-          "collection file " + image->path() +
-          ": centroid store disagrees with bucket count");
-    }
-    VectorSet centroids = VectorSet::FromRowMajor(
-        ivf.value().centroid_rows, ivf.value().num_buckets, store.dim());
-    owned = std::make_unique<IvfIndex>(IvfIndex::FromParts(
-        store.count(), std::move(centroids),
-        StoreFromImage(std::move(cent).value()),
-        std::move(ivf.value().buckets)));
+    owned = std::move(ivf).value();
   }
+  const IvfIndex* index = owned.get();
+  auto make = [&](auto pruner) -> std::unique_ptr<Searcher> {
+    std::unique_ptr<Searcher> searcher =
+        std::make_unique<AnySearcherImpl<decltype(pruner)>>(
+            std::move(config), std::move(owned), index, std::move(store),
+            std::move(pruner));
+    searcher->PinImage(std::move(image));
+    return searcher;
+  };
 
-  std::unique_ptr<Searcher> searcher;
   switch (config.pruner) {
     case PrunerKind::kLinear:
-      searcher = WrapImageSearcher<NoPruner>(config, std::move(owned),
-                                             std::move(store), NoPruner{});
-      break;
+      return make(NoPruner{});
     case PrunerKind::kAdsampling: {
       Result<Matrix> rotation = DecodeRotation(*image, shard);
       if (!rotation.ok()) return rotation.status();
@@ -497,11 +401,8 @@ Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
         return Status::Corruption("collection file " + image->path() +
                                   ": rotation dim disagrees with store");
       }
-      AdSamplingPruner pruner(std::move(rotation).value(),
-                              config.ads_epsilon0);
-      searcher = WrapImageSearcher<AdSamplingPruner>(
-          config, std::move(owned), std::move(store), std::move(pruner));
-      break;
+      return make(AdSamplingPruner(std::move(rotation).value(),
+                                   config.ads_epsilon0));
     }
     case PrunerKind::kBsa: {
       Result<PcaImage> pca = DecodePca(*image, shard);
@@ -510,33 +411,20 @@ Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
         return Status::Corruption("collection file " + image->path() +
                                   ": PCA dim disagrees with store");
       }
-      BsaPruner pruner(
-          Pca::FromParts(std::move(pca.value().mean),
-                         std::move(pca.value().variance),
-                         std::move(pca.value().components)),
-          config.bsa_multiplier);
-      // The suffix-energy tables are derived, not persisted: BuildAux is
-      // deterministic in the packed lanes, so the rebuilt tables match the
-      // saved searcher's bit for bit (the parity tests pin this).
-      pruner.BuildAux(store);
-      searcher = WrapImageSearcher<BsaPruner>(config, std::move(owned),
-                                              std::move(store),
-                                              std::move(pruner));
-      break;
+      // The suffix-energy tables are derived, not persisted: BuildAux (run
+      // by the searcher's constructor) is deterministic in the packed
+      // lanes, so the rebuilt tables match the saved searcher's bit for
+      // bit (the parity tests pin this).
+      return make(BsaPruner(Pca::FromParts(std::move(pca.value().mean),
+                                           std::move(pca.value().variance),
+                                           std::move(pca.value().components)),
+                            config.bsa_multiplier));
     }
-    case PrunerKind::kBond: {
-      PdxBondPruner pruner(store.stats().means, *config.bond_order,
-                           config.bond_zone_size);
-      searcher = WrapImageSearcher<PdxBondPruner>(
-          config, std::move(owned), std::move(store), std::move(pruner));
-      break;
-    }
+    case PrunerKind::kBond:
+      return make(PdxBondPruner(store.stats().means, *config.bond_order,
+                                config.bond_zone_size));
   }
-  if (searcher == nullptr) {
-    return Status::Internal("MakeSearcherFromImage: unhandled pruner");
-  }
-  searcher->PinImage(std::move(image));
-  return searcher;
+  return Status::Internal("MakeSearcherFromImage: unhandled pruner");
 }
 
 Result<std::unique_ptr<Searcher>> MakeSearcher(const VectorSet& vectors,
@@ -545,16 +433,13 @@ Result<std::unique_ptr<Searcher>> MakeSearcher(const VectorSet& vectors,
   if (vectors.empty()) {
     return Status::InvalidArgument("MakeSearcher: empty collection");
   }
-  config = ResolveConfig(config);
-  if (config.quantization == QuantizationKind::kU8) {
-    return MakeQuantizedSearcher(vectors, std::move(config));
+  config = ResolveConfig(std::move(config));
+  std::unique_ptr<IvfIndex> owned;
+  if (config.layout == SearcherLayout::kIvf) {
+    owned = std::make_unique<IvfIndex>(IvfIndex::Build(vectors, config.ivf));
   }
-  if (config.layout == SearcherLayout::kFlat) {
-    return MakeFlatSearcher(vectors, std::move(config));
-  }
-  auto owned = std::make_unique<IvfIndex>(IvfIndex::Build(vectors, config.ivf));
-  const IvfIndex& index = *owned;
-  return MakeIvfSearcher(vectors, std::move(owned), index, std::move(config));
+  const IvfIndex* index = owned.get();
+  return BuildSearcher(vectors, std::move(config), std::move(owned), index);
 }
 
 Result<std::unique_ptr<Searcher>> MakeSearcher(const VectorSet& vectors,
@@ -573,11 +458,8 @@ Result<std::unique_ptr<Searcher>> MakeSearcher(const VectorSet& vectors,
         "MakeSearcher: index was not built over this collection "
         "(dim/count mismatch)");
   }
-  config = ResolveConfig(config);
-  if (config.quantization == QuantizationKind::kU8) {
-    return MakeQuantizedSearcher(vectors, index, std::move(config));
-  }
-  return MakeIvfSearcher(vectors, nullptr, index, std::move(config));
+  return BuildSearcher(vectors, ResolveConfig(std::move(config)), nullptr,
+                       &index);
 }
 
 }  // namespace pdx

@@ -25,6 +25,10 @@ namespace pdx {
 
 struct SavedCollection;  // storage/collection_format.h
 
+/// Exact-search partition size used by the paper (Section 6.5): the block
+/// capacity flat PDX-BOND resolves to.
+inline constexpr size_t kExactSearchBlockCapacity = 10240;
+
 /// How the collection is blocked and visited (Sections 4.2/6.5).
 enum class SearcherLayout : uint8_t {
   kFlat = 0,  ///< Horizontal partitions, every block visited (exact search).
@@ -102,8 +106,7 @@ struct SearcherConfig {
   /// rerank (raw quantized distances); ignored when quantization = kNone.
   size_t rerank_factor = 4;
 
-  /// PDXearch engine knobs. `k` and `metric` here are overwritten by the
-  /// fields above; a step_observer forces SearchBatch sequential.
+  /// PDXearch engine knobs; a step_observer forces SearchBatch sequential.
   PdxearchOptions search;
 };
 
@@ -113,7 +116,7 @@ struct SearcherConfig {
 Status ValidateSearcherConfig(const SearcherConfig& config);
 
 /// Fills in the derived fields the user left at their "default" markers
-/// (search.k/metric, block_capacity, bond_order). Idempotent. Every facade
+/// (block_capacity, bond_order; pruner under kU8). Idempotent. Every facade
 /// factory resolves before storing its config so the config a searcher
 /// carries — and persists — names concrete values, never markers whose
 /// meaning could drift with future defaults.
@@ -152,10 +155,9 @@ struct QueryKnobs {
   size_t nprobe = 0;
 };
 
-/// Runtime-polymorphic facade over the eight concrete searcher variants
-/// (IvfPdxSearcher<P> / FlatPdxSearcher<P> for the four pruners): one type
-/// to hold, one factory to call, whichever layout and pruner the config
-/// picked. Obtain through MakeSearcher.
+/// Runtime-polymorphic facade over every layout x pruner x quantization
+/// combination: one type to hold, one factory to call, whichever the config
+/// picked. Obtain through MakeSearcher (or LoadCollection, core/persist.h).
 ///
 /// An implementation provides one query primitive, SearchWith: one query
 /// through one scratch slot. The base class fans batches out over slot

@@ -42,15 +42,15 @@
 ///   auto sharded = pdx::MakeShardedSearcher(data, config, sharding).value();
 ///   service.AddCollection("hot", data, config, sharding);  // or hosted
 ///
-/// The compile-time factories (MakeBondFlatSearcher, MakeAdsIvfSearcher,
-/// ...) remain for benchmark code that wants the concrete types.
+/// MakeSearcher is the one way to build a searcher. Code that studies the
+/// engine itself (kernel or pruner experiments) can still drive a
+/// PdxearchEngine<Pruner> (core/pdxearch.h) over a PdxStore directly.
 
 #include "common/status.h"    // IWYU pragma: export
 #include "common/types.h"     // IWYU pragma: export
 #include "core/any_searcher.h"   // IWYU pragma: export
 #include "core/pdxearch.h"    // IWYU pragma: export
 #include "core/pruning_trace.h"  // IWYU pragma: export
-#include "core/searcher.h"    // IWYU pragma: export
 #include "core/sharded_searcher.h"  // IWYU pragma: export
 #include "index/flat.h"       // IWYU pragma: export
 #include "index/ivf.h"        // IWYU pragma: export

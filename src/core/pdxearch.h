@@ -19,10 +19,9 @@
 
 namespace pdx {
 
-/// Tuning knobs of the PDXearch framework (Section 4).
+/// Tuning knobs of the PDXearch framework (Section 4). The metric is fixed
+/// at engine construction and k is passed per search call.
 struct PdxearchOptions {
-  size_t k = 10;                     ///< Neighbors to return.
-  Metric metric = Metric::kL2;       ///< Pruners typically require kL2.
   /// Fraction of not-yet-pruned vectors at which the search advances from
   /// WARMUP to PRUNE (Figure 10's sweet spot: ~20%).
   float selection_fraction = 0.20f;
@@ -156,11 +155,13 @@ template <typename Pruner>
 class PdxearchEngine {
  public:
   /// `store` and `pruner` must outlive the engine. The pruner's BuildAux
-  /// must already have been called with `store` where applicable.
+  /// must already have been called with `store` where applicable. Pruners
+  /// typically require `metric` = kL2.
   PdxearchEngine(const PdxStore* store, const Pruner* pruner,
-                 PdxearchOptions options)
+                 Metric metric = Metric::kL2, PdxearchOptions options = {})
       : store_(store),
         pruner_(pruner),
+        metric_(metric),
         options_(std::move(options)),
         kernels_(ActiveKernels()) {
     size_t max_lanes = kPdxBlockSize;
@@ -171,29 +172,29 @@ class PdxearchEngine {
     positions_.resize(max_lanes);
   }
 
-  const PdxearchOptions& options() const { return options_; }
-  PdxearchOptions& mutable_options() { return options_; }
-
-  /// Exact/flat search: visits every block in store order.
-  std::vector<Neighbor> SearchFlat(const float* raw_query) {
+  /// Exact/flat search for the `k` nearest: visits every block in store
+  /// order.
+  std::vector<Neighbor> SearchFlat(const float* raw_query, size_t k) {
     profile_ = PdxearchProfile{};
     Timer timer;
     typename Pruner::QueryState qs = pruner_->PrepareQuery(raw_query);
     if (options_.collect_phase_times) {
       profile_.preprocess_ms = timer.ElapsedMillis();
     }
-    TopK heap(options_.k);
+    TopK heap(k);
     for (size_t b = 0; b < store_->num_blocks(); ++b) {
       SearchBlock(qs, b, heap);
     }
     return heap.SortedResults();
   }
 
-  /// IVF search: ranks buckets by centroid distance (on the index's PDX
-  /// centroid store), then runs PDXearch over the `nprobe` nearest buckets'
-  /// blocks. `index` must be the index the store was grouped by.
+  /// IVF search for the `k` nearest: ranks buckets by centroid distance
+  /// (on the index's PDX centroid store), then runs PDXearch over the
+  /// `nprobe` nearest buckets' blocks. `index` must be the index the store
+  /// was grouped by.
   std::vector<Neighbor> SearchIvf(const IvfIndex& index,
-                                  const float* raw_query, size_t nprobe) {
+                                  const float* raw_query, size_t k,
+                                  size_t nprobe) {
     profile_ = PdxearchProfile{};
     Timer timer;
     typename Pruner::QueryState qs = pruner_->PrepareQuery(raw_query);
@@ -206,7 +207,7 @@ class PdxearchEngine {
       profile_.find_buckets_ms = timer.ElapsedMillis();
     }
     const size_t probes = std::min(nprobe, ranked.size());
-    TopK heap(options_.k);
+    TopK heap(k);
     for (size_t r = 0; r < probes; ++r) {
       const auto [first, last] = store_->GroupBlockRange(ranked[r]);
       for (size_t b = first; b < last; ++b) {
@@ -241,10 +242,10 @@ class PdxearchEngine {
       if (timed) timer.Reset();
       if (order != nullptr) {
         std::fill(distances, distances + n, 0.0f);
-        kernels_.pdx_accumulate_dims(options_.metric, query, block.data(), n,
+        kernels_.pdx_accumulate_dims(metric_, query, block.data(), n,
                                      order->data(), dim, distances);
       } else {
-        kernels_.pdx_linear_scan(options_.metric, query, block.data(), n, dim,
+        kernels_.pdx_linear_scan(metric_, query, block.data(), n, dim,
                                  distances);
       }
       profile_.values_scanned += uint64_t(n) * dim;
@@ -281,11 +282,11 @@ class PdxearchEngine {
       if (!pruning_phase) {
         // WARMUP: all lanes.
         if (order != nullptr) {
-          kernels_.pdx_accumulate_dims(options_.metric, query, block.data(),
-                                       n, order->data() + dims_done, step,
+          kernels_.pdx_accumulate_dims(metric_, query, block.data(), n,
+                                       order->data() + dims_done, step,
                                        distances);
         } else {
-          kernels_.pdx_accumulate(options_.metric, query, block.data(), n,
+          kernels_.pdx_accumulate(metric_, query, block.data(), n,
                                   dims_done, dims_done + step, distances);
         }
         profile_.values_scanned += uint64_t(n) * step;
@@ -293,12 +294,12 @@ class PdxearchEngine {
         // PRUNE: survivors only.
         if (order != nullptr) {
           kernels_.pdx_accumulate_dims_positions(
-              options_.metric, query, block.data(), n,
-              order->data() + dims_done, step, positions, alive, distances);
+              metric_, query, block.data(), n, order->data() + dims_done, step,
+              positions, alive, distances);
         } else {
-          kernels_.pdx_accumulate_positions(
-              options_.metric, query, block.data(), n, dims_done,
-              dims_done + step, positions, alive, distances);
+          kernels_.pdx_accumulate_positions(metric_, query, block.data(), n,
+                                            dims_done, dims_done + step,
+                                            positions, alive, distances);
         }
         profile_.values_scanned += uint64_t(alive) * step;
       }
@@ -336,6 +337,7 @@ class PdxearchEngine {
 
   const PdxStore* store_;
   const Pruner* pruner_;
+  Metric metric_;
   PdxearchOptions options_;
   /// The runtime-dispatched kernel tier, resolved once at engine creation
   /// so the block loop pays one indirect call per kernel, not a dispatch.

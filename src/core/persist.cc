@@ -1,6 +1,7 @@
 #include "core/persist.h"
 
 #include <utility>
+#include <vector>
 
 namespace pdx {
 
@@ -67,8 +68,6 @@ Status ConfigFromMeta(const SavedMeta& meta, SearcherConfig* config,
   out.search.adaptive_steps = meta.search_adaptive_steps != 0;
   out.search.initial_step = meta.search_initial_step;
   out.search.fixed_step = meta.search_fixed_step;
-  out.search.k = out.k;
-  out.search.metric = out.metric;
   // Re-validating here turns any enum bit-rot the checksums cannot
   // distinguish from intent (the file IS self-consistent) into a clean
   // failure before a searcher is built over it.
@@ -89,6 +88,50 @@ Status ConfigFromMeta(const SavedMeta& meta, SearcherConfig* config,
   }
   if (config != nullptr) *config = std::move(out);
   return Status::OK();
+}
+
+void ExportIvf(const IvfIndex& index, SavedShard& shard) {
+  shard.has_ivf = true;
+  shard.centroids = ExportStore(index.centroids_pdx());
+  const VectorSet& rows = index.centroids();
+  shard.centroid_rows.assign(rows.data(),
+                             rows.data() + rows.count() * rows.dim());
+  shard.bucket_offsets.reserve(index.num_buckets() + 1);
+  shard.bucket_offsets.push_back(0);
+  for (const std::vector<VectorId>& bucket : index.buckets()) {
+    shard.bucket_ids.insert(shard.bucket_ids.end(), bucket.begin(),
+                            bucket.end());
+    shard.bucket_offsets.push_back(shard.bucket_ids.size());
+  }
+}
+
+Result<PdxStore> DecodePdxStore(const CollectionImage& image, uint32_t unit) {
+  Result<StoreImage> decoded = DecodeStore(image, unit);
+  if (!decoded.ok()) return decoded.status();
+  StoreImage& si = decoded.value();
+  return PdxStore::FromView(si.dim, si.count, si.block_counts,
+                            std::move(si.group_block_start), si.ids,
+                            std::move(si.stats), std::move(si.block_stats),
+                            si.arena);
+}
+
+Result<std::unique_ptr<IvfIndex>> DecodeIvfIndex(const CollectionImage& image,
+                                                 uint32_t shard, size_t dim,
+                                                 size_t count) {
+  Result<IvfImage> ivf = DecodeIvf(image, shard);
+  if (!ivf.ok()) return ivf.status();
+  Result<PdxStore> centroids_pdx = DecodePdxStore(image, 2 * shard + 1);
+  if (!centroids_pdx.ok()) return centroids_pdx.status();
+  if (centroids_pdx.value().count() != ivf.value().num_buckets ||
+      centroids_pdx.value().dim() != dim) {
+    return Status::Corruption("collection file " + image.path() +
+                              ": centroid store disagrees with bucket count");
+  }
+  VectorSet centroids = VectorSet::FromRowMajor(
+      ivf.value().centroid_rows, ivf.value().num_buckets, dim);
+  return std::make_unique<IvfIndex>(IvfIndex::FromParts(
+      count, std::move(centroids), std::move(centroids_pdx).value(),
+      std::move(ivf.value().buckets)));
 }
 
 Result<LoadedCollection> LoadCollectionFromImage(

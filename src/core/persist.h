@@ -26,6 +26,26 @@ SavedMeta MetaFromConfig(const SearcherConfig& config);
 Status ConfigFromMeta(const SavedMeta& meta, SearcherConfig* config,
                       ShardingOptions* sharding, MutationConfig* mutation);
 
+/// Adds `index`'s sections to `shard`: the centroid PDX store (persisted,
+/// not rebuilt at load — repacking would cost time and let a future
+/// packing change silently alter the saved index's bucket ranking), the
+/// horizontal centroid rows, and the bucket lists. Every tier's exporter
+/// uses this one.
+void ExportIvf(const IvfIndex& index, SavedShard& shard);
+
+/// Decodes store unit `unit` of `image` into a PdxStore whose blocks view
+/// the image's arena (the image must outlive the store).
+Result<PdxStore> DecodePdxStore(const CollectionImage& image, uint32_t unit);
+
+/// Reassembles shard `shard`'s IVF index from `image` (bucket lists,
+/// centroid rows, and the persisted centroid PDX store) — no k-means runs.
+/// `dim` and `count` are the shard's served dimensionality and vector
+/// count; a centroid store that disagrees with them or with the bucket
+/// count fails with Corruption.
+Result<std::unique_ptr<IvfIndex>> DecodeIvfIndex(const CollectionImage& image,
+                                                 uint32_t shard, size_t dim,
+                                                 size_t count);
+
 /// Restores one unsharded searcher from shard `shard`'s sections of
 /// `image`: the PDX stores become zero-copy views into the image (which
 /// the searcher pins), pruner transforms are reloaded rather than

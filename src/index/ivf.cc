@@ -105,4 +105,25 @@ std::vector<uint32_t> IvfIndex::RankBucketsNary(const float* query) const {
   return order;
 }
 
+std::vector<Neighbor> IvfNarySearch(const IvfIndex& index,
+                                    const BucketOrderedSet& data,
+                                    const float* query, size_t k,
+                                    size_t nprobe, Metric metric, Isa isa) {
+  const PairKernelFn kernel = GetNaryKernel(metric, isa);
+  const std::vector<uint32_t> ranked = index.RankBucketsNary(query);
+  const size_t probes = std::min(nprobe, ranked.size());
+  const size_t dim = data.vectors.dim();
+  TopK heap(k);
+  for (size_t r = 0; r < probes; ++r) {
+    const uint32_t b = ranked[r];
+    for (size_t pos = data.offsets[b]; pos < data.offsets[b + 1]; ++pos) {
+      heap.Push(data.ids[pos],
+                kernel(query, data.vectors.Vector(
+                                  static_cast<VectorId>(pos)),
+                       dim));
+    }
+  }
+  return heap.SortedResults();
+}
+
 }  // namespace pdx

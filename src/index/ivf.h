@@ -7,6 +7,8 @@
 
 #include "common/types.h"
 #include "index/kmeans.h"
+#include "index/topk.h"
+#include "kernels/kernel_dispatch.h"
 #include "storage/pdx_store.h"
 #include "storage/vector_set.h"
 
@@ -98,6 +100,16 @@ struct BucketOrderedSet {
 /// Builds the bucket-ordered arrangement of `vectors` under `index`.
 BucketOrderedSet ReorderByBuckets(const VectorSet& vectors,
                                   const IvfIndex& index);
+
+/// IVF linear scan on the horizontal layout with explicit-SIMD kernels:
+/// the `nprobe` nearest buckets of `data` (ranked by RankBucketsNary), k
+/// nearest returned. This is what FAISS's and Milvus's IVF_FLAT do; `isa`
+/// picks the tier.
+std::vector<Neighbor> IvfNarySearch(const IvfIndex& index,
+                                    const BucketOrderedSet& data,
+                                    const float* query, size_t k,
+                                    size_t nprobe, Metric metric = Metric::kL2,
+                                    Isa isa = Isa::kBest);
 
 }  // namespace pdx
 

@@ -139,23 +139,7 @@ class QuantizedSearcher final : public Searcher {
     shard.quant_codes = qstore_.codes_data();
     shard.quant_codes_bytes = qstore_.codes_bytes();
     shard.quant_rows = rows_;
-    if (index_ != nullptr) {
-      shard.has_ivf = true;
-      // Same rationale as the float exporter: persist the centroid PDX
-      // packing so a future packing change can't silently alter the saved
-      // index's bucket ranking.
-      shard.centroids = ExportStore(index_->centroids_pdx());
-      const VectorSet& rows = index_->centroids();
-      shard.centroid_rows.assign(rows.data(),
-                                 rows.data() + rows.count() * rows.dim());
-      shard.bucket_offsets.reserve(index_->num_buckets() + 1);
-      shard.bucket_offsets.push_back(0);
-      for (const std::vector<VectorId>& bucket : index_->buckets()) {
-        shard.bucket_ids.insert(shard.bucket_ids.end(), bucket.begin(),
-                                bucket.end());
-        shard.bucket_offsets.push_back(shard.bucket_ids.size());
-      }
-    }
+    if (index_ != nullptr) ExportIvf(*index_, shard);
     out.shards.push_back(std::move(shard));
     return Status::OK();
   }
@@ -191,9 +175,11 @@ class QuantizedSearcher final : public Searcher {
   std::vector<std::unique_ptr<Slot>> slots_;
 };
 
-Result<std::unique_ptr<Searcher>> BuildQuantized(
-    const VectorSet& vectors, std::unique_ptr<IvfIndex> owned,
-    const IvfIndex* index, SearcherConfig config) {
+}  // namespace
+
+std::unique_ptr<Searcher> BuildQuantizedSearcher(
+    const VectorSet& vectors, SearcherConfig config,
+    std::unique_ptr<IvfIndex> owned, const IvfIndex* index) {
   QuantizedPdxStore qstore =
       index == nullptr
           ? QuantizedPdxStore::FromVectorSet(vectors, config.block_capacity)
@@ -201,55 +187,14 @@ Result<std::unique_ptr<Searcher>> BuildQuantized(
                                           config.block_capacity);
   VectorSet rows = vectors.Clone();
   const float* rows_data = rows.data();
-  return std::unique_ptr<Searcher>(new QuantizedSearcher(
+  return std::make_unique<QuantizedSearcher>(
       std::move(config), std::move(qstore), std::move(rows), rows_data,
-      std::move(owned), index));
+      std::move(owned), index);
 }
 
-}  // namespace
-
-Result<std::unique_ptr<Searcher>> MakeQuantizedSearcher(
-    const VectorSet& vectors, SearcherConfig config) {
-  PDX_RETURN_IF_ERROR(ValidateSearcherConfig(config));
-  if (vectors.empty()) {
-    return Status::InvalidArgument("MakeQuantizedSearcher: empty collection");
-  }
-  config = ResolveConfig(std::move(config));
-  if (config.layout == SearcherLayout::kFlat) {
-    return BuildQuantized(vectors, nullptr, nullptr, std::move(config));
-  }
-  auto owned =
-      std::make_unique<IvfIndex>(IvfIndex::Build(vectors, config.ivf));
-  const IvfIndex* index = owned.get();
-  return BuildQuantized(vectors, std::move(owned), index, std::move(config));
-}
-
-Result<std::unique_ptr<Searcher>> MakeQuantizedSearcher(
-    const VectorSet& vectors, const IvfIndex& index, SearcherConfig config) {
-  PDX_RETURN_IF_ERROR(ValidateSearcherConfig(config));
-  if (vectors.empty()) {
-    return Status::InvalidArgument("MakeQuantizedSearcher: empty collection");
-  }
-  if (config.layout != SearcherLayout::kIvf) {
-    return Status::InvalidArgument(
-        "MakeQuantizedSearcher: an external IVF index requires layout = "
-        "kIvf");
-  }
-  if (index.dim() != vectors.dim() || index.count() != vectors.count()) {
-    return Status::InvalidArgument(
-        "MakeQuantizedSearcher: index was not built over this collection "
-        "(dim/count mismatch)");
-  }
-  config = ResolveConfig(std::move(config));
-  return BuildQuantized(vectors, nullptr, &index, std::move(config));
-}
-
-Result<std::unique_ptr<Searcher>> MakeQuantizedSearcherFromImage(
+Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
     std::shared_ptr<const CollectionImage> image, uint32_t shard,
     SearcherConfig config) {
-  PDX_RETURN_IF_ERROR(ValidateSearcherConfig(config));
-  config = ResolveConfig(std::move(config));
-
   Result<QuantImage> quant = DecodeQuant(*image, shard);
   if (!quant.ok()) return quant.status();
   QuantImage& qi = quant.value();
@@ -263,32 +208,16 @@ Result<std::unique_ptr<Searcher>> MakeQuantizedSearcherFromImage(
   std::vector<size_t> group_sizes;
   std::vector<VectorId> ids;
   if (config.layout == SearcherLayout::kIvf) {
-    Result<IvfImage> ivf = DecodeIvf(*image, shard);
+    Result<std::unique_ptr<IvfIndex>> ivf =
+        DecodeIvfIndex(*image, shard, qi.dim, qi.count);
     if (!ivf.ok()) return ivf.status();
-    Result<StoreImage> cent = DecodeStore(*image, 2 * shard + 1);
-    if (!cent.ok()) return cent.status();
-    if (cent.value().count != ivf.value().num_buckets ||
-        cent.value().dim != qi.dim) {
-      return Status::Corruption(
-          "collection file " + image->path() +
-          ": centroid store disagrees with bucket count");
-    }
-    group_sizes.reserve(ivf.value().buckets.size());
+    owned = std::move(ivf).value();
+    group_sizes.reserve(owned->num_buckets());
     ids.reserve(qi.count);
-    for (const std::vector<VectorId>& bucket : ivf.value().buckets) {
+    for (const std::vector<VectorId>& bucket : owned->buckets()) {
       group_sizes.push_back(bucket.size());
       ids.insert(ids.end(), bucket.begin(), bucket.end());
     }
-    VectorSet centroids = VectorSet::FromRowMajor(
-        ivf.value().centroid_rows, ivf.value().num_buckets, qi.dim);
-    StoreImage& ci = cent.value();
-    PdxStore centroids_pdx = PdxStore::FromView(
-        ci.dim, ci.count, ci.block_counts, std::move(ci.group_block_start),
-        ci.ids, std::move(ci.stats), std::move(ci.block_stats), ci.arena);
-    owned = std::make_unique<IvfIndex>(
-        IvfIndex::FromParts(qi.count, std::move(centroids),
-                            std::move(centroids_pdx),
-                            std::move(ivf.value().buckets)));
   } else {
     group_sizes.push_back(qi.count);
   }
@@ -301,9 +230,9 @@ Result<std::unique_ptr<Searcher>> MakeQuantizedSearcherFromImage(
       qi.dim, std::move(qi.offsets), std::move(qi.scales), group_sizes,
       std::move(ids), config.block_capacity, qi.codes);
   const IvfIndex* index = owned.get();
-  std::unique_ptr<Searcher> searcher(new QuantizedSearcher(
+  std::unique_ptr<Searcher> searcher = std::make_unique<QuantizedSearcher>(
       std::move(config), std::move(qstore), VectorSet{}, qi.rows,
-      std::move(owned), index));
+      std::move(owned), index);
   searcher->PinImage(std::move(image));
   return searcher;
 }

@@ -11,7 +11,7 @@
 
 namespace pdx {
 
-/// Factories for the u8 quantized serving tier (SearcherConfig::quantization
+/// Builders for the u8 quantized serving tier (SearcherConfig::quantization
 /// = kU8): a dimension-major u8 code scan (quant/quantized_store.h) selects
 /// k * rerank_factor candidates, whose exact distances are recomputed on the
 /// retained full-precision rows. Products implement the full Searcher
@@ -21,27 +21,23 @@ namespace pdx {
 /// unsupported surface (there is no float PDX store to expose) and fails
 /// loudly.
 ///
-/// MakeSearcher routes here when config.quantization != kNone; call these
-/// directly only from code that already knows it wants the quantized tier.
+/// Both are internal to the facade: MakeSearcher and MakeSearcherFromImage
+/// validate and resolve `config`, then route here when config.quantization
+/// is kU8.
 
-/// Quantizes and serves `vectors` under `config` (flat layout scans every
-/// block; kIvf builds an owned IVF index with config.ivf and scans the
-/// nprobe nearest buckets' blocks).
-Result<std::unique_ptr<Searcher>> MakeQuantizedSearcher(
-    const VectorSet& vectors, SearcherConfig config);
-
-/// Same, over a caller-owned IVF index (must outlive the searcher and have
-/// been built over `vectors`; layout must be kIvf).
-Result<std::unique_ptr<Searcher>> MakeQuantizedSearcher(
-    const VectorSet& vectors, const IvfIndex& index, SearcherConfig config);
+/// Quantizes and serves `vectors`. `index` is null on the flat layout
+/// (every block scanned); on kIvf the nprobe nearest buckets' blocks are
+/// scanned. `owned` is null when the caller keeps ownership of `index`.
+std::unique_ptr<Searcher> BuildQuantizedSearcher(
+    const VectorSet& vectors, SearcherConfig config,
+    std::unique_ptr<IvfIndex> owned, const IvfIndex* index);
 
 /// Restores a quantized searcher from shard `shard`'s kQuantParams /
 /// kQuantCodes / kQuantRows sections of `image`: codes and rerank rows
 /// become zero-copy views into the image (which the searcher pins) and no
 /// requantization runs — the persistence tests pin QuantizedPackCount at
-/// zero across this call. `config` must be the resolved config decoded
-/// from the image's meta.
-Result<std::unique_ptr<Searcher>> MakeQuantizedSearcherFromImage(
+/// zero across this call.
+Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
     std::shared_ptr<const CollectionImage> image, uint32_t shard,
     SearcherConfig config);
 

@@ -1,7 +1,13 @@
 #include "storage/collection_format.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 namespace pdx {
@@ -38,10 +44,13 @@ class ByteReader {
   bool ReadU64(uint64_t* out) { return ReadPod(out); }
   bool ReadI64(int64_t* out) { return ReadPod(out); }
 
+  // The array readers skip the copy when n == 0: an empty vector's data()
+  // may be null, and memcpy with a null pointer is undefined even for zero
+  // bytes.
   bool ReadU32Array(size_t n, std::vector<uint32_t>* out) {
     if (n > remaining() / sizeof(uint32_t)) return false;
     out->resize(n);
-    std::memcpy(out->data(), cursor_, n * sizeof(uint32_t));
+    if (n > 0) std::memcpy(out->data(), cursor_, n * sizeof(uint32_t));
     cursor_ += n * sizeof(uint32_t);
     return true;
   }
@@ -49,7 +58,7 @@ class ByteReader {
   bool ReadU64Array(size_t n, std::vector<uint64_t>* out) {
     if (n > remaining() / sizeof(uint64_t)) return false;
     out->resize(n);
-    std::memcpy(out->data(), cursor_, n * sizeof(uint64_t));
+    if (n > 0) std::memcpy(out->data(), cursor_, n * sizeof(uint64_t));
     cursor_ += n * sizeof(uint64_t);
     return true;
   }
@@ -57,7 +66,7 @@ class ByteReader {
   bool ReadU8Array(size_t n, std::vector<uint8_t>* out) {
     if (n > remaining()) return false;
     out->resize(n);
-    std::memcpy(out->data(), cursor_, n);
+    if (n > 0) std::memcpy(out->data(), cursor_, n);
     cursor_ += n;
     return true;
   }
@@ -160,6 +169,35 @@ void AppendStoreSections(const SavedStore& store, uint32_t unit,
   arena.external_size = store.arena_floats * sizeof(float);
   arena.align64 = true;
   sections.push_back(std::move(arena));
+}
+
+/// Creates the file the next snapshot of `path` is written to, in the same
+/// directory (so the final rename stays on one filesystem). The name is
+/// unique per call — pid plus a process-wide counter, created O_EXCL — so
+/// concurrent saves of one path never share a temp file; the mode is 0666
+/// less the umask, like any new file. Returns the fd, or -1 with errno set.
+int CreateTempBeside(const std::string& path, std::string* tmp) {
+  static std::atomic<uint64_t> counter{0};
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    *tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+    const int fd =
+        ::open(tmp->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd >= 0 || errno != EEXIST) return fd;
+  }
+  return -1;
+}
+
+/// fsyncs the directory holding `path`, which makes a rename into it
+/// durable.
+bool SyncParentDirectory(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
 }
 
 Status ReadStats(ByteReader& reader, size_t dim, DimensionStats* out) {
@@ -384,9 +422,22 @@ Status WriteCollectionFile(const std::string& path,
       table.data(), table.size(), Fnv1a64(header, kHeaderChecksumOffset));
   std::memcpy(header + kHeaderChecksumOffset, &header_checksum, 8);
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // The snapshot goes to a fresh file beside `path`, is fsynced, and is
+  // then renamed over `path`. A process serving the old file by mmap keeps
+  // its inode (so saving a collection over the file it was loaded from is
+  // safe), a crash mid-write leaves the last good snapshot in place, and a
+  // failed write removes only its own temp file.
+  std::string tmp;
+  const int fd = CreateTempBeside(path, &tmp);
+  if (fd < 0) {
+    return Status::IoError("cannot create a temporary file beside " + path +
+                           ": " + std::strerror(errno));
+  }
+  std::FILE* f = ::fdopen(fd, "wb");
   if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return Status::IoError("cannot open " + tmp + " for writing");
   }
   const auto write = [&f](const void* data, size_t size) {
     return size == 0 || std::fwrite(data, 1, size, f) == size;
@@ -402,10 +453,21 @@ Status WriteCollectionFile(const std::string& path,
     ok = ok && write(sections[i].data(), sections[i].size());
     written += sections[i].size();
   }
+  ok = ok && std::fflush(f) == 0 && ::fsync(fd) == 0;
   const bool closed = std::fclose(f) == 0;
   if (!ok || !closed) {
-    std::remove(path.c_str());
+    ::unlink(tmp.c_str());
     return Status::IoError("short write to " + path);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int error = errno;
+    ::unlink(tmp.c_str());
+    return Status::IoError("cannot rename " + tmp + " over " + path + ": " +
+                           std::strerror(error));
+  }
+  if (!SyncParentDirectory(path)) {
+    return Status::IoError("wrote " + path +
+                           " but could not fsync its directory");
   }
   return Status::OK();
 }

@@ -160,9 +160,12 @@ struct SavedCollection {
   std::vector<uint8_t> dead;
 };
 
-/// Serializes `saved` to `path` (atomically enough for our purposes: the
-/// file is written in one pass; a crash mid-write fails checksum
-/// validation at load rather than serving garbage).
+/// Serializes `saved` to `path` atomically: the bytes go to a temp file in
+/// the same directory, which is fsynced and renamed over `path`, and the
+/// directory is fsynced. `path` is never truncated in place, so a reader
+/// mapping the old file (including the searcher `saved` was exported from,
+/// when it was loaded from `path`) keeps serving it, and a failed or
+/// interrupted write leaves the previous file byte-identical.
 Status WriteCollectionFile(const std::string& path,
                            const SavedCollection& saved);
 

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchlib/datagen.h"
 #include "benchlib/recall.h"
-#include "core/searcher.h"
+#include "pruning/adsampling.h"
+#include "pruning/bsa.h"
+#include "pruning/pdx_bond.h"
 
 namespace pdx {
 namespace {
@@ -54,45 +58,89 @@ SearcherConfig IvfConfig(PrunerKind pruner, size_t nprobe) {
   return config;
 }
 
-// The facade must be byte-for-byte the concrete searcher it erases: same
-// store construction, same pruner parameters, same engine — so ids AND
-// distances must match exactly for every layout x pruner combination.
+// The facade must be byte-for-byte the PDXearch engine it wraps: the
+// reference below packs the store and builds the pruner by hand, the way
+// the paper describes each competitor, and drives a PdxearchEngine over
+// them without going through MakeSearcher — so ids AND distances must
+// match exactly for every layout x pruner combination.
+
+using DirectSearch = std::function<std::vector<Neighbor>(const float*)>;
+
+template <typename P>
+struct DirectEngine {
+  DirectEngine(PdxStore s, P p) : store(std::move(s)), pruner(std::move(p)) {
+    pruner.BuildAux(store);
+  }
+  PdxStore store;
+  P pruner;
+  PdxearchEngine<P> engine{&store, &pruner};
+};
+
+/// k = 10 through a hand-built engine: IVF over `index` when non-null.
+template <typename P>
+DirectSearch Direct(PdxStore store, P pruner, const IvfIndex* index,
+                    size_t nprobe) {
+  auto direct =
+      std::make_shared<DirectEngine<P>>(std::move(store), std::move(pruner));
+  return [direct, index, nprobe](const float* query) {
+    return index != nullptr
+               ? direct->engine.SearchIvf(*index, query, 10, nprobe)
+               : direct->engine.SearchFlat(query, 10);
+  };
+}
+
+/// The four references with the paper's defaults (ADSampling epsilon0 2.1
+/// and seed 42, exact BSA with 4096 fit samples, PDX-BOND dimension zones
+/// of 16 on IVF's 64-vector blocks and distance-to-means on flat's 10K
+/// partitions, register-sized blocks elsewhere).
+std::vector<std::pair<PrunerKind, DirectSearch>> DirectRoster(
+    const VectorSet& data, const IvfIndex* index, size_t nprobe) {
+  auto pack = [&](const VectorSet& rows, size_t capacity) {
+    return index != nullptr
+               ? PdxStore::FromGroups(rows, index->buckets(), capacity)
+               : PdxStore::FromVectorSet(rows, capacity);
+  };
+  std::vector<std::pair<PrunerKind, DirectSearch>> roster;
+  AdSamplingPruner ads(data.dim(), 2.1f, 42);
+  PdxStore ads_store = pack(ads.TransformCollection(data), kPdxBlockSize);
+  roster.emplace_back(PrunerKind::kAdsampling,
+                      Direct(std::move(ads_store), std::move(ads), index,
+                             nprobe));
+  BsaPruner bsa(data, 1.0f, 4096);
+  PdxStore bsa_store = pack(bsa.TransformCollection(data), kPdxBlockSize);
+  roster.emplace_back(PrunerKind::kBsa, Direct(std::move(bsa_store),
+                                               std::move(bsa), index, nprobe));
+  PdxStore bond_store = pack(
+      data, index != nullptr ? kPdxBlockSize : kExactSearchBlockCapacity);
+  PdxBondPruner bond(bond_store.stats().means,
+                     index != nullptr ? DimensionOrder::kDimensionZones
+                                      : DimensionOrder::kDistanceToMeans,
+                     16);
+  roster.emplace_back(PrunerKind::kBond, Direct(std::move(bond_store),
+                                                std::move(bond), index,
+                                                nprobe));
+  roster.emplace_back(PrunerKind::kLinear,
+                      Direct(pack(data, kPdxBlockSize), NoPruner{}, index,
+                             nprobe));
+  return roster;
+}
 
 TEST(AnySearcherTest, IvfParityWithDirectFactories) {
   Fixture fx = MakeFixture();
   const size_t nprobe = 4;
 
-  auto ads = MakeAdsIvfSearcher(fx.dataset.data, fx.index, {});
-  auto bsa = MakeBsaIvfSearcher(fx.dataset.data, fx.index, {});
-  auto bond = MakeBondIvfSearcher(fx.dataset.data, fx.index, {});
-  auto linear = MakeLinearIvfSearcher(fx.dataset.data, fx.index);
-
-  struct Case {
-    PrunerKind pruner;
-    std::function<std::vector<Neighbor>(const float*)> direct;
-  };
-  const std::vector<Case> cases = {
-      {PrunerKind::kAdsampling,
-       [&](const float* q) { return ads->Search(q, 10, nprobe); }},
-      {PrunerKind::kBsa,
-       [&](const float* q) { return bsa->Search(q, 10, nprobe); }},
-      {PrunerKind::kBond,
-       [&](const float* q) { return bond->Search(q, 10, nprobe); }},
-      {PrunerKind::kLinear,
-       [&](const float* q) { return linear->Search(q, 10, nprobe); }},
-  };
-
-  for (const Case& c : cases) {
+  for (const auto& [pruner, direct] :
+       DirectRoster(fx.dataset.data, &fx.index, nprobe)) {
     auto made = MakeSearcher(fx.dataset.data, fx.index,
-                             IvfConfig(c.pruner, nprobe));
+                             IvfConfig(pruner, nprobe));
     ASSERT_TRUE(made.ok()) << made.status().ToString();
     auto& facade = *made.value();
     EXPECT_EQ(facade.index(), &fx.index);
     EXPECT_EQ(facade.dim(), fx.dataset.dim());
     for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
       const float* query = fx.dataset.queries.Vector(q);
-      ExpectSameNeighbors(facade.Search(query), c.direct(query),
-                          PrunerKindName(c.pruner), q);
+      ExpectSameNeighbors(facade.Search(query), direct(query),
+                          PrunerKindName(pruner), q);
     }
   }
 }
@@ -100,28 +148,11 @@ TEST(AnySearcherTest, IvfParityWithDirectFactories) {
 TEST(AnySearcherTest, FlatParityWithDirectFactories) {
   Fixture fx = MakeFixture(20, 72);
 
-  auto ads = MakeAdsFlatSearcher(fx.dataset.data, {});
-  auto bsa = MakeBsaFlatSearcher(fx.dataset.data, {});
-  auto bond = MakeBondFlatSearcher(fx.dataset.data);
-  auto linear = MakeLinearFlatSearcher(fx.dataset.data);
-
-  struct Case {
-    PrunerKind pruner;
-    std::function<std::vector<Neighbor>(const float*)> direct;
-  };
-  const std::vector<Case> cases = {
-      {PrunerKind::kAdsampling,
-       [&](const float* q) { return ads->Search(q, 10); }},
-      {PrunerKind::kBsa, [&](const float* q) { return bsa->Search(q, 10); }},
-      {PrunerKind::kBond, [&](const float* q) { return bond->Search(q, 10); }},
-      {PrunerKind::kLinear,
-       [&](const float* q) { return linear->Search(q, 10); }},
-  };
-
-  for (const Case& c : cases) {
+  for (const auto& [pruner, direct] :
+       DirectRoster(fx.dataset.data, nullptr, 0)) {
     SearcherConfig config;
     config.layout = SearcherLayout::kFlat;
-    config.pruner = c.pruner;
+    config.pruner = pruner;
     config.k = 10;
     auto made = MakeSearcher(fx.dataset.data, config);
     ASSERT_TRUE(made.ok()) << made.status().ToString();
@@ -129,8 +160,8 @@ TEST(AnySearcherTest, FlatParityWithDirectFactories) {
     EXPECT_EQ(facade.index(), nullptr);
     for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
       const float* query = fx.dataset.queries.Vector(q);
-      ExpectSameNeighbors(facade.Search(query), c.direct(query),
-                          PrunerKindName(c.pruner), q);
+      ExpectSameNeighbors(facade.Search(query), direct(query),
+                          PrunerKindName(pruner), q);
     }
   }
 }

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "benchlib/datagen.h"
-#include "core/searcher.h"
+#include "core/any_searcher.h"
 #include "index/flat.h"
+#include "pruning/pdx_bond.h"
 
 namespace pdx {
 namespace {
@@ -25,16 +27,33 @@ Dataset MakeDataset(size_t dim = 24, uint64_t seed = 9,
   return GenerateDataset(spec);
 }
 
+/// Flat PDX-BOND through the facade, with dimension zones on register-sized
+/// blocks instead of the exact-search defaults (distance-to-means on 10K
+/// partitions), so the collection spans several blocks.
+SearcherConfig ZonedBondConfig() {
+  SearcherConfig config;
+  config.bond_order = DimensionOrder::kDimensionZones;
+  config.block_capacity = kPdxBlockSize;
+  return config;
+}
+
+std::unique_ptr<Searcher> MakeBond(const VectorSet& data,
+                                   const SearcherConfig& config = {}) {
+  auto made = MakeSearcher(data, config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
+}
+
 TEST(PdxearchTest, NoPrunerEqualsLinearScan) {
   Dataset dataset = MakeDataset();
   PdxStore store = PdxStore::FromVectorSet(dataset.data);
   NoPruner pruner;
-  PdxearchEngine<NoPruner> engine(&store, &pruner, {});
+  PdxearchEngine<NoPruner> engine(&store, &pruner);
 
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
     const auto expected = FlatSearchPdx(store, query, 10, Metric::kL2);
-    const auto actual = engine.SearchFlat(query);
+    const auto actual = engine.SearchFlat(query, 10);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "query " << q;
@@ -47,8 +66,8 @@ TEST(PdxearchTest, NoPrunerScansEverything) {
   Dataset dataset = MakeDataset();
   PdxStore store = PdxStore::FromVectorSet(dataset.data);
   NoPruner pruner;
-  PdxearchEngine<NoPruner> engine(&store, &pruner, {});
-  engine.SearchFlat(dataset.queries.Vector(0));
+  PdxearchEngine<NoPruner> engine(&store, &pruner);
+  engine.SearchFlat(dataset.queries.Vector(0), 10);
   const PdxearchProfile& profile = engine.last_profile();
   EXPECT_EQ(profile.values_scanned, profile.values_total);
   EXPECT_DOUBLE_EQ(profile.pruning_power(), 0.0);
@@ -56,18 +75,20 @@ TEST(PdxearchTest, NoPrunerScansEverything) {
 
 TEST(PdxearchTest, AdaptiveAndFixedStepsSameResultsForExactPruner) {
   Dataset dataset = MakeDataset(32, 10);
-  BondConfig adaptive;
+  SearcherConfig adaptive = ZonedBondConfig();
   adaptive.search.adaptive_steps = true;
-  auto adaptive_searcher = MakeBondFlatSearcher(dataset.data, adaptive);
-  BondConfig fixed;
+  auto adaptive_searcher = MakeBond(dataset.data, adaptive);
+  SearcherConfig fixed = ZonedBondConfig();
   fixed.search.adaptive_steps = false;
   fixed.search.fixed_step = 32;
-  auto fixed_searcher = MakeBondFlatSearcher(dataset.data, fixed);
+  auto fixed_searcher = MakeBond(dataset.data, fixed);
+  ASSERT_NE(adaptive_searcher, nullptr);
+  ASSERT_NE(fixed_searcher, nullptr);
 
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
-    const auto a = adaptive_searcher->Search(query, 10);
-    const auto b = fixed_searcher->Search(query, 10);
+    const auto a = adaptive_searcher->SearchWith(0, {10, 0}, query);
+    const auto b = fixed_searcher->SearchWith(0, {10, 0}, query);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].id, b[i].id) << "query " << q << " rank " << i;
@@ -78,12 +99,13 @@ TEST(PdxearchTest, AdaptiveAndFixedStepsSameResultsForExactPruner) {
 TEST(PdxearchTest, SelectionFractionDoesNotChangeExactResults) {
   Dataset dataset = MakeDataset(20, 11);
   for (float fraction : {0.02f, 0.2f, 0.8f}) {
-    BondConfig config;
+    SearcherConfig config = ZonedBondConfig();
     config.search.selection_fraction = fraction;
-    auto searcher = MakeBondFlatSearcher(dataset.data, config);
+    auto searcher = MakeBond(dataset.data, config);
+    ASSERT_NE(searcher, nullptr);
     const float* query = dataset.queries.Vector(0);
     const auto expected = FlatSearchNary(dataset.data, query, 10, Metric::kL2);
-    const auto actual = searcher->Search(query, 10);
+    const auto actual = searcher->SearchWith(0, {10, 0}, query);
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "fraction " << fraction;
     }
@@ -96,13 +118,14 @@ TEST(PdxearchTest, SelectionFractionOneStaysExact) {
   // the all-lanes WARMUP kernels in use until something is pruned.
   Dataset dataset = MakeDataset(20, 19);
   for (float fraction : {1.0f, 1.5f}) {
-    BondConfig config;
+    SearcherConfig config = ZonedBondConfig();
     config.search.selection_fraction = fraction;
     config.block_capacity = 256;
-    auto searcher = MakeBondFlatSearcher(dataset.data, config);
+    auto searcher = MakeBond(dataset.data, config);
+    ASSERT_NE(searcher, nullptr);
     const float* query = dataset.queries.Vector(0);
     const auto expected = FlatSearchNary(dataset.data, query, 10, Metric::kL2);
-    const auto actual = searcher->Search(query, 10);
+    const auto actual = searcher->SearchWith(0, {10, 0}, query);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "fraction " << fraction;
@@ -117,11 +140,11 @@ TEST(PdxearchTest, SingleVectorBlocksNeverEnterPrune) {
   PdxStore store = PdxStore::FromVectorSet(dataset.data, /*block_capacity=*/1);
   ASSERT_EQ(store.num_blocks(), dataset.data.count());
   PdxBondPruner pruner(store.stats().means, DimensionOrder::kSequential);
-  PdxearchEngine<PdxBondPruner> engine(&store, &pruner, {});
+  PdxearchEngine<PdxBondPruner> engine(&store, &pruner);
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
     const auto expected = FlatSearchNary(dataset.data, query, 10, Metric::kL2);
-    const auto actual = engine.SearchFlat(query);
+    const auto actual = engine.SearchFlat(query, 10);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "query " << q;
@@ -134,11 +157,12 @@ TEST(PdxearchTest, ProfileValuesAreConsistent) {
   Dataset dataset = MakeDataset(28, 12);
   // Small blocks so the 2000-vector collection spans many blocks and the
   // post-START blocks actually evaluate the pruning predicate.
-  BondConfig config;
+  SearcherConfig config = ZonedBondConfig();
   config.block_capacity = 256;
-  auto searcher = MakeBondFlatSearcher(dataset.data, config);
-  searcher->Search(dataset.queries.Vector(0), 10);
-  const PdxearchProfile& profile = searcher->last_profile();
+  auto searcher = MakeBond(dataset.data, config);
+  ASSERT_NE(searcher, nullptr);
+  PdxearchProfile profile;
+  searcher->SearchWith(0, {10, 0}, dataset.queries.Vector(0), &profile);
   EXPECT_LE(profile.values_scanned, profile.values_total);
   EXPECT_EQ(profile.values_total, 28u * dataset.data.count());
   EXPECT_GE(profile.pruning_power(), 0.0);
@@ -149,11 +173,13 @@ TEST(PdxearchTest, ProfileValuesAreConsistent) {
 TEST(PdxearchTest, PhaseTimesCollectedWhenEnabled) {
   Dataset dataset = MakeDataset(16, 13);
   IvfIndex index = IvfIndex::Build(dataset.data, {});
-  BondConfig config;
+  SearcherConfig config;
+  config.layout = SearcherLayout::kIvf;
   config.search.collect_phase_times = true;
-  auto searcher = MakeBondIvfSearcher(dataset.data, index, config);
-  searcher->Search(dataset.queries.Vector(0), 10, 8);
-  const PdxearchProfile& profile = searcher->last_profile();
+  auto made = MakeSearcher(dataset.data, index, config);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  PdxearchProfile profile;
+  made.value()->SearchWith(0, {10, 8}, dataset.queries.Vector(0), &profile);
   EXPECT_GT(profile.find_buckets_ms, 0.0);
   EXPECT_GT(profile.distance_ms, 0.0);
   EXPECT_GT(profile.total_ms(), 0.0);
@@ -161,9 +187,11 @@ TEST(PdxearchTest, PhaseTimesCollectedWhenEnabled) {
 
 TEST(PdxearchTest, PhaseTimesZeroWhenDisabled) {
   Dataset dataset = MakeDataset(16, 14);
-  auto searcher = MakeBondFlatSearcher(dataset.data);
-  searcher->Search(dataset.queries.Vector(0), 10);
-  EXPECT_EQ(searcher->last_profile().distance_ms, 0.0);
+  auto searcher = MakeBond(dataset.data);
+  ASSERT_NE(searcher, nullptr);
+  PdxearchProfile profile;
+  searcher->SearchWith(0, {10, 0}, dataset.queries.Vector(0), &profile);
+  EXPECT_EQ(profile.distance_ms, 0.0);
 }
 
 TEST(PdxearchTest, StepObserverSeesBlockLifecycle) {
@@ -175,8 +203,8 @@ TEST(PdxearchTest, StepObserverSeesBlockLifecycle) {
   options.step_observer = [&](size_t dims, size_t alive, size_t n) {
     events.emplace_back(dims, alive, n);
   };
-  PdxearchEngine<PdxBondPruner> engine(&store, &pruner, options);
-  engine.SearchFlat(dataset.queries.Vector(0));
+  PdxearchEngine<PdxBondPruner> engine(&store, &pruner, Metric::kL2, options);
+  engine.SearchFlat(dataset.queries.Vector(0), 10);
 
   ASSERT_FALSE(events.empty());
   // First observed event is a block entering WARMUP (dims == 0).
@@ -196,8 +224,10 @@ TEST(PdxearchTest, StepObserverSeesBlockLifecycle) {
 
 TEST(PdxearchTest, KLargerThanBlock) {
   Dataset dataset = MakeDataset(8, 16, /*count=*/100);
-  auto searcher = MakeBondFlatSearcher(dataset.data);
-  const auto result = searcher->Search(dataset.queries.Vector(0), 50);
+  auto searcher = MakeBond(dataset.data);
+  ASSERT_NE(searcher, nullptr);
+  const auto result =
+      searcher->SearchWith(0, {50, 0}, dataset.queries.Vector(0));
   EXPECT_EQ(result.size(), 50u);
   // Sorted ascending.
   for (size_t i = 1; i < result.size(); ++i) {
@@ -207,8 +237,10 @@ TEST(PdxearchTest, KLargerThanBlock) {
 
 TEST(PdxearchTest, KLargerThanCollection) {
   Dataset dataset = MakeDataset(8, 17, /*count=*/30);
-  auto searcher = MakeBondFlatSearcher(dataset.data);
-  const auto result = searcher->Search(dataset.queries.Vector(0), 100);
+  auto searcher = MakeBond(dataset.data);
+  ASSERT_NE(searcher, nullptr);
+  const auto result =
+      searcher->SearchWith(0, {100, 0}, dataset.queries.Vector(0));
   EXPECT_EQ(result.size(), 30u);
 }
 
@@ -216,9 +248,10 @@ TEST(PdxearchTest, SingleVectorCollection) {
   VectorSet single(4);
   const float row[4] = {1, 2, 3, 4};
   single.Append(row);
-  auto searcher = MakeBondFlatSearcher(single);
+  auto searcher = MakeBond(single);
+  ASSERT_NE(searcher, nullptr);
   const float query[4] = {1, 2, 3, 5};
-  const auto result = searcher->Search(query, 1);
+  const auto result = searcher->SearchWith(0, {1, 0}, query);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 0u);
   EXPECT_FLOAT_EQ(result[0].distance, 1.0f);
@@ -234,8 +267,8 @@ TEST(PdxearchTest, InitialStepRespected) {
   options.step_observer = [&](size_t dims, size_t, size_t) {
     depths.push_back(dims);
   };
-  PdxearchEngine<PdxBondPruner> engine(&store, &pruner, options);
-  engine.SearchFlat(dataset.queries.Vector(0));
+  PdxearchEngine<PdxBondPruner> engine(&store, &pruner, Metric::kL2, options);
+  engine.SearchFlat(dataset.queries.Vector(0), 10);
   // Depth sequence per block: 0, 4, 12, 28, 60, 64 (doubling steps).
   ASSERT_GE(depths.size(), 3u);
   size_t i = 0;

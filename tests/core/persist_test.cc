@@ -1,8 +1,15 @@
 #include "core/persist.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -255,6 +262,136 @@ TEST(PersistTest, SearcherPinsImageAfterWrapperDies) {
   }
   std::remove(path.c_str());  // mmap stays valid after unlink on POSIX.
   EXPECT_EQ(survivor->Search(data.queries.Vector(0)).size(), 10u);
+}
+
+// --- Saving over the file a collection is served from. A save writes a
+// temp file and renames it over the path, so a searcher mapped over the
+// old file keeps its inode: self-save of an mmap-loaded collection must
+// succeed, keep serving the same results, and leave a loadable file. -----
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Files in `path`'s directory whose name starts with `path`'s + ".tmp".
+size_t LeftoverTempFiles(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  size_t leftovers = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++leftovers;
+  }
+  return leftovers;
+}
+
+/// Saves `built` to `path`, loads it by mmap, saves the loaded collection
+/// over the very file it is mapped from, then checks the loaded searcher
+/// and a fresh reload both still answer exactly like `built`.
+void ExpectSelfSaveKeepsServing(Searcher& built, const Dataset& data,
+                                const std::string& path,
+                                const std::string& label) {
+  ASSERT_TRUE(built.Save(path).ok()) << label;
+  auto loaded = LoadCollection(path);
+  ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().message();
+  ASSERT_EQ(loaded.value().source, "mmap") << label;
+  Searcher& mapped = *loaded.value().searcher;
+
+  const Status resaved = mapped.Save(path);
+  ASSERT_TRUE(resaved.ok()) << label << ": " << resaved.message();
+  EXPECT_EQ(LeftoverTempFiles(path), 0u) << label;
+
+  auto reloaded = LoadCollection(path);
+  ASSERT_TRUE(reloaded.ok()) << label << ": " << reloaded.status().message();
+  for (size_t q = 0; q < data.queries.count(); ++q) {
+    const float* query = data.queries.Vector(q);
+    const std::vector<Neighbor> expected = built.Search(query);
+    ExpectIdenticalResults(mapped.Search(query), expected,
+                           label + " mapped query " + std::to_string(q));
+    ExpectIdenticalResults(reloaded.value().searcher->Search(query), expected,
+                           label + " reloaded query " + std::to_string(q));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PersistTest, SelfSaveOfMappedPlainCollection) {
+  Dataset data = MakeData(20, 2000, 4, 61);
+  for (SearcherLayout layout : {SearcherLayout::kFlat, SearcherLayout::kIvf}) {
+    auto built = MakeSearcher(data.data, Config(layout, PrunerKind::kBond));
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    ExpectSelfSaveKeepsServing(
+        *built.value(), data, TempPath("self_plain.pdxc"),
+        layout == SearcherLayout::kFlat ? "flat" : "ivf");
+  }
+}
+
+TEST(PersistTest, SelfSaveOfMappedShardedCollection) {
+  Dataset data = MakeData(20, 1800, 4, 62);
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  auto built = MakeShardedSearcher(
+      data.data, Config(SearcherLayout::kFlat, PrunerKind::kBond), sharding);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  ExpectSelfSaveKeepsServing(*built.value(), data,
+                             TempPath("self_sharded.pdxc"), "3 shards");
+}
+
+TEST(PersistTest, SelfSaveOfMappedMutableSnapshot) {
+  Dataset data = MakeData(16, 800, 4, 63);
+  MutationConfig mutation;
+  mutation.compact_threshold = 0;
+  auto made = MutableSearcher::Make(
+      data.data, Config(SearcherLayout::kFlat, PrunerKind::kBond), mutation);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  std::unique_ptr<MutableSearcher> live = std::move(made).value();
+  Dataset extra = MakeData(16, 30, 1, 64);
+  ASSERT_TRUE(live->Add(extra.data.Vector(0), 30).ok());
+  ASSERT_TRUE(live->Delete(5).ok());
+  ExpectSelfSaveKeepsServing(*live, data, TempPath("self_mutable.pdxc"),
+                             "mutable");
+}
+
+// A save that fails part-way must leave the previous file byte-identical
+// and no temp file behind. The failure is real, not injected: a forked
+// child saves under an RLIMIT_FSIZE smaller than the snapshot (with
+// SIGXFSZ ignored, so the write returns EFBIG instead of killing it).
+TEST(PersistTest, FailedSaveLeavesPreviousFileIntact) {
+  Dataset data = MakeData(24, 3000, 2, 65);
+  const std::string path = TempPath("failed_save.pdxc");
+  auto first = MakeSearcher(data.data,
+                            Config(SearcherLayout::kFlat, PrunerKind::kLinear));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first.value()->Save(path).ok());
+  const std::vector<uint8_t> before = ReadBytes(path);
+  ASSERT_GT(before.size(), 4096u);
+
+  // A different collection, so a torn or completed write would show.
+  auto second = MakeSearcher(data.data,
+                             Config(SearcherLayout::kFlat, PrunerKind::kBond));
+  ASSERT_TRUE(second.ok());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    const rlim_t limit = before.size() / 2;
+    const rlimit cap{limit, limit};
+    if (::setrlimit(RLIMIT_FSIZE, &cap) != 0) ::_exit(3);
+    const Status saved = second.value()->Save(path);
+    ::_exit(saved.ok() ? 1 : (saved.IsIoError() ? 0 : 2));
+  }
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(child, &wait_status, 0), child);
+  ASSERT_TRUE(WIFEXITED(wait_status)) << "child died, status " << wait_status;
+  ASSERT_EQ(WEXITSTATUS(wait_status), 0)
+      << "the save under a file-size limit must fail with IoError";
+
+  EXPECT_EQ(ReadBytes(path), before) << "the failed save touched " << path;
+  EXPECT_EQ(LeftoverTempFiles(path), 0u);
+  auto loaded = LoadCollection(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().searcher->options().pruner, PrunerKind::kLinear);
+  std::remove(path.c_str());
 }
 
 // --- Error surface. --------------------------------------------------------

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/datagen.h"
-#include "core/searcher.h"
+#include "core/any_searcher.h"
 
 namespace pdx {
 namespace {
@@ -79,17 +79,19 @@ TEST(PruningTraceTest, IntegratesWithEngine) {
   spec.distribution = ValueDistribution::kSkewed;
   Dataset dataset = GenerateDataset(spec);
 
-  BondConfig config;
+  PruningTrace trace(16);
+  SearcherConfig config;
+  config.bond_order = DimensionOrder::kDimensionZones;
+  config.block_capacity = kPdxBlockSize;
   config.search.adaptive_steps = false;
   config.search.fixed_step = 1;  // Test at every dimension (Tables 2/6).
-  auto searcher = MakeBondFlatSearcher(dataset.data, config);
-
-  PruningTrace trace(16);
-  searcher->mutable_options().step_observer =
-      [&trace](size_t dims, size_t alive, size_t n) {
-        trace.Observe(dims, alive, n);
-      };
-  searcher->Search(dataset.queries.Vector(0), 10);
+  config.search.step_observer = [&trace](size_t dims, size_t alive,
+                                         size_t n) {
+    trace.Observe(dims, alive, n);
+  };
+  auto searcher = MakeSearcher(dataset.data, config);
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  searcher.value()->SearchWith(0, {10, 0}, dataset.queries.Vector(0));
 
   EXPECT_GT(trace.warmup_vectors(), 0u);
   const auto curve = trace.Curve();

@@ -1,7 +1,8 @@
-#include "core/searcher.h"
+#include "core/any_searcher.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "benchlib/datagen.h"
@@ -36,13 +37,29 @@ Fixture MakeFixture(size_t dim, ValueDistribution distribution,
   return fx;
 }
 
-double SearcherRecall(Fixture& fx,
-                      const std::function<std::vector<Neighbor>(
-                          const float*, size_t, size_t)>& search,
-                      size_t nprobe) {
+SearcherConfig Config(SearcherLayout layout, PrunerKind pruner) {
+  SearcherConfig config;
+  config.layout = layout;
+  config.pruner = pruner;
+  return config;
+}
+
+/// The searcher `config` describes over the fixture's shared index (IVF)
+/// or over the bare collection (flat).
+std::unique_ptr<Searcher> Make(const Fixture& fx,
+                               const SearcherConfig& config) {
+  auto made = config.layout == SearcherLayout::kIvf
+                  ? MakeSearcher(fx.dataset.data, fx.index, config)
+                  : MakeSearcher(fx.dataset.data, config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
+}
+
+double SearcherRecall(Fixture& fx, Searcher& searcher, size_t nprobe) {
   double sum = 0.0;
   for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
-    const auto result = search(fx.dataset.queries.Vector(q), 10, nprobe);
+    const auto result =
+        searcher.SearchWith(0, {10, nprobe}, fx.dataset.queries.Vector(q));
     sum += RecallAtK(result, fx.truth[q], 10);
   }
   return sum / fx.dataset.queries.count();
@@ -50,49 +67,36 @@ double SearcherRecall(Fixture& fx,
 
 TEST(SearcherTest, AdsIvfFullProbeHighRecall) {
   Fixture fx = MakeFixture(32, ValueDistribution::kNormal, 41);
-  auto ads = MakeAdsIvfSearcher(fx.dataset.data, fx.index, {});
-  const double recall = SearcherRecall(
-      fx,
-      [&](const float* q, size_t k, size_t nprobe) {
-        return ads->Search(q, k, nprobe);
-      },
-      fx.index.num_buckets());
-  EXPECT_GT(recall, 0.95);
+  auto ads = Make(fx, Config(SearcherLayout::kIvf, PrunerKind::kAdsampling));
+  ASSERT_NE(ads, nullptr);
+  EXPECT_GT(SearcherRecall(fx, *ads, fx.index.num_buckets()), 0.95);
 }
 
 TEST(SearcherTest, BsaIvfFullProbeExactWithUnitMultiplier) {
   Fixture fx = MakeFixture(24, ValueDistribution::kSkewed, 42);
-  auto bsa = MakeBsaIvfSearcher(fx.dataset.data, fx.index, {});
-  const double recall = SearcherRecall(
-      fx,
-      [&](const float* q, size_t k, size_t nprobe) {
-        return bsa->Search(q, k, nprobe);
-      },
-      fx.index.num_buckets());
-  EXPECT_DOUBLE_EQ(recall, 1.0);
+  auto bsa = Make(fx, Config(SearcherLayout::kIvf, PrunerKind::kBsa));
+  ASSERT_NE(bsa, nullptr);
+  EXPECT_DOUBLE_EQ(SearcherRecall(fx, *bsa, fx.index.num_buckets()), 1.0);
 }
 
 TEST(SearcherTest, BondIvfFullProbeExact) {
   Fixture fx = MakeFixture(24, ValueDistribution::kNormal, 43);
-  auto bond = MakeBondIvfSearcher(fx.dataset.data, fx.index, {});
-  const double recall = SearcherRecall(
-      fx,
-      [&](const float* q, size_t k, size_t nprobe) {
-        return bond->Search(q, k, nprobe);
-      },
-      fx.index.num_buckets());
-  EXPECT_DOUBLE_EQ(recall, 1.0);
+  auto bond = Make(fx, Config(SearcherLayout::kIvf, PrunerKind::kBond));
+  ASSERT_NE(bond, nullptr);
+  EXPECT_DOUBLE_EQ(SearcherRecall(fx, *bond, fx.index.num_buckets()), 1.0);
 }
 
 TEST(SearcherTest, LinearIvfMatchesNaryIvf) {
   Fixture fx = MakeFixture(16, ValueDistribution::kNormal, 44);
-  auto linear = MakeLinearIvfSearcher(fx.dataset.data, fx.index);
+  auto linear = Make(fx, Config(SearcherLayout::kIvf, PrunerKind::kLinear));
+  ASSERT_NE(linear, nullptr);
   for (size_t q = 0; q < 5; ++q) {
     const float* query = fx.dataset.queries.Vector(q);
     // Full probe: bucket ranking differences cannot change the result set.
     const auto expected = IvfNarySearch(fx.index, fx.ordered, query, 10,
                                         fx.index.num_buckets());
-    const auto actual = linear->Search(query, 10, fx.index.num_buckets());
+    const auto actual =
+        linear->SearchWith(0, {10, fx.index.num_buckets()}, query);
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "query " << q;
     }
@@ -101,14 +105,12 @@ TEST(SearcherTest, LinearIvfMatchesNaryIvf) {
 
 TEST(SearcherTest, RecallImprovesWithNprobe) {
   Fixture fx = MakeFixture(48, ValueDistribution::kNormal, 45);
-  auto ads = MakeAdsIvfSearcher(fx.dataset.data, fx.index, {});
-  auto search = [&](const float* q, size_t k, size_t nprobe) {
-    return ads->Search(q, k, nprobe);
-  };
-  const double recall_small = SearcherRecall(fx, search, 1);
-  const double recall_medium = SearcherRecall(fx, search, 8);
+  auto ads = Make(fx, Config(SearcherLayout::kIvf, PrunerKind::kAdsampling));
+  ASSERT_NE(ads, nullptr);
+  const double recall_small = SearcherRecall(fx, *ads, 1);
+  const double recall_medium = SearcherRecall(fx, *ads, 8);
   const double recall_full =
-      SearcherRecall(fx, search, fx.index.num_buckets());
+      SearcherRecall(fx, *ads, fx.index.num_buckets());
   EXPECT_LE(recall_small, recall_medium + 0.05);
   EXPECT_LE(recall_medium, recall_full + 0.05);
   EXPECT_GT(recall_full, recall_small);
@@ -116,10 +118,12 @@ TEST(SearcherTest, RecallImprovesWithNprobe) {
 
 TEST(SearcherTest, FlatAdsVsFlatBruteForce) {
   Fixture fx = MakeFixture(40, ValueDistribution::kSkewed, 46);
-  auto ads = MakeAdsFlatSearcher(fx.dataset.data, {});
+  auto ads = Make(fx, Config(SearcherLayout::kFlat, PrunerKind::kAdsampling));
+  ASSERT_NE(ads, nullptr);
   double sum = 0.0;
   for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
-    const auto result = ads->Search(fx.dataset.queries.Vector(q), 10);
+    const auto result =
+        ads->SearchWith(0, {10, 0}, fx.dataset.queries.Vector(q));
     sum += RecallAtK(result, fx.truth[q], 10);
   }
   EXPECT_GT(sum / fx.dataset.queries.count(), 0.95);
@@ -127,12 +131,13 @@ TEST(SearcherTest, FlatAdsVsFlatBruteForce) {
 
 TEST(SearcherTest, FlatLinearSearcherExact) {
   Fixture fx = MakeFixture(16, ValueDistribution::kNormal, 47);
-  auto linear = MakeLinearFlatSearcher(fx.dataset.data);
+  auto linear = Make(fx, Config(SearcherLayout::kFlat, PrunerKind::kLinear));
+  ASSERT_NE(linear, nullptr);
   for (size_t q = 0; q < 5; ++q) {
     const float* query = fx.dataset.queries.Vector(q);
     const auto expected =
         FlatSearchNary(fx.dataset.data, query, 10, Metric::kL2);
-    const auto actual = linear->Search(query, 10);
+    const auto actual = linear->SearchWith(0, {10, 0}, query);
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id);
     }
@@ -144,21 +149,25 @@ TEST(SearcherTest, ProfileExposesPreprocessingCosts) {
   // D log D sort of PDX-BOND (Table 7's "almost free" claim holds at the
   // paper's D=1536; 512 suffices to separate the costs robustly).
   Fixture fx = MakeFixture(512, ValueDistribution::kNormal, 48);
-  AdsConfig ads_config;
+  SearcherConfig ads_config =
+      Config(SearcherLayout::kIvf, PrunerKind::kAdsampling);
   ads_config.search.collect_phase_times = true;
-  auto ads = MakeAdsIvfSearcher(fx.dataset.data, fx.index, ads_config);
-  BondConfig bond_config;
+  auto ads = Make(fx, ads_config);
+  SearcherConfig bond_config = Config(SearcherLayout::kIvf, PrunerKind::kBond);
   bond_config.search.collect_phase_times = true;
-  auto bond = MakeBondIvfSearcher(fx.dataset.data, fx.index, bond_config);
+  auto bond = Make(fx, bond_config);
+  ASSERT_NE(ads, nullptr);
+  ASSERT_NE(bond, nullptr);
 
   double ads_ms = 0.0;
   double bond_ms = 0.0;
   for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
     const float* query = fx.dataset.queries.Vector(q);
-    ads->Search(query, 10, 8);
-    ads_ms += ads->last_profile().preprocess_ms;
-    bond->Search(query, 10, 8);
-    bond_ms += bond->last_profile().preprocess_ms;
+    PdxearchProfile profile;
+    ads->SearchWith(0, {10, 8}, query, &profile);
+    ads_ms += profile.preprocess_ms;
+    bond->SearchWith(0, {10, 8}, query, &profile);
+    bond_ms += profile.preprocess_ms;
   }
   EXPECT_GT(ads_ms, 0.0);
   EXPECT_LT(bond_ms, ads_ms);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "benchlib/datagen.h"
-#include "core/searcher.h"
 #include "index/flat.h"
 #include "kernels/scalar_kernels.h"
 

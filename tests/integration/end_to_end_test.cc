@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,22 @@ Pipeline BuildPipeline(size_t dim, ValueDistribution distribution,
   return p;
 }
 
+/// The searcher `config` describes: over `index` when non-null (kIvf).
+std::unique_ptr<Searcher> Make(const VectorSet& data, const IvfIndex* index,
+                               const SearcherConfig& config) {
+  auto made = index != nullptr ? MakeSearcher(data, *index, config)
+                               : MakeSearcher(data, config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
+}
+
+SearcherConfig Config(SearcherLayout layout, PrunerKind pruner) {
+  SearcherConfig config;
+  config.layout = layout;
+  config.pruner = pruner;
+  return config;
+}
+
 class EndToEndTest
     : public ::testing::TestWithParam<std::tuple<size_t, ValueDistribution>> {
 };
@@ -51,8 +68,11 @@ TEST_P(EndToEndTest, AllExactSearchersAgreeEverywhere) {
 
   PdxStore pdx_store = PdxStore::FromVectorSet(p.dataset.data);
   DsmStore dsm_store = DsmStore::FromVectorSet(p.dataset.data);
-  auto bond = MakeBondFlatSearcher(p.dataset.data);
-  auto linear = MakeLinearFlatSearcher(p.dataset.data);
+  auto bond = Make(p.dataset.data, nullptr, {});
+  auto linear = Make(p.dataset.data, nullptr,
+                     Config(SearcherLayout::kFlat, PrunerKind::kLinear));
+  ASSERT_NE(bond, nullptr);
+  ASSERT_NE(linear, nullptr);
 
   for (size_t q = 0; q < p.dataset.queries.count(); ++q) {
     const float* query = p.dataset.queries.Vector(q);
@@ -60,8 +80,8 @@ TEST_P(EndToEndTest, AllExactSearchersAgreeEverywhere) {
     const auto nary = FlatSearchNary(p.dataset.data, query, 10, Metric::kL2);
     const auto pdx = FlatSearchPdx(pdx_store, query, 10, Metric::kL2);
     const auto dsm = FlatSearchDsm(dsm_store, query, 10, Metric::kL2);
-    const auto bond_result = bond->Search(query, 10);
-    const auto linear_result = linear->Search(query, 10);
+    const auto bond_result = bond->SearchWith(0, {10, 0}, query);
+    const auto linear_result = linear->SearchWith(0, {10, 0}, query);
     for (size_t i = 0; i < 10; ++i) {
       ASSERT_EQ(nary[i].id, expected[i]);
       ASSERT_EQ(pdx[i].id, expected[i]);
@@ -76,18 +96,25 @@ TEST_P(EndToEndTest, ApproximateSearchersReachHighRecallAtFullProbe) {
   const auto [dim, distribution] = GetParam();
   Pipeline p = BuildPipeline(dim, distribution, dim * 5);
 
-  auto ads = MakeAdsIvfSearcher(p.dataset.data, p.index, {});
-  auto bsa = MakeBsaIvfSearcher(p.dataset.data, p.index, {});
-  auto bond = MakeBondIvfSearcher(p.dataset.data, p.index, {});
+  auto ads = Make(p.dataset.data, &p.index,
+                  Config(SearcherLayout::kIvf, PrunerKind::kAdsampling));
+  auto bsa = Make(p.dataset.data, &p.index,
+                  Config(SearcherLayout::kIvf, PrunerKind::kBsa));
+  auto bond = Make(p.dataset.data, &p.index,
+                   Config(SearcherLayout::kIvf, PrunerKind::kBond));
+  ASSERT_NE(ads, nullptr);
+  ASSERT_NE(bsa, nullptr);
+  ASSERT_NE(bond, nullptr);
 
+  const QueryKnobs full_probe{10, p.index.num_buckets()};
   std::vector<std::vector<Neighbor>> ads_results;
   std::vector<std::vector<Neighbor>> bsa_results;
   std::vector<std::vector<Neighbor>> bond_results;
   for (size_t q = 0; q < p.dataset.queries.count(); ++q) {
     const float* query = p.dataset.queries.Vector(q);
-    ads_results.push_back(ads->Search(query, 10, p.index.num_buckets()));
-    bsa_results.push_back(bsa->Search(query, 10, p.index.num_buckets()));
-    bond_results.push_back(bond->Search(query, 10, p.index.num_buckets()));
+    ads_results.push_back(ads->SearchWith(0, full_probe, query));
+    bsa_results.push_back(bsa->SearchWith(0, full_probe, query));
+    bond_results.push_back(bond->SearchWith(0, full_probe, query));
   }
   EXPECT_GT(MeanRecallAtK(ads_results, p.truth, 10), 0.95);
   EXPECT_DOUBLE_EQ(MeanRecallAtK(bsa_results, p.truth, 10), 1.0);  // m=1.
@@ -135,12 +162,14 @@ TEST(EndToEndTest, PersistRoundTripThroughFvecs) {
   Result<VectorSet> restored = ReadFvecs(path);
   ASSERT_TRUE(restored.ok());
 
-  auto original_searcher = MakeBondFlatSearcher(p.dataset.data);
-  auto restored_searcher = MakeBondFlatSearcher(restored.value());
+  auto original_searcher = Make(p.dataset.data, nullptr, {});
+  auto restored_searcher = Make(restored.value(), nullptr, {});
+  ASSERT_NE(original_searcher, nullptr);
+  ASSERT_NE(restored_searcher, nullptr);
   for (size_t q = 0; q < 5; ++q) {
     const float* query = p.dataset.queries.Vector(q);
-    const auto a = original_searcher->Search(query, 10);
-    const auto b = restored_searcher->Search(query, 10);
+    const auto a = original_searcher->SearchWith(0, {10, 0}, query);
+    const auto b = restored_searcher->SearchWith(0, {10, 0}, query);
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].id, b[i].id);
       ASSERT_EQ(a[i].distance, b[i].distance);
@@ -156,8 +185,10 @@ TEST(EndToEndTest, AppendThenRebuildFindsNewVector) {
   // preprocessing" ingestion claim).
   VectorSet grown = p.dataset.data.Clone();
   const VectorId planted = grown.Append(p.dataset.queries.Vector(0));
-  auto searcher = MakeBondFlatSearcher(grown);
-  const auto result = searcher->Search(p.dataset.queries.Vector(0), 1);
+  auto searcher = Make(grown, nullptr, {});
+  ASSERT_NE(searcher, nullptr);
+  const auto result =
+      searcher->SearchWith(0, {1, 0}, p.dataset.queries.Vector(0));
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, planted);
   EXPECT_FLOAT_EQ(result[0].distance, 0.0f);
@@ -168,13 +199,14 @@ TEST(EndToEndTest, PruningPowerHigherOnSkewedData) {
   Pipeline skewed = BuildPipeline(48, ValueDistribution::kSkewed, 94);
 
   auto run = [](Pipeline& p) {
-    BondConfig config = DefaultFlatBondConfig();
+    SearcherConfig config;
     config.block_capacity = 512;  // Multiple blocks -> pruning can engage.
-    auto searcher = MakeBondFlatSearcher(p.dataset.data, config);
+    auto searcher = Make(p.dataset.data, nullptr, config);
     double power = 0.0;
     for (size_t q = 0; q < p.dataset.queries.count(); ++q) {
-      searcher->Search(p.dataset.queries.Vector(q), 10);
-      power += searcher->last_profile().pruning_power();
+      PdxearchProfile profile;
+      searcher->SearchWith(0, {10, 0}, p.dataset.queries.Vector(q), &profile);
+      power += profile.pruning_power();
     }
     return power / p.dataset.queries.count();
   };

@@ -179,6 +179,82 @@ TEST(PersistenceWireTest, SaveLoadRoundTripOverHttp) {
   std::remove(path.c_str());
 }
 
+// Saving a collection back over the file it was loaded from: the save
+// renames a fresh file over the path, so the served mapping keeps its
+// inode, the save answers 200, and searches stay exact afterwards.
+TEST(PersistenceWireTest, SaveOverLoadedFileKeepsServing) {
+  Dataset data = MakeData(14, 43);
+  const std::string path = TempPath("wire_self_save.pdxc");
+  WireStack stack;
+  HttpClient client = stack.NewClient();
+
+  JsonValue put = JsonValue::Object();
+  put.Set("vectors", VectorsJson(data.data));
+  put.Set("pruner", "bond");
+  Result<HttpResponse> created =
+      client.Roundtrip("PUT", "/collections/x", WriteJson(put));
+  ASSERT_TRUE(created.ok());
+  ASSERT_EQ(created.value().status, 201) << created.value().body;
+
+  JsonValue target = JsonValue::Object();
+  target.Set("path", path);
+  const std::string target_body = WriteJson(target);
+  Result<HttpResponse> first_save =
+      client.Roundtrip("POST", "/collections/x/save", target_body);
+  ASSERT_TRUE(first_save.ok());
+  ASSERT_EQ(first_save.value().status, 200) << first_save.value().body;
+
+  std::vector<std::string> expected;
+  for (size_t q = 0; q < data.queries.count(); ++q) {
+    Result<HttpResponse> hit = client.Roundtrip(
+        "POST", "/collections/x/search",
+        SearchBody(data.queries.Vector(q), data.queries.dim()));
+    ASSERT_TRUE(hit.ok());
+    ASSERT_EQ(hit.value().status, 200) << hit.value().body;
+    expected.push_back(
+        WriteJson(*MustParseBody(hit.value()).Find("neighbors")));
+  }
+
+  Result<HttpResponse> loaded =
+      client.Roundtrip("PUT", "/collections/x/load", target_body);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded.value().status, 201) << loaded.value().body;
+  ASSERT_EQ(MustParseBody(loaded.value()).Find("source")->AsString(), "mmap");
+
+  // Twice: the second save replaces the file the first one wrote while the
+  // collection is still mapped over the original.
+  for (int round = 0; round < 2; ++round) {
+    Result<HttpResponse> saved =
+        client.Roundtrip("POST", "/collections/x/save", target_body);
+    ASSERT_TRUE(saved.ok());
+    ASSERT_EQ(saved.value().status, 200) << saved.value().body;
+    for (size_t q = 0; q < data.queries.count(); ++q) {
+      Result<HttpResponse> hit = client.Roundtrip(
+          "POST", "/collections/x/search",
+          SearchBody(data.queries.Vector(q), data.queries.dim()));
+      ASSERT_TRUE(hit.ok());
+      ASSERT_EQ(hit.value().status, 200) << hit.value().body;
+      EXPECT_EQ(WriteJson(*MustParseBody(hit.value()).Find("neighbors")),
+                expected[q])
+          << "round " << round << " query " << q;
+    }
+  }
+
+  // The file the saves left behind loads and answers the same.
+  Result<HttpResponse> reloaded =
+      client.Roundtrip("PUT", "/collections/x/load", target_body);
+  ASSERT_TRUE(reloaded.ok());
+  ASSERT_EQ(reloaded.value().status, 201) << reloaded.value().body;
+  Result<HttpResponse> hit = client.Roundtrip(
+      "POST", "/collections/x/search",
+      SearchBody(data.queries.Vector(0), data.queries.dim()));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit.value().status, 200) << hit.value().body;
+  EXPECT_EQ(WriteJson(*MustParseBody(hit.value()).Find("neighbors")),
+            expected[0]);
+  std::remove(path.c_str());
+}
+
 TEST(PersistenceWireTest, ErrorMapping) {
   WireStack stack;
   HttpClient client = stack.NewClient();

@@ -8,7 +8,6 @@
 
 #include "benchlib/datagen.h"
 #include "benchlib/recall.h"
-#include "core/searcher.h"
 #include "index/flat.h"
 #include "kernels/scalar_kernels.h"
 

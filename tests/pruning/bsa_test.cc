@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "benchlib/datagen.h"
 #include "benchlib/recall.h"
-#include "core/searcher.h"
+#include "core/any_searcher.h"
 #include "index/flat.h"
 #include "kernels/scalar_kernels.h"
 
@@ -23,6 +24,18 @@ Dataset SmallDataset(size_t dim = 24, uint64_t seed = 21) {
   spec.num_clusters = 8;
   spec.seed = seed;
   return GenerateDataset(spec);
+}
+
+/// IVF PDX-BSA with `multiplier` over the shared `index`.
+std::unique_ptr<Searcher> MakeIvfBsa(const Dataset& dataset,
+                                     const IvfIndex& index, float multiplier) {
+  SearcherConfig config;
+  config.layout = SearcherLayout::kIvf;
+  config.pruner = PrunerKind::kBsa;
+  config.bsa_multiplier = multiplier;
+  auto made = MakeSearcher(dataset.data, index, config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
 }
 
 TEST(BsaTest, SuffixNormsMatchDirectComputation) {
@@ -92,14 +105,14 @@ TEST(BsaTest, ExactWithMultiplierOne) {
   // m=1 keeps the bound exact, so a full-probe BSA search is brute force.
   Dataset dataset = SmallDataset(20, 23);
   IvfIndex index = IvfIndex::Build(dataset.data, {});
-  BsaConfig config;
-  config.multiplier = 1.0f;
-  auto searcher = MakeBsaIvfSearcher(dataset.data, index, config);
+  auto searcher = MakeIvfBsa(dataset, index, 1.0f);
+  ASSERT_NE(searcher, nullptr);
 
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
     const auto expected = FlatSearchNary(dataset.data, query, 10, Metric::kL2);
-    const auto actual = searcher->Search(query, 10, index.num_buckets());
+    const auto actual =
+        searcher->SearchWith(0, {10, index.num_buckets()}, query);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "query " << q << " rank "
@@ -112,22 +125,21 @@ TEST(BsaTest, SmallerMultiplierPrunesMore) {
   Dataset dataset = SmallDataset(24, 24);
   IvfIndex index = IvfIndex::Build(dataset.data, {});
 
-  BsaConfig exact;
-  exact.multiplier = 1.0f;
-  auto exact_searcher = MakeBsaIvfSearcher(dataset.data, index, exact);
-  BsaConfig aggressive;
-  aggressive.multiplier = 0.2f;
-  auto aggressive_searcher =
-      MakeBsaIvfSearcher(dataset.data, index, aggressive);
+  auto exact_searcher = MakeIvfBsa(dataset, index, 1.0f);
+  auto aggressive_searcher = MakeIvfBsa(dataset, index, 0.2f);
+  ASSERT_NE(exact_searcher, nullptr);
+  ASSERT_NE(aggressive_searcher, nullptr);
 
+  const QueryKnobs full_probe{10, index.num_buckets()};
   uint64_t scanned_exact = 0;
   uint64_t scanned_aggressive = 0;
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
-    exact_searcher->Search(query, 10, index.num_buckets());
-    scanned_exact += exact_searcher->last_profile().values_scanned;
-    aggressive_searcher->Search(query, 10, index.num_buckets());
-    scanned_aggressive += aggressive_searcher->last_profile().values_scanned;
+    PdxearchProfile profile;
+    exact_searcher->SearchWith(0, full_probe, query, &profile);
+    scanned_exact += profile.values_scanned;
+    aggressive_searcher->SearchWith(0, full_probe, query, &profile);
+    scanned_aggressive += profile.values_scanned;
   }
   EXPECT_LT(scanned_aggressive, scanned_exact);
 }
@@ -135,15 +147,14 @@ TEST(BsaTest, SmallerMultiplierPrunesMore) {
 TEST(BsaTest, AggressiveMultiplierStillDecentRecall) {
   Dataset dataset = SmallDataset(32, 25);
   IvfIndex index = IvfIndex::Build(dataset.data, {});
-  BsaConfig config;
-  config.multiplier = 0.8f;
-  auto searcher = MakeBsaIvfSearcher(dataset.data, index, config);
+  auto searcher = MakeIvfBsa(dataset, index, 0.8f);
+  ASSERT_NE(searcher, nullptr);
   const auto truth =
       ComputeGroundTruth(dataset.data, dataset.queries, 10, Metric::kL2);
   double recall_sum = 0.0;
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
-    const auto result =
-        searcher->Search(dataset.queries.Vector(q), 10, index.num_buckets());
+    const auto result = searcher->SearchWith(0, {10, index.num_buckets()},
+                                             dataset.queries.Vector(q));
     recall_sum += RecallAtK(result, truth[q], 10);
   }
   EXPECT_GT(recall_sum / dataset.queries.count(), 0.8);

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "benchlib/datagen.h"
-#include "core/searcher.h"
+#include "core/any_searcher.h"
 #include "index/flat.h"
 
 namespace pdx {
@@ -27,6 +28,13 @@ Dataset MakeDataset(size_t dim, ValueDistribution distribution,
   return GenerateDataset(spec);
 }
 
+std::unique_ptr<Searcher> MakeFlatBond(const VectorSet& data,
+                                       const SearcherConfig& config) {
+  auto made = MakeSearcher(data, config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
+}
+
 using BondParam = std::tuple<DimensionOrder, ValueDistribution, size_t>;
 
 class PdxBondExactnessTest : public ::testing::TestWithParam<BondParam> {};
@@ -37,16 +45,17 @@ TEST_P(PdxBondExactnessTest, FlatSearchEqualsBruteForce) {
   const auto [order, distribution, dim] = GetParam();
   Dataset dataset = MakeDataset(dim, distribution, 31 + dim);
 
-  BondConfig config;
-  config.order = order;
-  config.zone_size = 8;
+  SearcherConfig config;
+  config.bond_order = order;
+  config.bond_zone_size = 8;
   config.block_capacity = 512;
-  auto searcher = MakeBondFlatSearcher(dataset.data, config);
+  auto searcher = MakeFlatBond(dataset.data, config);
+  ASSERT_NE(searcher, nullptr);
 
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
     const auto expected = FlatSearchNary(dataset.data, query, 10, Metric::kL2);
-    const auto actual = searcher->Search(query, 10);
+    const auto actual = searcher->SearchWith(0, {10, 0}, query);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id)
@@ -80,15 +89,16 @@ INSTANTIATE_TEST_SUITE_P(
 // as well.
 TEST(PdxBondTest, ExactUnderL1Metric) {
   Dataset dataset = MakeDataset(24, ValueDistribution::kSkewed, 76);
-  BondConfig config;
-  config.order = DimensionOrder::kDistanceToMeans;
+  SearcherConfig config;
+  config.bond_order = DimensionOrder::kDistanceToMeans;
   config.block_capacity = 512;
-  config.search.metric = Metric::kL1;
-  auto searcher = MakeBondFlatSearcher(dataset.data, config);
+  config.metric = Metric::kL1;
+  auto searcher = MakeFlatBond(dataset.data, config);
+  ASSERT_NE(searcher, nullptr);
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
     const auto expected = FlatSearchNary(dataset.data, query, 10, Metric::kL1);
-    const auto actual = searcher->Search(query, 10);
+    const auto actual = searcher->SearchWith(0, {10, 0}, query);
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i].id, expected[i].id) << "L1 query " << q;
@@ -99,7 +109,11 @@ TEST(PdxBondTest, ExactUnderL1Metric) {
 TEST(PdxBondTest, IvfSearchExactWithinProbedBuckets) {
   Dataset dataset = MakeDataset(24, ValueDistribution::kSkewed, 77);
   IvfIndex index = IvfIndex::Build(dataset.data, {});
-  auto bond = MakeBondIvfSearcher(dataset.data, index, {});
+  SearcherConfig config;
+  config.layout = SearcherLayout::kIvf;
+  auto made = MakeSearcher(dataset.data, index, config);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Searcher& bond = *made.value();
   BucketOrderedSet ordered = ReorderByBuckets(dataset.data, index);
 
   // Same nprobe: PDX-BOND must return exactly what the N-ary linear scan
@@ -119,7 +133,7 @@ TEST(PdxBondTest, IvfSearchExactWithinProbedBuckets) {
       }
       ++comparisons;
       const auto expected = IvfNarySearch(index, ordered, query, 10, nprobe);
-      const auto actual = bond->Search(query, 10, nprobe);
+      const auto actual = bond.SearchWith(0, {10, nprobe}, query);
       ASSERT_EQ(actual.size(), expected.size());
       for (size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(actual[i].id, expected[i].id)
@@ -134,11 +148,12 @@ TEST(PdxBondTest, PruningActuallyHappensOnSkewedData) {
   Dataset dataset = MakeDataset(32, ValueDistribution::kSkewed, 78);
   // Blocks smaller than the collection: pruning needs a threshold from a
   // previous block (a single-block collection is all START phase).
-  BondConfig config = DefaultFlatBondConfig();
+  SearcherConfig config;
   config.block_capacity = 256;
-  auto searcher = MakeBondFlatSearcher(dataset.data, config);
-  searcher->Search(dataset.queries.Vector(0), 10);
-  const PdxearchProfile& profile = searcher->last_profile();
+  auto searcher = MakeFlatBond(dataset.data, config);
+  ASSERT_NE(searcher, nullptr);
+  PdxearchProfile profile;
+  searcher->SearchWith(0, {10, 0}, dataset.queries.Vector(0), &profile);
   EXPECT_GT(profile.values_total, 0u);
   EXPECT_LT(profile.values_scanned, profile.values_total)
       << "no values were pruned at all";

@@ -3,15 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "benchlib/datagen.h"
 #include "benchlib/recall.h"
+#include "core/any_searcher.h"
 #include "index/flat.h"
 #include "kernels/scalar_kernels.h"
-#include "quant/quantized_kernels.h"
 
 namespace pdx {
 namespace {
@@ -27,6 +28,32 @@ Dataset MakeDataset(size_t dim, ValueDistribution distribution,
   spec.seed = seed;
   spec.distribution = distribution;
   return GenerateDataset(spec);
+}
+
+/// The flat u8 tier over `vectors` through the facade. rerank_factor = 0
+/// returns raw code-space distances; with k = count that is every vector.
+std::unique_ptr<Searcher> MakeU8(const VectorSet& vectors, size_t k,
+                                 size_t rerank_factor) {
+  SearcherConfig config;
+  config.quantization = QuantizationKind::kU8;
+  config.k = k;
+  config.rerank_factor = rerank_factor;
+  auto made = MakeSearcher(vectors, config);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  return made.ok() ? std::move(made).value() : nullptr;
+}
+
+/// Mean recall@10 of `searcher` over the dataset's queries.
+double U8Recall(Searcher& searcher, const Dataset& dataset) {
+  const auto truth =
+      ComputeGroundTruth(dataset.data, dataset.queries, 10, Metric::kL2);
+  double recall_sum = 0.0;
+  for (size_t q = 0; q < dataset.queries.count(); ++q) {
+    const auto result =
+        searcher.SearchWith(0, {10, 0}, dataset.queries.Vector(q));
+    recall_sum += RecallAtK(result, truth[q], 10);
+  }
+  return recall_sum / dataset.queries.count();
 }
 
 TEST(QuantizedStoreTest, RoundTripWithinHalfStep) {
@@ -90,98 +117,57 @@ TEST(QuantizedStoreTest, ConstantDimensionQueryOffsetNoNaN) {
     const float row[2] = {5.0f, float(i)};
     vectors.Append(row);
   }
-  QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(vectors);
+  auto searcher = MakeU8(vectors, vectors.count(), /*rerank_factor=*/0);
+  ASSERT_NE(searcher, nullptr);
   // Query differs from the collection on the constant dimension — the
   // exact case where q'_0 = (7 - 5) / scale_0 explodes as scale_0 -> 0.
   const float query[2] = {7.0f, 4.5f};
-  std::vector<float> query_prime(2);
-  std::vector<float> weights(2);
-  store.TransformQuery(query, query_prime.data(), weights.data());
-  std::vector<float> out(store.count());
-  QuantizedPdxLinearScan(store, query_prime.data(), weights.data(),
-                         out.data());
-  for (size_t i = 0; i < store.count(); ++i) {
-    ASSERT_FALSE(std::isnan(out[i])) << "vector " << i;
-    ASSERT_TRUE(std::isfinite(out[i])) << "vector " << i;
+  const auto result = searcher->SearchWith(0, {}, query);
+  ASSERT_EQ(result.size(), vectors.count());
+  for (const Neighbor& n : result) {
+    ASSERT_FALSE(std::isnan(n.distance)) << "vector " << n.id;
+    ASSERT_TRUE(std::isfinite(n.distance)) << "vector " << n.id;
   }
   // And the search over those distances still ranks by the varying
   // dimension: vector 4 (value 4.0) and 5 (value 5.0) are nearest to 4.5.
-  auto result = QuantizedFlatSearch(store, vectors, query, 2,
-                                    /*rerank_factor=*/0);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  ASSERT_EQ(result.value().size(), 2u);
-  EXPECT_TRUE(result.value()[0].id == 4 || result.value()[0].id == 5);
-  EXPECT_TRUE(result.value()[1].id == 4 || result.value()[1].id == 5);
-}
-
-// A count/dim mismatch between the quantized store and the rerank rows
-// must fail loudly with InvalidArgument — in an NDEBUG build the old
-// assert-only guard compiled away and the rerank pass read out of bounds.
-TEST(QuantizedSearchErrors, MismatchedOriginalsRejected) {
-  Dataset dataset = MakeDataset(8, ValueDistribution::kNormal, 11);
-  QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
-
-  VectorSet short_set(8);
-  for (VectorId id = 0; id < 5; ++id) {
-    short_set.Append(dataset.data.Vector(id));
-  }
-  auto wrong_count = QuantizedFlatSearch(store, short_set,
-                                         dataset.queries.Vector(0), 10, 4);
-  ASSERT_FALSE(wrong_count.ok());
-  EXPECT_TRUE(wrong_count.status().IsInvalidArgument());
-
-  VectorSet wrong_dim_set(4);
-  for (size_t i = 0; i < dataset.data.count(); ++i) {
-    wrong_dim_set.Append(dataset.data.Vector(i));  // Truncated rows.
-  }
-  auto wrong_dim = QuantizedFlatSearch(store, wrong_dim_set,
-                                       dataset.queries.Vector(0), 10, 4);
-  ASSERT_FALSE(wrong_dim.ok());
-  EXPECT_TRUE(wrong_dim.status().IsInvalidArgument());
-
-  auto zero_k =
-      QuantizedFlatSearch(store, dataset.data, dataset.queries.Vector(0), 0);
-  ASSERT_FALSE(zero_k.ok());
-  EXPECT_TRUE(zero_k.status().IsInvalidArgument());
+  EXPECT_TRUE(result[0].id == 4 || result[0].id == 5);
+  EXPECT_TRUE(result[1].id == 4 || result[1].id == 5);
 }
 
 TEST(QuantizedKernelsTest, DistanceMatchesDequantizedReference) {
   Dataset dataset = MakeDataset(24, ValueDistribution::kNormal, 3);
   QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
+  auto searcher =
+      MakeU8(dataset.data, dataset.data.count(), /*rerank_factor=*/0);
+  ASSERT_NE(searcher, nullptr);
   const float* query = dataset.queries.Vector(0);
-
-  std::vector<float> query_prime(24);
-  std::vector<float> weights(24);
-  store.TransformQuery(query, query_prime.data(), weights.data());
-  std::vector<float> out(store.count());
-  QuantizedPdxLinearScan(store, query_prime.data(), weights.data(),
-                         out.data());
+  const auto result = searcher->SearchWith(0, {}, query);
+  ASSERT_EQ(result.size(), dataset.data.count());
 
   std::vector<float> restored(24);
-  for (VectorId id = 0; id < 100; ++id) {
-    store.Dequantize(id, restored.data());
+  for (const Neighbor& n : result) {
+    store.Dequantize(n.id, restored.data());
     const float expected = ScalarL2(query, restored.data(), 24);
-    ASSERT_NEAR(out[id], expected, 1e-2f + 1e-3f * expected)
-        << "vector " << id;
+    ASSERT_NEAR(n.distance, expected, 1e-2f + 1e-3f * expected)
+        << "vector " << n.id;
   }
 }
 
 TEST(QuantizedKernelsTest, QuantizedDistanceWithinErrorBound) {
   Dataset dataset = MakeDataset(16, ValueDistribution::kSkewed, 4);
   QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
+  auto searcher =
+      MakeU8(dataset.data, dataset.data.count(), /*rerank_factor=*/0);
+  ASSERT_NE(searcher, nullptr);
   for (size_t q = 0; q < 3; ++q) {
     const float* query = dataset.queries.Vector(q);
-    std::vector<float> query_prime(16);
-    std::vector<float> weights(16);
-    store.TransformQuery(query, query_prime.data(), weights.data());
-    std::vector<float> out(store.count());
-    QuantizedPdxLinearScan(store, query_prime.data(), weights.data(),
-                           out.data());
+    const auto result = searcher->SearchWith(0, {}, query);
+    ASSERT_EQ(result.size(), dataset.data.count());
     const double bound = store.MaxDistanceError(query);
-    for (size_t i = 0; i < store.count(); ++i) {
-      const float exact = ScalarL2(query, dataset.data.Vector(i), 16);
-      ASSERT_LE(std::fabs(out[i] - exact), bound * (1.0 + 1e-3) + 1e-2)
-          << "vector " << i;
+    for (const Neighbor& n : result) {
+      const float exact = ScalarL2(query, dataset.data.Vector(n.id), 16);
+      ASSERT_LE(std::fabs(n.distance - exact), bound * (1.0 + 1e-3) + 1e-2)
+          << "vector " << n.id;
     }
   }
 }
@@ -194,53 +180,25 @@ class QuantizedSearchTest
 TEST_P(QuantizedSearchTest, RerankedSearchNearExactRecall) {
   const auto [dim, distribution] = GetParam();
   Dataset dataset = MakeDataset(dim, distribution, 50 + dim);
-  QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
-  const auto truth =
-      ComputeGroundTruth(dataset.data, dataset.queries, 10, Metric::kL2);
-
-  double recall_sum = 0.0;
-  for (size_t q = 0; q < dataset.queries.count(); ++q) {
-    const auto result = QuantizedFlatSearch(
-        store, dataset.data, dataset.queries.Vector(q), 10,
-        /*rerank_factor=*/4);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    recall_sum += RecallAtK(result.value(), truth[q], 10);
-  }
-  EXPECT_GT(recall_sum / dataset.queries.count(), 0.97);
+  auto searcher = MakeU8(dataset.data, 10, /*rerank_factor=*/4);
+  ASSERT_NE(searcher, nullptr);
+  EXPECT_GT(U8Recall(*searcher, dataset), 0.97);
 }
 
 TEST_P(QuantizedSearchTest, RerankFactorTwoStillHitsRecallTarget) {
   const auto [dim, distribution] = GetParam();
   Dataset dataset = MakeDataset(dim, distribution, 130 + dim);
-  QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
-  const auto truth =
-      ComputeGroundTruth(dataset.data, dataset.queries, 10, Metric::kL2);
-  double recall_sum = 0.0;
-  for (size_t q = 0; q < dataset.queries.count(); ++q) {
-    const auto result = QuantizedFlatSearch(
-        store, dataset.data, dataset.queries.Vector(q), 10,
-        /*rerank_factor=*/2);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    recall_sum += RecallAtK(result.value(), truth[q], 10);
-  }
-  EXPECT_GT(recall_sum / dataset.queries.count(), 0.95);
+  auto searcher = MakeU8(dataset.data, 10, /*rerank_factor=*/2);
+  ASSERT_NE(searcher, nullptr);
+  EXPECT_GT(U8Recall(*searcher, dataset), 0.95);
 }
 
 TEST_P(QuantizedSearchTest, UnrerankedStillDecent) {
   const auto [dim, distribution] = GetParam();
   Dataset dataset = MakeDataset(dim, distribution, 70 + dim);
-  QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
-  const auto truth =
-      ComputeGroundTruth(dataset.data, dataset.queries, 10, Metric::kL2);
-  double recall_sum = 0.0;
-  for (size_t q = 0; q < dataset.queries.count(); ++q) {
-    const auto result = QuantizedFlatSearch(
-        store, dataset.data, dataset.queries.Vector(q), 10,
-        /*rerank_factor=*/0);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    recall_sum += RecallAtK(result.value(), truth[q], 10);
-  }
-  EXPECT_GT(recall_sum / dataset.queries.count(), 0.8);
+  auto searcher = MakeU8(dataset.data, 10, /*rerank_factor=*/0);
+  ASSERT_NE(searcher, nullptr);
+  EXPECT_GT(U8Recall(*searcher, dataset), 0.8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -255,18 +213,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(QuantizedSearchTest, RerankFactorImprovesRecall) {
   Dataset dataset = MakeDataset(32, ValueDistribution::kNormal, 90);
-  QuantizedPdxStore store = QuantizedPdxStore::FromVectorSet(dataset.data);
-  const auto truth =
-      ComputeGroundTruth(dataset.data, dataset.queries, 10, Metric::kL2);
   auto recall_at_factor = [&](size_t factor) {
-    double sum = 0.0;
-    for (size_t q = 0; q < dataset.queries.count(); ++q) {
-      const auto result = QuantizedFlatSearch(
-          store, dataset.data, dataset.queries.Vector(q), 10, factor);
-      EXPECT_TRUE(result.ok()) << result.status().message();
-      sum += RecallAtK(result.value(), truth[q], 10);
-    }
-    return sum / dataset.queries.count();
+    auto searcher = MakeU8(dataset.data, 10, factor);
+    return searcher != nullptr ? U8Recall(*searcher, dataset) : 0.0;
   };
   EXPECT_GE(recall_at_factor(8) + 1e-9, recall_at_factor(1));
 }

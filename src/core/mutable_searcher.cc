@@ -21,9 +21,7 @@ Result<std::unique_ptr<MutableSearcher>> MutableSearcher::Make(
   // Resolved here so the facade's config (what Save persists) carries the
   // concrete block/order values, not "default" markers.
   config = ResolveConfig(std::move(config));
-  auto built = sharding.num_shards > 1
-                   ? MakeShardedSearcher(vectors, config, sharding)
-                   : MakeSearcher(vectors, config);
+  auto built = MakeShardedSearcher(vectors, config, sharding);
   if (!built.ok()) return built.status();
   return std::unique_ptr<MutableSearcher>(
       new MutableSearcher(std::move(config), mutation, sharding,
@@ -50,9 +48,7 @@ Result<std::unique_ptr<MutableSearcher>> MutableSearcher::Restore(
 
   // The base restores exactly like an immutable collection: zero-copy
   // views over the image, no k-means, no packing.
-  auto inner = meta.num_shards > 1
-                   ? MakeShardedSearcherFromImage(image, config, sharding)
-                   : MakeSearcherFromImage(image, 0, config);
+  auto inner = MakeShardedSearcherFromImage(image, config, sharding);
   if (!inner.ok()) return inner.status();
 
   // Compaction re-reads base rows, so the facade needs an owned horizontal
@@ -255,9 +251,7 @@ Status MutableSearcher::Compact() {
 
   // Phase 2: the expensive rebuild (k-means, transforms, block packing),
   // with no lock held — dispatchers and mutators run undisturbed.
-  auto built = sharding_.num_shards > 1
-                   ? MakeShardedSearcher(survivors, build_config, sharding_)
-                   : MakeSearcher(survivors, build_config);
+  auto built = MakeShardedSearcher(survivors, build_config, sharding_);
   if (!built.ok()) return built.status();
   std::unique_ptr<Searcher> fresh = std::move(built).value();
 

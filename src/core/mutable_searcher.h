@@ -87,11 +87,12 @@ class MutableSearcher final : public Searcher {
  public:
   /// Builds a mutable collection over `vectors` (copied — unlike the plain
   /// factories, the caller's set may die immediately). Initial external ids
-  /// are 0..count-1, matching row order. With sharding.num_shards > 1 the
-  /// base is a sharded scatter-gather searcher; appends land in one shared
-  /// delta region and compaction re-spreads all rows across shards via the
-  /// configured assignment (so shard sizes re-balance at each compaction
-  /// rather than per append).
+  /// are 0..count-1, matching row order. With sharding.num_shards above
+  /// one the base is a sharded scatter-gather searcher; appends land in one
+  /// shared delta region and compaction re-spreads all rows across shards
+  /// via the configured assignment (so shard sizes re-balance at each
+  /// compaction rather than per append). num_shards == 0 fails with
+  /// InvalidArgument.
   static Result<std::unique_ptr<MutableSearcher>> Make(
       const VectorSet& vectors, SearcherConfig config,
       MutationConfig mutation = {}, ShardingOptions sharding = {});

@@ -151,14 +151,9 @@ Result<LoadedCollection> LoadCollectionFromImage(
     std::unique_ptr<MutableSearcher> live = std::move(restored).value();
     out.live = live.get();
     out.searcher = std::move(live);
-  } else if (meta.num_shards > 1) {
-    auto made =
-        MakeShardedSearcherFromImage(std::move(image), out.config,
-                                     out.sharding);
-    if (!made.ok()) return made.status();
-    out.searcher = std::move(made).value();
   } else {
-    auto made = MakeSearcherFromImage(std::move(image), 0, out.config);
+    auto made = MakeShardedSearcherFromImage(std::move(image), out.config,
+                                             out.sharding);
     if (!made.ok()) return made.status();
     out.searcher = std::move(made).value();
   }

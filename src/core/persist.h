@@ -60,7 +60,9 @@ Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
 /// behind the scatter-gather facade. Shard maps are recomputed from
 /// (count, num_shards, assignment) — the assignment is deterministic, so
 /// the recomputed maps are identical to the saved searcher's and merged
-/// results match byte for byte.
+/// results match byte for byte. With a single shard this is
+/// MakeSearcherFromImage of shard 0 — the one restore entry point for any
+/// shard count.
 Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
     std::shared_ptr<const CollectionImage> image, SearcherConfig config,
     ShardingOptions sharding);
@@ -87,8 +89,9 @@ struct LoadOptions {
 
 /// Loads, validates, and reconstructs the collection saved at `path`,
 /// dispatching on the meta: mutable snapshot -> MutableSearcher::Restore,
-/// num_shards > 1 -> sharded, else plain. The expensive part is the
-/// validation pass over the file; construction itself is view-building.
+/// else MakeShardedSearcherFromImage (plain for one shard). The expensive
+/// part is the validation pass over the file; construction itself is
+/// view-building.
 Result<LoadedCollection> LoadCollection(const std::string& path,
                                         LoadOptions options = {});
 

@@ -774,9 +774,7 @@ void SearchHandler::HandlePut(const std::string& collection,
   (void)service_.RemoveCollection(collection);
   const VectorSet payload = VectorSet::FromRowMajor(flat.data(), count, dim);
   const Status added =
-      sharding.num_shards > 1
-          ? service_.AddCollection(collection, payload, config, sharding)
-          : service_.AddCollection(collection, payload, config);
+      service_.AddCollection(collection, payload, config, sharding);
   if (!added.ok()) {
     respond(MakeErrorResponse(added));
     return;
@@ -970,10 +968,12 @@ void SearchHandler::HandleListCollections(HttpResponder respond) {
 }
 
 void SearchHandler::HandleStats(HttpResponder respond) {
-  // ONE Stats() call builds the whole document. Stats() snapshots every
-  // counter under the service mutex in one critical section, so the
-  // response is internally consistent: the per-dispatcher dispatch counts
-  // sum exactly to the per-collection total. Composing the body from
+  // ONE Stats() call builds the whole document. The counters are the
+  // service's registry series (what GET /metrics scrapes), and Stats()
+  // reads them in one critical section of the service mutex, which every
+  // increment that must agree with another shares: the per-dispatcher
+  // dispatch counts sum exactly to the per-collection total, and the
+  // outcome counts match the latency windows. Composing the body from
   // several service reads (queue_depth() here, Stats() there) would break
   // that invariant under load — the regression test asserts it over the
   // wire.
@@ -998,6 +998,7 @@ void SearchHandler::HandleStats(HttpResponder respond) {
     entry.Set("rejected", cs.rejected);
     entry.Set("expired", cs.expired);
     entry.Set("cancelled", cs.cancelled);
+    entry.Set("failed", cs.failed);
     entry.Set("dispatches", cs.dispatches);
     entry.Set("shards", cs.shards);
     JsonValue shard_dispatches = JsonValue::Array();

@@ -276,12 +276,4 @@ std::string MetricsRegistry::WritePrometheus() const {
   return out;
 }
 
-MetricsRegistry& MetricsRegistry::Default() {
-  // Leaked on purpose: instruments handed out must stay valid through
-  // static destruction (a dispatcher completing during exit must not write
-  // into a destroyed registry).
-  static MetricsRegistry* const registry = new MetricsRegistry();
-  return *registry;
-}
-
 }  // namespace pdx

@@ -90,7 +90,7 @@ std::vector<double> ExponentialBounds(double start, double factor,
                                       size_t count);
 std::vector<double> DefaultLatencyBoundsMs();
 
-/// Process-wide metric registry with Prometheus text exposition.
+/// Metric registry with Prometheus text exposition.
 ///
 /// Families are keyed by metric name; children by label set. GetCounter /
 /// GetGauge / GetHistogram return a get-or-create pointer that stays valid
@@ -100,7 +100,7 @@ std::vector<double> DefaultLatencyBoundsMs();
 /// registration and scraping. Re-registering an existing (name, labels)
 /// pair returns the same instrument, so a collection removed and re-added
 /// under one name keeps its cumulative series (the Prometheus contract:
-/// counters only reset when the process does). Registering one name with
+/// counters only reset with the registry). Registering one name with
 /// two different types or histogram bounds is a programming error and
 /// throws std::logic_error.
 class MetricsRegistry {
@@ -123,11 +123,6 @@ class MetricsRegistry {
   /// expand to cumulative _bucket{le=...} lines plus _sum and _count).
   /// Values are read relaxed — safe to call while writers are live.
   std::string WritePrometheus() const;
-
-  /// The process-global registry the serving layer defaults to when
-  /// ServiceConfig::metrics is left null. Tests inject their own local
-  /// registries instead, so their counts never bleed across cases.
-  static MetricsRegistry& Default();
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

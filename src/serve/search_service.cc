@@ -48,33 +48,20 @@ const char* kStageHelp =
 /// One hosted collection. The searcher is only ever touched by dispatcher
 /// threads through the knob-explicit per-slot-band SearchBatchWith entry
 /// point (each dispatcher owns a disjoint band, so concurrent batches are
-/// race-free); the counters are guarded by the service mutex.
+/// race-free); its options() — default k/nprobe, layout, pruner, tier — are
+/// fixed at build time and read from it directly. The serving counters
+/// live only in the metric instruments below; the windows are guarded by
+/// the service mutex.
 struct SearchService::Collection {
   std::string name;
   std::unique_ptr<Searcher> searcher;
-  // Defaults and ceilings captured at AddCollection time — the live
-  // searcher config mutates as per-query overrides are applied, so it is
-  // not the source of truth. The ceilings clamp untrusted per-query
-  // overrides at admission: more neighbors than vectors or more probes
-  // than buckets is never meaningful, and an absurd k must not reach the
-  // top-k heap's reserve().
-  size_t default_k = 10;
-  size_t default_nprobe = 1;
-  size_t max_k = 1;
+  /// Live vectors hosted; refreshed on every mutation. It also bounds
+  /// per-query k at admission: more neighbors than vectors is never
+  /// meaningful, and an absurd k must not reach the top-k heap's reserve().
+  size_t count = 0;
+  /// Ceiling for per-query nprobe overrides: the IVF bucket count, which a
+  /// compaction may change (so cached here, refreshed by the compactor).
   size_t max_nprobe = 1;
-  size_t dim = 0;    ///< Query vector length; the wire layer validates this.
-  size_t count = 0;  ///< Live vectors hosted; refreshed on every mutation.
-  PrunerKind pruner = PrunerKind::kBond;
-  /// Serving tier, captured at adoption (kNone = exact float tier).
-  QuantizationKind quantization = QuantizationKind::kNone;
-  /// u8 tier exact-rerank over-fetch; 0 on float collections.
-  size_t rerank_factor = 0;
-  /// Resident u8 code bytes (summed across shards); 0 on float tiers.
-  uint64_t quantized_bytes = 0;
-  /// Candidates the u8 tier exact-reranked, lifetime. Atomic because
-  /// DispatchBatch bumps it outside mutex_ (same path as the lock-free
-  /// metric counters) while Stats() reads it under mutex_.
-  std::atomic<uint64_t> rerank_total{0};
   /// The searcher downcast, set iff the service built it mutable (from
   /// vectors): the AddVectors/DeleteVectors surface and the compactor
   /// route through it. Never owning — `searcher` holds the same object.
@@ -91,20 +78,10 @@ struct SearchService::Collection {
   /// re-saves there after every fold so the on-disk snapshot tracks the
   /// live state. Empty = never saved. Guarded by mutex_.
   std::string persist_path;
-  uint64_t added = 0;        ///< Vectors ingested, lifetime; mutex_.
-  uint64_t deleted_total = 0;  ///< Vectors tombstoned, lifetime; mutex_.
-  uint64_t compactions = 0;  ///< Background compactions done; mutex_.
-  /// Captured at AddCollection time: the batch key ignores nprobe on kFlat
-  /// (the search ignores it there, so keying on it would only fragment
-  /// coalescable batches).
-  SearcherLayout layout = SearcherLayout::kFlat;
 
-  size_t admitted = 0;
-  size_t completed = 0;
-  size_t rejected = 0;
-  size_t expired = 0;
-  size_t cancelled = 0;
-  size_t dispatches = 0;
+  // Windowed views with no registry equivalent (exact percentiles over the
+  // last latency_window samples; the recent-completion ring). Reset when
+  // the name is re-added. Guarded by mutex_.
   LatencyRecorder queue_wait;
   LatencyRecorder latency;
   /// Ring of the most recent completion timestamps — the windowed QPS
@@ -128,6 +105,7 @@ struct SearchService::Collection {
   /// cumulative series). The dispatch/completion paths then touch only
   /// these lock-free pointers — never the registry's mutex.
   struct Instruments {
+    MetricCounter* admitted = nullptr;
     MetricCounter* completed = nullptr;
     MetricCounter* rejected = nullptr;
     MetricCounter* expired = nullptr;
@@ -193,8 +171,11 @@ struct SearchService::Pending {
 
 SearchService::SearchService(ServiceConfig config)
     : config_(Sanitize(config)),
+      owned_metrics_(config_.metrics != nullptr
+                         ? nullptr
+                         : std::make_unique<MetricsRegistry>()),
       metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : &MetricsRegistry::Default()),
+                                          : owned_metrics_.get()),
       pool_(config_.threads),
       started_(Clock::now()),
       dispatchers_(config_.dispatchers) {
@@ -223,7 +204,7 @@ SearchService::SearchService(ServiceConfig config)
     dispatchers_[d].busy_ring_capacity = config_.latency_window;
     dispatchers_[d].busy_ring.reserve(
         std::min<size_t>(config_.latency_window, 4096));
-    dispatchers_[d].batches_metric = metrics_->GetCounter(
+    dispatchers_[d].batches = metrics_->GetCounter(
         "pdx_dispatcher_batches_total", "Batches run, per dispatcher thread",
         {{"dispatcher", std::to_string(d)}});
     dispatchers_[d].thread = std::thread([this, d] { DispatcherMain(d); });
@@ -261,6 +242,9 @@ void SearchService::ResolveCollectionMetrics(Collection& collection) {
         {{"collection", collection.name}, {"outcome", value}});
   };
   Collection::Instruments& m = collection.metric;
+  m.admitted = metrics_->GetCounter(
+      "pdx_queries_admitted_total",
+      "Queries accepted into the admission queue, per collection", by_name);
   m.completed = outcome("completed");
   m.rejected = outcome("rejected");
   m.expired = outcome("expired");
@@ -357,19 +341,10 @@ Status SearchService::Adopt(const std::string& name,
 
   auto collection = std::make_shared<Collection>();
   collection->name = name;
-  collection->default_k = std::max<size_t>(1, searcher->options().k);
-  collection->default_nprobe = std::max<size_t>(1, searcher->options().nprobe);
   // count()/max_nprobe() see through sharding: the logical collection
   // size, and the largest shard's bucket count (nprobe applies per shard).
-  collection->max_k = std::max<size_t>(1, searcher->count());
-  collection->max_nprobe = std::max<size_t>(1, searcher->max_nprobe());
-  collection->layout = searcher->options().layout;
-  collection->dim = searcher->dim();
   collection->count = searcher->count();
-  collection->pruner = searcher->options().pruner;
-  collection->quantization = searcher->options().quantization;
-  collection->rerank_factor = searcher->options().rerank_factor;
-  collection->quantized_bytes = searcher->quantized_bytes();
+  collection->max_nprobe = std::max<size_t>(1, searcher->max_nprobe());
   collection->live = live;
   collection->source = source;
   collection->mapped_bytes = mapped_bytes;
@@ -384,7 +359,7 @@ Status SearchService::Adopt(const std::string& name,
   collection->metric.vectors->Set(static_cast<double>(collection->count));
   collection->metric.mmap_bytes->Set(static_cast<double>(mapped_bytes));
   collection->metric.quantized_bytes->Set(
-      static_cast<double>(collection->quantized_bytes));
+      static_cast<double>(searcher->quantized_bytes()));
   collection->searcher = std::move(searcher);
   collections_.emplace(name, std::move(collection));
   collections_gauge_->Set(static_cast<double>(collections_.size()));
@@ -393,48 +368,12 @@ Status SearchService::Adopt(const std::string& name,
 
 Status SearchService::AddCollection(const std::string& name,
                                     const VectorSet& vectors,
-                                    SearcherConfig config) {
-  config.pool = &pool_;
-  config.threads = 0;
-  // The u8 tier has no streaming-ingest path: build it through the plain
-  // facade (MakeSearcher routes to the quantized searcher) and adopt it
-  // with live = nullptr, so AddVectors/DeleteVectors/Upsert answer
-  // kUnsupported instead of corrupting the code blocks.
-  if (config.quantization != QuantizationKind::kNone) {
-    auto made = MakeSearcher(vectors, std::move(config));
-    if (!made.ok()) return made.status();
-    std::unique_ptr<Searcher> searcher = std::move(made).value();
-    return Adopt(name, searcher);
-  }
-  auto made = MutableSearcher::Make(vectors, std::move(config),
-                                    config_.mutation);
-  if (!made.ok()) return made.status();
-  std::unique_ptr<MutableSearcher> typed = std::move(made).value();
-  MutableSearcher* live = typed.get();
-  std::unique_ptr<Searcher> searcher = std::move(typed);
-  return Adopt(name, searcher, live);
-}
-
-Status SearchService::AddCollection(const std::string& name,
-                                    const VectorSet& vectors,
-                                    const IvfIndex& index,
-                                    SearcherConfig config) {
-  config.pool = &pool_;
-  config.threads = 0;
-  auto made = MakeSearcher(vectors, index, std::move(config));
-  if (!made.ok()) return made.status();
-  std::unique_ptr<Searcher> searcher = std::move(made).value();
-  return Adopt(name, searcher);
-}
-
-Status SearchService::AddCollection(const std::string& name,
-                                    const VectorSet& vectors,
                                     SearcherConfig config,
                                     ShardingOptions sharding) {
-  config.pool = &pool_;
-  config.threads = 0;
-  // Quantized shards compose the same way float shards do, but stay
-  // immutable — same reasoning as the unsharded overload above.
+  // The u8 tier has no streaming-ingest path: build it through the plain
+  // (sharded) facade, which routes to the quantized searcher, and adopt it
+  // with live = nullptr, so AddVectors/DeleteVectors/Upsert answer
+  // kUnsupported instead of corrupting the code blocks.
   if (config.quantization != QuantizationKind::kNone) {
     auto made = MakeShardedSearcher(vectors, std::move(config), sharding);
     if (!made.ok()) return made.status();
@@ -448,6 +387,16 @@ Status SearchService::AddCollection(const std::string& name,
   MutableSearcher* live = typed.get();
   std::unique_ptr<Searcher> searcher = std::move(typed);
   return Adopt(name, searcher, live);
+}
+
+Status SearchService::AddCollection(const std::string& name,
+                                    const VectorSet& vectors,
+                                    const IvfIndex& index,
+                                    SearcherConfig config) {
+  auto made = MakeSearcher(vectors, index, std::move(config));
+  if (!made.ok()) return made.status();
+  std::unique_ptr<Searcher> searcher = std::move(made).value();
+  return Adopt(name, searcher);
 }
 
 Status SearchService::AddCollection(const std::string& name,
@@ -549,10 +498,10 @@ Result<std::vector<uint64_t>> SearchService::AddVectors(
           " is immutable (adopted or index-backed); PUT a rebuilt "
           "collection instead");
     }
-    if (dim != host->dim) {
+    if (dim != host->searcher->dim()) {
       return Status::InvalidArgument(
           "rows have " + std::to_string(dim) + " dimensions, expected " +
-          std::to_string(host->dim));
+          std::to_string(host->searcher->dim()));
     }
   }
   // The append itself runs OUTSIDE mutex_: MutableSearcher serializes
@@ -564,12 +513,10 @@ Result<std::vector<uint64_t>> SearchService::AddVectors(
   if (!added.ok()) return added;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    host->added += count;
+    host->metric.ingested->Inc(count);
     host->count = host->live->count();
-    host->max_k = std::max<size_t>(1, host->count);
     MaybeScheduleCompactionLocked(host);
   }
-  host->metric.ingested->Inc(count);
   RefreshMutationObs(host);
   return added;
 }
@@ -596,12 +543,10 @@ Result<size_t> SearchService::DeleteVectors(const std::string& name,
   const size_t deleted = host->live->DeleteBatch(ids, count, missing);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    host->deleted_total += deleted;
+    host->metric.removed->Inc(deleted);
     host->count = host->live->count();
-    host->max_k = std::max<size_t>(1, host->count);
     MaybeScheduleCompactionLocked(host);
   }
-  host->metric.removed->Inc(deleted);
   RefreshMutationObs(host);
   return deleted;
 }
@@ -638,18 +583,14 @@ void SearchService::CompactorMain() {
     // only the brief swap at its end excludes them.
     const Status done = host->live->Compact();
     const double wall_ms = MillisBetween(begin, Clock::now());
-    if (done.ok()) {
-      host->metric.compactions->Inc();
-      host->metric.compaction_ms->Observe(wall_ms);
-    }
+    if (done.ok()) host->metric.compaction_ms->Observe(wall_ms);
     RefreshMutationObs(host);
     lock.lock();
     host->compacting = false;
     std::string persist_to;
     if (done.ok()) {
-      ++host->compactions;
+      host->metric.compactions->Inc();
       host->count = host->live->count();
-      host->max_k = std::max<size_t>(1, host->count);
       // An IVF base rebuilt over more vectors may cluster into more
       // buckets; the admission clamp must follow the new ceiling.
       host->max_nprobe = std::max<size_t>(1, host->live->max_nprobe());
@@ -728,20 +669,21 @@ Result<CollectionInfo> SearchService::GetCollectionInfo(
     return Status::NotFound("no collection named " + name);
   }
   const Collection& host = *it->second;
+  const SearcherConfig& options = host.searcher->options();
   CollectionInfo info;
   info.name = name;
-  info.dim = host.dim;
+  info.dim = host.searcher->dim();
   info.count = host.count;
-  info.default_k = host.default_k;
-  info.default_nprobe = host.default_nprobe;
+  info.default_k = std::max<size_t>(1, options.k);
+  info.default_nprobe = std::max<size_t>(1, options.nprobe);
   info.max_nprobe = host.max_nprobe;
   // num_shards() reads a constant, safe against concurrent dispatch.
   info.shards = host.searcher->num_shards();
-  info.layout = host.layout;
-  info.pruner = host.pruner;
-  info.quantization = host.quantization;
-  info.rerank_factor = host.rerank_factor;
-  info.quantized_bytes = host.quantized_bytes;
+  info.layout = options.layout;
+  info.pruner = options.pruner;
+  info.quantization = options.quantization;
+  info.rerank_factor = options.rerank_factor;
+  info.quantized_bytes = host.searcher->quantized_bytes();
   info.source = host.source;
   return info;
 }
@@ -818,12 +760,16 @@ Status SearchService::Enqueue(const std::string& collection,
         " pending); retry later");
   }
   pending->query.assign(query, query + d);
-  pending->k =
-      std::min(options.k > 0 ? options.k : host.default_k, host.max_k);
+  // Untrusted per-query overrides are clamped to the collection's
+  // ceilings: k to the live count, nprobe (below) to the bucket count.
+  const SearcherConfig& defaults = host.searcher->options();
+  pending->k = std::clamp<size_t>(options.k > 0 ? options.k : defaults.k, 1,
+                                  std::max<size_t>(1, host.count));
+  pending->nprobe = std::max<size_t>(
+      1, options.nprobe > 0 ? options.nprobe : defaults.nprobe);
   // The bucket-count clamp only makes sense where nprobe is applied; on
   // kFlat the knob never reaches the searcher.
-  pending->nprobe = options.nprobe > 0 ? options.nprobe : host.default_nprobe;
-  if (host.layout == SearcherLayout::kIvf) {
+  if (defaults.layout == SearcherLayout::kIvf) {
     pending->nprobe = std::min(pending->nprobe, host.max_nprobe);
   }
   if (options.timeout.count() > 0) {
@@ -845,7 +791,7 @@ Status SearchService::Enqueue(const std::string& collection,
       pending->request_id = options.request_id;
     }
   }
-  ++host.admitted;
+  host.metric.admitted->Inc();
   pending->queued = true;
   queue_.push_back(std::move(pending));
   SetQueueDepthLocked();
@@ -932,7 +878,7 @@ ServiceStats SearchService::Stats() const {
   stats.dispatchers.reserve(dispatchers_.size());
   for (const Dispatcher& dispatcher : dispatchers_) {
     DispatcherStats ds;
-    ds.dispatches = dispatcher.dispatches;
+    ds.dispatches = dispatcher.batches->value();
     Clock::duration busy{};
     for (const Dispatcher::BusySample& sample : dispatcher.busy_ring) {
       // A batch is scored into the window its END falls in; a long batch
@@ -948,14 +894,21 @@ ServiceStats SearchService::Stats() const {
     stats.dispatchers.push_back(ds);
   }
   for (const auto& [name, collection] : collections_) {
+    // The counters are the registry's instruments. Each one moves inside a
+    // mutex_ section alongside whatever it must agree with (outcomes with
+    // the latency windows, collection with dispatcher dispatches), so this
+    // snapshot, taken under mutex_, is self-consistent.
+    const Collection::Instruments& m = collection->metric;
+    const SearcherConfig& options = collection->searcher->options();
     CollectionStats cs;
     cs.count = collection->count;
-    cs.admitted = collection->admitted;
-    cs.completed = collection->completed;
-    cs.rejected = collection->rejected;
-    cs.expired = collection->expired;
-    cs.cancelled = collection->cancelled;
-    cs.dispatches = collection->dispatches;
+    cs.admitted = m.admitted->value();
+    cs.completed = m.completed->value();
+    cs.rejected = m.rejected->value();
+    cs.expired = m.expired->value();
+    cs.cancelled = m.cancelled->value();
+    cs.failed = m.failed->value();
+    cs.dispatches = m.dispatches->value();
     // num_shards() reads a constant and ShardDispatchCounts() reads
     // atomics, so these are safe against the dispatcher's concurrent use
     // of the searcher (which mutex_ does not serialize).
@@ -963,11 +916,10 @@ ServiceStats SearchService::Stats() const {
     cs.source = collection->source;
     cs.mapped_bytes = collection->mapped_bytes;
     cs.shard_dispatches = collection->searcher->ShardDispatchCounts();
-    cs.quantization = QuantizationKindName(collection->quantization);
-    cs.rerank_factor = collection->rerank_factor;
-    cs.quantized_bytes = collection->quantized_bytes;
-    cs.rerank_candidates =
-        collection->rerank_total.load(std::memory_order_relaxed);
+    cs.quantization = QuantizationKindName(options.quantization);
+    cs.rerank_factor = options.rerank_factor;
+    cs.quantized_bytes = collection->searcher->quantized_bytes();
+    cs.rerank_candidates = m.rerank_candidates->value();
     cs.queue_wait = collection->queue_wait.Summary();
     cs.latency = collection->latency.Summary();
     if (collection->live != nullptr) {
@@ -980,9 +932,9 @@ ServiceStats SearchService::Stats() const {
       cs.base_blocks = ms.base_blocks;
       cs.tombstones = ms.tombstones;
     }
-    cs.added = collection->added;
-    cs.deleted = collection->deleted_total;
-    cs.compactions = collection->compactions;
+    cs.added = m.ingested->value();
+    cs.deleted = m.removed->value();
+    cs.compactions = m.compactions->value();
     // QPS over the completions inside the recent window only: a lifetime
     // first-to-last span would report near-zero forever after one long
     // idle gap. n samples bound n-1 intervals; a single in-window sample
@@ -1120,8 +1072,9 @@ SearchService::CollectBatchLocked() {
   const Pending& head = *batch.front();
   // nprobe only keys IVF collections: a flat search ignores it, so two
   // flat queries with different nprobe overrides still share one batch.
-  const bool key_nprobe = head.collection != nullptr &&
-                          head.collection->layout == SearcherLayout::kIvf;
+  const bool key_nprobe =
+      head.collection != nullptr &&
+      head.collection->searcher->options().layout == SearcherLayout::kIvf;
   for (auto it = queue_.begin();
        it != queue_.end() && batch.size() < config_.max_batch;) {
     const Pending& candidate = **it;
@@ -1177,12 +1130,12 @@ void SearchService::DispatchBatch(
       live[i]->dispatched = dispatch_start;
     }
     {
+      // One critical section for both, so a Stats() snapshot always sees
+      // the per-dispatcher counts sum to the per-collection ones.
       std::lock_guard<std::mutex> lock(mutex_);
-      ++host->dispatches;
-      ++self.dispatches;
+      host->metric.dispatches->Inc();
+      self.batches->Inc();
     }
-    host->metric.dispatches->Inc();
-    self.batches_metric->Inc();
     // Per-query search-work counters land in the dispatcher's
     // pre-reserved scratch — observability adds no allocation here (a
     // BatchProfile would drag a LatencyRecorder window along).
@@ -1209,8 +1162,6 @@ void SearchService::DispatchBatch(
     host->metric.values_avoided->Inc(batch_work.values_avoided);
     host->metric.dims_scanned->Inc(batch_work.dims_scanned);
     host->metric.rerank_candidates->Inc(batch_work.rerank_candidates);
-    host->rerank_total.fetch_add(batch_work.rerank_candidates,
-                                 std::memory_order_relaxed);
     for (size_t i = 0; i < live.size(); ++i) {
       Complete(std::move(live[i]), Status::OK(), std::move(results[i]));
     }
@@ -1257,11 +1208,13 @@ void SearchService::Complete(std::unique_ptr<Pending> pending, Status status,
   }
 
   if (pending->collection != nullptr) {
+    // The outcome counter moves in the same critical section as the
+    // latency windows, so one Stats() snapshot sees both.
     std::lock_guard<std::mutex> lock(mutex_);
     Collection& host = *pending->collection;
     switch (result.status.code()) {
       case Status::Code::kOk:
-        ++host.completed;
+        host.metric.completed->Inc();
         host.latency.Record(result.total_ms);
         host.queue_wait.Record(result.queue_ms);
         host.RecordDone(now);
@@ -1269,46 +1222,30 @@ void SearchService::Complete(std::unique_ptr<Pending> pending, Status status,
       case Status::Code::kResourceExhausted:
         // Turned away at admission — it never waited in the queue, so it
         // contributes no queue_wait sample.
-        ++host.rejected;
+        host.metric.rejected->Inc();
         break;
       case Status::Code::kDeadlineExceeded:
-        ++host.expired;
+        host.metric.expired->Inc();
         host.queue_wait.Record(result.queue_ms);
         break;
       case Status::Code::kCancelled:
-        ++host.cancelled;
+        host.metric.cancelled->Inc();
         host.queue_wait.Record(result.queue_ms);
+        break;
+      case Status::Code::kInternal:
+        host.metric.failed->Inc();  // The dispatcher's exception barrier.
         break;
       default:
         break;  // InvalidArgument etc.: attributed to no bucket.
     }
   }
 
-  // Observability lands OUTSIDE mutex_: the instruments are lock-free
-  // atomics (and the slowlog carries its own bounded lock), and the
-  // shared_ptr keeps the collection's instruments and slowlog alive even
-  // past RemoveCollection.
+  // The rest of observability lands OUTSIDE mutex_: the histograms are
+  // lock-free atomics (and the slowlog carries its own bounded lock), and
+  // the shared_ptr keeps the collection's instruments and slowlog alive
+  // even past RemoveCollection.
   if (pending->collection != nullptr) {
     Collection& host = *pending->collection;
-    switch (result.status.code()) {
-      case Status::Code::kOk:
-        host.metric.completed->Inc();
-        break;
-      case Status::Code::kResourceExhausted:
-        host.metric.rejected->Inc();
-        break;
-      case Status::Code::kDeadlineExceeded:
-        host.metric.expired->Inc();
-        break;
-      case Status::Code::kCancelled:
-        host.metric.cancelled->Inc();
-        break;
-      case Status::Code::kInternal:
-        host.metric.failed->Inc();
-        break;
-      default:
-        break;
-    }
     // Stage histograms mirror the queue_ms attribution above: queue for
     // anything that actually waited, dispatch/search only once a batch
     // ran it, total only for delivered answers (mixing shed queries into

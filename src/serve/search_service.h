@@ -56,10 +56,12 @@ struct ServiceConfig {
   /// DispatcherStats::busy_fraction. Must be > 0.
   std::chrono::milliseconds qps_window{10'000};
   /// Registry the service reports its serving metrics into (counters,
-  /// stage histograms, queue-depth gauge — scraped by GET /metrics).
-  /// nullptr = the process-global MetricsRegistry::Default(); tests inject
-  /// a local registry so their counts never bleed across cases. Must
-  /// outlive the service.
+  /// stage histograms, queue-depth gauge) — the one source both GET
+  /// /metrics and Stats()/GET /stats read. nullptr = a registry private to
+  /// this service, so two services in one process never count each other's
+  /// queries. Inject one to share it: services reporting into the same
+  /// registry add to the same per-collection-name series. Must outlive the
+  /// service.
   MetricsRegistry* metrics = nullptr;
   /// Worst traces retained per collection (GET .../slowlog). Clamped >= 1.
   size_t slowlog_capacity = 8;
@@ -113,16 +115,15 @@ struct CollectionInfo {
 /// opportunistically coalesces queued queries for the same collection
 /// (and same k/nprobe) into one
 /// Searcher::SearchBatchWith(slot, QueryKnobs, ...) call, which fans out
-/// over the shared pool (the searchers are built with
-/// SearcherConfig::pool injected, so the query path never constructs a
-/// pool). Dispatcher d owns slot band
-/// [d * pool_threads, (d+1) * pool_threads) of every hosted searcher's
-/// per-slot scratch — reserved at adoption time — so two batches against
-/// the SAME collection proceed concurrently on disjoint engines, with no
-/// shared-config mutation anywhere on the dispatch path. Dispatchers also
-/// timed-wait on the earliest queued deadline and shed expired queries
-/// even while paused, so a deadline never strands a future behind other
-/// batch keys or a Pause().
+/// over the shared pool (every hosted searcher gets it injected at
+/// adoption, so the query path never constructs a pool). Dispatcher d
+/// owns slot band [d * pool_threads, (d+1) * pool_threads) of every hosted
+/// searcher's per-slot scratch — reserved at adoption time — so two
+/// batches against the SAME collection proceed concurrently on disjoint
+/// engines, with no shared-config mutation anywhere on the dispatch path.
+/// Dispatchers also timed-wait on the earliest queued deadline and shed
+/// expired queries even while paused, so a deadline never strands a future
+/// behind other batch keys or a Pause().
 ///
 /// Results are exactly what a direct sequential Searcher::Search over the
 /// same collection returns — SearchBatchWith's parity guarantee, end to
@@ -141,7 +142,7 @@ class SearchService {
   SearchService& operator=(const SearchService&) = delete;
 
   /// Hosts `vectors` under `name` as a LIVE collection: the service builds
-  /// a MutableSearcher (the shared pool injected into `config`), so the
+  /// a MutableSearcher (and runs it on the shared pool), so the
   /// collection accepts AddVectors/DeleteVectors/Upsert while serving.
   /// `vectors` is copied — it need not outlive the collection. Fails with
   /// InvalidArgument on a duplicate name or whatever MakeSearcher rejects.
@@ -150,8 +151,15 @@ class SearchService {
   /// quantized serving tier instead (MakeSearcher routes to the u8
   /// searcher) and is IMMUTABLE: AddVectors/DeleteVectors/Upsert fail
   /// with kUnsupported — the u8 tier has no streaming-ingest path yet.
+  ///
+  /// With sharding.num_shards above one the collection is split across
+  /// that many searchers behind the one name (MakeShardedSearcher): every
+  /// query fans out to all shards on the service's shared pool and merges
+  /// into one exact global top-k. Submit/admission/micro-batching are
+  /// unchanged; ServiceStats reports the per-shard dispatch counts.
+  /// num_shards == 0 fails with InvalidArgument.
   Status AddCollection(const std::string& name, const VectorSet& vectors,
-                       SearcherConfig config);
+                       SearcherConfig config, ShardingOptions sharding = {});
 
   /// Same, over a caller-owned IVF index (`index` must outlive the
   /// collection; layout must be kIvf). Index-backed collections are
@@ -159,14 +167,6 @@ class SearchService {
   /// rebuild): AddVectors/DeleteVectors fail with kUnsupported.
   Status AddCollection(const std::string& name, const VectorSet& vectors,
                        const IvfIndex& index, SearcherConfig config);
-
-  /// Hosts `vectors` sharded across `sharding.num_shards` searchers behind
-  /// one collection name (MakeShardedSearcher): every query fans out to
-  /// all shards on the service's shared pool and merges into one exact
-  /// global top-k. Submit/admission/micro-batching are unchanged;
-  /// ServiceStats reports the per-shard dispatch counts.
-  Status AddCollection(const std::string& name, const VectorSet& vectors,
-                       SearcherConfig config, ShardingOptions sharding);
 
   /// Adopts an already-built searcher. On success the pointer is moved
   /// from, the service injects its shared pool (set_pool) and takes over
@@ -286,8 +286,9 @@ class SearchService {
   /// Queries waiting for dispatch right now.
   size_t queue_depth() const;
 
-  /// Point-in-time counters: queue depth, pool size, per-collection
-  /// QPS/latency percentiles.
+  /// Point-in-time snapshot: queue depth, pool size, the per-collection
+  /// and per-dispatcher counters (read from metrics(), so they are the
+  /// /metrics series), and the windowed QPS/latency/busy views.
   ServiceStats Stats() const;
 
   /// The N worst queries (by total_ms) collection `name` has served,
@@ -295,8 +296,8 @@ class SearchService {
   /// NotFound when the name is not hosted.
   Result<std::vector<SlowQueryEntry>> SlowLog(const std::string& name) const;
 
-  /// The registry this service reports into (the injected one, or the
-  /// process default) — what a wire front end scrapes for GET /metrics.
+  /// The registry this service reports into (the injected one, or its
+  /// own) — what a wire front end scrapes for GET /metrics.
   MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Stops the dispatcher: in-flight work finishes, everything still
@@ -366,7 +367,8 @@ class SearchService {
   /// of every critical section that mutates queue_. Caller holds mutex_.
   void SetQueueDepthLocked();
   /// Resolves collection `name`'s metric instruments (get-or-create, so a
-  /// re-added name keeps its cumulative series). Called from Adopt.
+  /// re-added name keeps its cumulative series). Called from Adopt. These
+  /// are the collection's only serving counters: Stats() reads them too.
   void ResolveCollectionMetrics(Collection& collection);
   void DispatchBatch(size_t dispatcher,
                      std::vector<std::unique_ptr<Pending>> batch);
@@ -376,7 +378,7 @@ class SearchService {
                  const std::string& reason);
 
   /// One replicated dispatcher: its thread, its private batch staging
-  /// buffer, and its share of the dispatch accounting. Dispatcher d runs
+  /// buffer, and its busy ring. Dispatcher d runs
   /// every batch through slot band
   /// [d * pool_threads, (d+1) * pool_threads) of the hosted searchers'
   /// per-slot scratch (reserved at Adopt time), so two dispatchers never
@@ -388,7 +390,6 @@ class SearchService {
     /// max_batch at construction so the dispatch path never allocates for
     /// observability — the "tracing off costs nothing" contract.
     std::vector<SearchCounters> counters_scratch;
-    uint64_t dispatches = 0;     ///< Batches dispatched; guarded by mutex_.
     /// Ring of completed batches' (end time, busy duration) — the windowed
     /// busy_fraction gauge. Guarded by mutex_.
     struct BusySample {
@@ -398,10 +399,15 @@ class SearchService {
     std::vector<BusySample> busy_ring;
     size_t busy_ring_capacity = 1;
     size_t busy_next = 0;
-    MetricCounter* batches_metric = nullptr;  ///< Resolved at construction.
+    /// Batches dispatched; bumped under mutex_ together with the
+    /// collection's pdx_dispatches_total. Resolved at construction.
+    MetricCounter* batches = nullptr;
   };
 
   const ServiceConfig config_;
+  /// The private registry when ServiceConfig::metrics is null. Declared
+  /// before every member that holds instruments, so it outlives them.
+  const std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* const metrics_;  ///< Never null after construction.
   ThreadPool pool_;  ///< The one pool every collection's batches share.
   const std::chrono::steady_clock::time_point started_;

@@ -12,8 +12,12 @@
 namespace pdx {
 
 /// Per-collection serving counters. Every admitted query ends in exactly
-/// one of completed/expired/cancelled; rejected queries were never
-/// admitted.
+/// one of completed/expired/cancelled/failed, so at quiescence admitted ==
+/// completed + expired + cancelled + failed; rejected queries were never
+/// admitted. The counters (admitted through dispatches, rerank_candidates,
+/// added/deleted/compactions) are read from the service's metrics registry:
+/// they are the /metrics series, cumulative per collection name, and keep
+/// counting across a remove + re-add (a PUT replace) of that name.
 struct CollectionStats {
   size_t count = 0;       ///< Vectors hosted (the collection's size).
   size_t admitted = 0;    ///< Accepted into the queue.
@@ -21,6 +25,7 @@ struct CollectionStats {
   size_t rejected = 0;    ///< Turned away with kResourceExhausted.
   size_t expired = 0;     ///< Deadline passed before dispatch.
   size_t cancelled = 0;   ///< Cancel()/RemoveCollection/Shutdown.
+  size_t failed = 0;      ///< Search threw; resolved with kInternal.
   size_t dispatches = 0;  ///< Batched search calls; completed/dispatches
                           ///< is the achieved micro-batch size.
   /// Shards the hosted searcher fans each query out to (1 = unsharded).
@@ -43,8 +48,8 @@ struct CollectionStats {
   /// Bytes of u8 codes resident for this collection (~count x dim on the
   /// u8 tier, summed across shards); 0 on float collections.
   uint64_t quantized_bytes = 0;
-  /// Candidates the u8 tier re-ranked with exact float distances,
-  /// lifetime; 0 on float collections.
+  /// Candidates the u8 tier re-ranked with exact float distances; 0 on
+  /// float collections.
   uint64_t rerank_candidates = 0;
   /// Completions per second over the recent ServiceConfig::qps_window:
   /// (n - 1) / span of the completions inside the window. 0 when the
@@ -63,15 +68,16 @@ struct CollectionStats {
   size_t delta_blocks = 0;  ///< PDX blocks in the delta region.
   size_t base_blocks = 0;   ///< PDX blocks in the immutable base store.
   size_t tombstones = 0;    ///< Dead slots awaiting compaction.
-  uint64_t added = 0;       ///< Vectors ingested via AddVectors, lifetime.
-  uint64_t deleted = 0;     ///< Vectors removed via DeleteVectors, lifetime.
-  uint64_t compactions = 0; ///< Background compactions completed, lifetime.
+  uint64_t added = 0;       ///< Vectors ingested via AddVectors.
+  uint64_t deleted = 0;     ///< Vectors removed via DeleteVectors.
+  uint64_t compactions = 0; ///< Background compactions completed.
 };
 
 /// One replicated dispatcher's share of the serving work.
 struct DispatcherStats {
-  /// Batches this dispatcher popped and ran (sums to the total of the
-  /// per-collection CollectionStats::dispatches across the service).
+  /// Batches this dispatcher popped and ran (pdx_dispatcher_batches_total).
+  /// Summed over dispatchers, equals the sum of CollectionStats::dispatches
+  /// while every collection name counted so far is still hosted.
   uint64_t dispatches = 0;
   /// Fraction of the recent ServiceConfig::qps_window this dispatcher
   /// spent inside dispatch (staging + search + result delivery), in

@@ -8,6 +8,7 @@
 
 #include "benchlib/datagen.h"
 #include "common/parallel.h"
+#include "core/mutable_searcher.h"
 
 namespace pdx {
 namespace {
@@ -305,6 +306,11 @@ TEST(ShardedSearcherTest, ValidatesAndClamps) {
   zero.num_shards = 0;
   EXPECT_TRUE(
       MakeShardedSearcher(data.data, config, zero).status().IsInvalidArgument());
+  // A live collection builds its base through the same factory, so it
+  // rejects zero shards too instead of quietly building one.
+  EXPECT_TRUE(MutableSearcher::Make(data.data, config, {}, zero)
+                  .status()
+                  .IsInvalidArgument());
 
   ShardingOptions bad_assignment;
   bad_assignment.num_shards = 2;

@@ -377,6 +377,18 @@ TEST(IngestWireTest, PutReplaceResetsSlowlogKeepsCounters) {
           scrape.value().body,
           "pdx_queries_total{collection=\"live\",outcome=\"completed\"}"),
       3.0);  // 2 before the replace + 1 after: cumulative.
+  // GET /stats reads the same registry series, so it keeps counting
+  // across the replace too and agrees with the scrape.
+  Result<HttpResponse> stats = client.Roundtrip("GET", "/stats");
+  ASSERT_TRUE(stats.ok());
+  const JsonValue stats_body = MustParseBody(stats.value());
+  const JsonValue* live = stats_body.Find("collections")->Find("live");
+  ASSERT_NE(live, nullptr) << stats.value().body;
+  EXPECT_EQ(live->Find("completed")->AsNumber(), 3.0) << stats.value().body;
+  EXPECT_EQ(live->Find("completed")->AsNumber(),
+            SeriesValue(scrape.value().body,
+                        "pdx_queries_total{collection=\"live\","
+                        "outcome=\"completed\"}"));
   // The replacement is mutable again (it was built from vectors).
   Result<HttpResponse> posted = client.Roundtrip(
       "POST", "/collections/live/vectors", "[5,0,0,0]\n");

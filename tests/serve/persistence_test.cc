@@ -135,9 +135,10 @@ TEST(ServicePersistenceTest, CompactorKeepsSnapshotCurrent) {
   ASSERT_TRUE(service.AddVectors("c", rows.data(), 256, data.data.dim(),
                                  nullptr).ok());
 
-  // Wait for the compaction to finish, then for the re-save it triggers
-  // (the write itself is not atomic, so keep polling until a fresh load
-  // of the file restores the post-compaction count).
+  // Wait for the compaction to finish, then for the re-save it triggers.
+  // The compaction is counted before the re-save starts, so keep polling
+  // until the (atomically renamed) file changes and a fresh load of it
+  // restores the post-compaction count.
   bool compacted = false;
   for (int spin = 0; spin < 250 && !compacted; ++spin) {
     std::this_thread::sleep_for(20ms);

@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -979,6 +980,117 @@ TEST(SearchServiceTest, RemoveCollectionWithInFlightBatch) {
     EXPECT_EQ(result.neighbors.size(), 10u);
   }
   EXPECT_TRUE(service.CollectionNames().empty());
+}
+
+// --- The dispatcher's exception barrier ------------------------------------
+
+/// Wraps a real searcher; every search throws while `armed` is set.
+class ThrowingSearcher : public Searcher {
+ public:
+  ThrowingSearcher(std::unique_ptr<Searcher> inner, std::atomic<bool>* armed)
+      : Searcher(inner->options()), inner_(std::move(inner)), armed_(armed) {}
+
+  std::vector<Neighbor> SearchWith(size_t slot, QueryKnobs knobs,
+                                   const float* query,
+                                   PdxearchProfile* profile) override {
+    if (armed_->load()) throw std::runtime_error("injected search failure");
+    return inner_->SearchWith(slot, knobs, query, profile);
+  }
+  void ReserveScratch(size_t slots) override { inner_->ReserveScratch(slots); }
+  const PdxStore& store() const override { return inner_->store(); }
+  const IvfIndex* index() const override { return inner_->index(); }
+
+ private:
+  std::unique_ptr<Searcher> inner_;
+  std::atomic<bool>* armed_;
+};
+
+TEST(SearchServiceTest, ThrowingSearchFailsItsBatchAndServingGoesOn) {
+  Fixture fx = MakeFixture(16, 43, 500, 8);
+  ServiceConfig sc;
+  sc.threads = 2;
+  sc.max_batch = 4;
+  sc.dispatchers = 1;  // The four queued queries coalesce into one batch.
+  SearchService service(sc);
+  auto inner = MakeSearcher(fx.dataset.data,
+                            Config(SearcherLayout::kFlat, PrunerKind::kBond));
+  ASSERT_TRUE(inner.ok());
+  std::atomic<bool> armed{true};
+  std::unique_ptr<Searcher> throwing =
+      std::make_unique<ThrowingSearcher>(std::move(inner).value(), &armed);
+  ASSERT_TRUE(service.AddCollection("boom", throwing).ok());
+
+  service.Pause();
+  std::vector<QueryTicket> tickets;
+  for (size_t q = 0; q < 4; ++q) {
+    tickets.push_back(service.Submit("boom", fx.dataset.queries.Vector(q)));
+  }
+  service.Resume();
+  for (QueryTicket& ticket : tickets) {
+    const QueryResult result = ticket.result.get();
+    EXPECT_TRUE(result.status.IsInternal()) << result.status.ToString();
+    EXPECT_NE(result.status.message().find("injected search failure"),
+              std::string::npos)
+        << result.status.ToString();
+    EXPECT_TRUE(result.neighbors.empty());
+  }
+
+  // The dispatcher survived the throw: the next batch is served.
+  armed.store(false);
+  const QueryResult ok =
+      service.Submit("boom", fx.dataset.queries.Vector(4)).result.get();
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  EXPECT_EQ(ok.neighbors.size(), 10u);
+
+  const CollectionStats cs = service.Stats().collections.at("boom");
+  EXPECT_EQ(cs.failed, 4u);
+  EXPECT_EQ(cs.completed, 1u);
+  EXPECT_EQ(cs.admitted, cs.completed + cs.expired + cs.cancelled + cs.failed);
+  const std::string scrape = service.metrics().WritePrometheus();
+  EXPECT_NE(scrape.find("pdx_queries_total{collection=\"boom\","
+                        "outcome=\"failed\"} 4\n"),
+            std::string::npos)
+      << scrape;
+}
+
+// --- One registry per service ----------------------------------------------
+
+TEST(SearchServiceTest, DefaultServicesEachCountOnlyTheirOwnQueries) {
+  Fixture fx = MakeFixture(16, 47, 500, 4);
+  const SearcherConfig config = Config(SearcherLayout::kFlat, PrunerKind::kBond);
+  const std::string completed =
+      "pdx_queries_total{collection=\"docs\",outcome=\"completed\"} ";
+  auto search = [&](SearchService& service, size_t q) {
+    ASSERT_TRUE(service.Submit("docs", fx.dataset.queries.Vector(q))
+                    .result.get()
+                    .status.ok());
+  };
+
+  // Stats() and the scrape are one series: both keep counting across a
+  // remove + re-add of the name.
+  SearchService first{ServiceConfig{}};
+  ASSERT_TRUE(first.AddCollection("docs", fx.dataset.data, config).ok());
+  for (size_t q = 0; q < 3; ++q) search(first, q);
+  ASSERT_TRUE(first.RemoveCollection("docs").ok());
+  ASSERT_TRUE(first.AddCollection("docs", fx.dataset.data, config).ok());
+  search(first, 3);
+  EXPECT_EQ(first.Stats().collections.at("docs").completed, 4u);
+  EXPECT_EQ(first.Stats().collections.at("docs").admitted, 4u);
+  const std::string first_scrape = first.metrics().WritePrometheus();
+  EXPECT_NE(first_scrape.find(completed + "4\n"), std::string::npos)
+      << first_scrape;
+
+  // A second default-config service in the same process has a registry of
+  // its own: neither view sees the first service's queries.
+  SearchService second{ServiceConfig{}};
+  EXPECT_NE(&second.metrics(), &first.metrics());
+  ASSERT_TRUE(second.AddCollection("docs", fx.dataset.data, config).ok());
+  search(second, 0);
+  EXPECT_EQ(second.Stats().collections.at("docs").completed, 1u);
+  EXPECT_EQ(second.Stats().collections.at("docs").admitted, 1u);
+  const std::string second_scrape = second.metrics().WritePrometheus();
+  EXPECT_NE(second_scrape.find(completed + "1\n"), std::string::npos)
+      << second_scrape;
 }
 
 TEST(SearchServiceTest, ServiceLoadHelperDrivesTheService) {

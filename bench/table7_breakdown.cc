@@ -133,7 +133,7 @@ int main() {
   // --- N-ary ADS ---
   {
     Breakdown b;
-    HorizontalSearchCounters counters;
+    HorizontalScanCounters counters;
     Timer timer;
     for (size_t q = 0; q < nq; ++q) {
       const float* query = s.dataset.queries.Vector(q);
@@ -188,7 +188,7 @@ int main() {
   // --- N-ary BSA ---
   {
     Breakdown b;
-    HorizontalSearchCounters counters;
+    HorizontalScanCounters counters;
     Timer timer;
     for (size_t q = 0; q < nq; ++q) {
       const float* query = s.dataset.queries.Vector(q);

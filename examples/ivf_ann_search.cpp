@@ -14,6 +14,7 @@
 
 #include "benchlib/datagen.h"
 #include "benchlib/recall.h"
+#include "common/timer.h"
 #include "core/pdx.h"
 
 int main() {
@@ -24,6 +25,7 @@ int main() {
   spec.num_queries = 30;
   spec.distribution = pdx::ValueDistribution::kNormal;
   pdx::Dataset dataset = pdx::GenerateDataset(spec);
+  const size_t nq = dataset.queries.count();
   const size_t k = 10;
 
   std::printf("building IVF index over %zu x %zu ...\n",
@@ -47,14 +49,13 @@ int main() {
   for (size_t nprobe : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
     if (nprobe > index.num_buckets()) break;
 
-    // Sequential batches (threads = 1): per-query latency methodology.
+    // Sequential batches (no pool): per-query latency methodology.
     auto sweep = [&](pdx::Searcher& searcher) {
-      pdx::BatchProfile profile;
+      const pdx::Timer timer;
       const auto results = searcher.SearchBatchWith(
-          0, pdx::QueryKnobs{0, nprobe}, dataset.queries.data(),
-          dataset.queries.count(), &profile);
-      return std::make_pair(pdx::MeanRecallAtK(results, truth, k),
-                            profile.qps());
+          0, pdx::QueryKnobs{0, nprobe}, dataset.queries.data(), nq);
+      const double qps = static_cast<double>(nq) / timer.ElapsedSeconds();
+      return std::make_pair(pdx::MeanRecallAtK(results, truth, k), qps);
     };
 
     const auto [ads_recall, ads_qps] = sweep(*ads);
@@ -67,11 +68,12 @@ int main() {
   // default nprobe = 16.
   for (size_t threads : {1u, 4u}) {
     ads->set_threads(threads);
-    ads->SearchBatch(dataset.queries.data(), dataset.queries.count());
+    const pdx::Timer timer;
+    ads->SearchBatch(dataset.queries.data(), nq);
+    const double ms = timer.ElapsedMillis();
     std::printf("\nbatched ADS @ nprobe=16, threads=%zu: %.2f ms wall "
                 "(%.0f QPS)",
-                threads, ads->last_batch_profile().wall_ms,
-                ads->last_batch_profile().qps());
+                threads, ms, 1000.0 * static_cast<double>(nq) / ms);
   }
   std::printf(
       "\n\nNote: PDX-BOND recall == recall of the probed buckets (exact "

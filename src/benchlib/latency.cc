@@ -29,42 +29,17 @@ std::string LatencySummary::ToString() const {
 LatencyRecorder::LatencyRecorder(size_t window)
     : window_(std::max<size_t>(1, window)) {}
 
-void LatencyRecorder::RecordSample(double ms) {
+void LatencyRecorder::Record(double ms) {
+  if (total_ == 0 || ms < min_) min_ = ms;
+  if (total_ == 0 || ms > max_) max_ = ms;
+  ++total_;
+  sum_ += ms;
   if (samples_.size() < window_) {
     samples_.push_back(ms);
   } else {
     samples_[next_] = ms;
     next_ = (next_ + 1) % window_;
   }
-}
-
-void LatencyRecorder::Record(double ms) {
-  if (total_ == 0 || ms < min_) min_ = ms;
-  if (total_ == 0 || ms > max_) max_ = ms;
-  ++total_;
-  sum_ += ms;
-  RecordSample(ms);
-}
-
-std::vector<double> LatencyRecorder::OrderedSamples() const {
-  std::vector<double> ordered;
-  ordered.reserve(samples_.size());
-  if (samples_.size() < window_) {
-    ordered = samples_;  // Ring never wrapped: insertion order is age order.
-  } else {
-    ordered.insert(ordered.end(), samples_.begin() + next_, samples_.end());
-    ordered.insert(ordered.end(), samples_.begin(), samples_.begin() + next_);
-  }
-  return ordered;
-}
-
-void LatencyRecorder::Merge(const LatencyRecorder& other) {
-  if (other.total_ == 0) return;
-  if (total_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (total_ == 0 || other.max_ > max_) max_ = other.max_;
-  total_ += other.total_;
-  sum_ += other.sum_;
-  for (double ms : other.OrderedSamples()) RecordSample(ms);
 }
 
 void LatencyRecorder::Reset() {

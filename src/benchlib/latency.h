@@ -24,15 +24,14 @@ struct LatencySummary {
   std::string ToString() const;
 };
 
-/// Fixed-memory latency tracker shared by BatchProfile (per-batch
-/// percentiles) and ServiceStats (per-collection percentiles): a ring
-/// buffer of the last `window` samples plus running count/sum/min/max over
-/// everything ever recorded. Deterministic — no sampling randomness — so
+/// Fixed-memory latency tracker shared by the bench tables and
+/// ServiceStats (per-collection percentiles): a ring buffer of the last
+/// `window` samples plus running count/sum/min/max over everything ever
+/// recorded. Deterministic — no sampling randomness — so
 /// two runs over the same queries report the same percentiles.
 ///
-/// Not internally synchronized: callers either own it exclusively (one per
-/// pool worker, merged after the loop) or guard it with their own mutex
-/// (the serving layer).
+/// Not internally synchronized: callers either own it exclusively or guard
+/// it with their own mutex (the serving layer).
 class LatencyRecorder {
  public:
   static constexpr size_t kDefaultWindow = 4096;
@@ -44,11 +43,6 @@ class LatencyRecorder {
   /// out of the percentile view (count/min/max/mean still remember it).
   void Record(double ms);
 
-  /// Folds `other` into this recorder: counts and extrema accumulate, and
-  /// other's window samples are replayed oldest-first into this window.
-  /// Used to merge per-worker recorders after a parallel batch.
-  void Merge(const LatencyRecorder& other);
-
   void Reset();
 
   /// Samples ever recorded (not capped by the window).
@@ -57,10 +51,6 @@ class LatencyRecorder {
   LatencySummary Summary() const;
 
  private:
-  void RecordSample(double ms);
-  /// Window samples oldest-first (the ring unrolled).
-  std::vector<double> OrderedSamples() const;
-
   size_t window_;
   size_t total_ = 0;
   double sum_ = 0.0;

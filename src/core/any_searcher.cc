@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "core/persist.h"
 #include "pruning/adsampling.h"
 #include "pruning/bsa.h"
@@ -134,15 +133,9 @@ Status ValidateSearcherConfig(const SearcherConfig& config) {
   return Status::OK();
 }
 
-void BatchProfile::Accumulate(const PdxearchProfile& profile) {
-  sum += profile;
-}
-
-ThreadPool* Searcher::BatchPool() {
-  size_t threads = ResolveThreadCount(config_.threads);
-  if (config_.search.step_observer) threads = 1;
+ThreadPool* Searcher::OwnedPool() {
+  const size_t threads = ResolveThreadCount(config_.threads);
   if (threads <= 1) return nullptr;
-  if (config_.pool != nullptr) return config_.pool;
   if (owned_pool_ == nullptr || owned_pool_->num_threads() != threads) {
     owned_pool_ = std::make_unique<ThreadPool>(threads);
   }
@@ -163,31 +156,39 @@ Status Searcher::ExportSaved(SavedCollection& out) const {
 }
 
 std::vector<Neighbor> Searcher::Search(const float* query) {
-  BatchProfile profile;
   std::vector<std::vector<Neighbor>> results =
-      SearchBatchWith(0, QueryKnobs{}, query, 1, &profile);
-  last_profile_ = profile.sum;
+      SearchBatchWith(0, QueryKnobs{}, query, 1, OwnedPool(), &last_profile_);
   return std::move(results.front());
 }
 
 std::vector<std::vector<Neighbor>> Searcher::SearchBatch(const float* queries,
                                                          size_t num_queries) {
-  return SearchBatchWith(0, QueryKnobs{}, queries, num_queries,
-                         &batch_profile_);
+  return SearchBatchWith(0, QueryKnobs{}, queries, num_queries, OwnedPool());
 }
 
 std::vector<std::vector<Neighbor>> Searcher::SearchBatchWith(
     size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
-    BatchProfile* profile, SearchCounters* counters) {
-  // A one-query batch stays sequential without ever constructing a pool.
-  ThreadPool* pool = num_queries > 1 ? BatchPool() : nullptr;
+    ThreadPool* pool, PdxearchProfile* per_query) {
+  // A step_observer is single-consumer state, and a one-query batch has
+  // nothing to spread.
+  if (config_.search.step_observer || num_queries <= 1) pool = nullptr;
   // Growth happens here, on the calling thread — a no-op once the band is
   // reserved — never inside the parallel region.
   if (pool != nullptr) ReserveScratch(slot + pool->num_threads());
-  return FanOut(pool, slot, queries, num_queries, profile, counters,
-                [&](size_t s, const float* query, PdxearchProfile* p) {
-                  return SearchWith(s, knobs, query, p);
-                });
+  std::vector<std::vector<Neighbor>> results(num_queries);
+  const size_t d = dim();
+  auto run = [&](size_t q, size_t w) {
+    // Exactly one task owns index q, so per_query[q] is written by one
+    // worker only — race-free without any synchronization.
+    results[q] = SearchWith(slot + w, knobs, queries + q * d,
+                            per_query != nullptr ? per_query + q : nullptr);
+  };
+  if (pool == nullptr) {
+    for (size_t q = 0; q < num_queries; ++q) run(q, 0);
+  } else {
+    pool->ParallelFor(num_queries, run);
+  }
+  return results;
 }
 
 SearcherConfig ResolveConfig(SearcherConfig config) {
@@ -209,12 +210,6 @@ SearcherConfig ResolveConfig(SearcherConfig config) {
                             ? DimensionOrder::kDistanceToMeans
                             : DimensionOrder::kDimensionZones;
   }
-  return config;
-}
-
-SearcherConfig LeafConfig(SearcherConfig config) {
-  config.pool = nullptr;
-  config.threads = 1;
   return config;
 }
 
@@ -300,8 +295,8 @@ class AnySearcherImpl final : public Searcher {
 
   // Declaration order doubles as lifetime order: engines_ sits on top of
   // the store and pruner, which sit on top of the (possibly owned) index —
-  // members below destroy first. (The lazily owned batch pool lives in the
-  // Searcher base and is idle between calls.)
+  // members below destroy first. (The band-0 wrappers' owned pool lives in
+  // the Searcher base and is idle between calls.)
   std::unique_ptr<IvfIndex> owned_index_;
   const IvfIndex* index_ = nullptr;
   PdxStore store_;

@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "benchlib/latency.h"
 #include "common/parallel.h"
 #include "common/status.h"
-#include "common/timer.h"
 #include "common/types.h"
 #include "core/pdxearch.h"
 #include "index/ivf.h"
@@ -63,20 +61,12 @@ struct SearcherConfig {
   Metric metric = Metric::kL2;
   size_t k = 10;        ///< Neighbors per query; must be > 0.
   size_t nprobe = 16;   ///< IVF buckets per query; must be > 0 on kIvf.
-  /// Worker threads for SearchBatch, caller included: 1 = sequential (the
-  /// paper-methodology default); see ResolveThreadCount in common/parallel.h
-  /// for the 0 = one-per-hardware-thread semantic and the kMaxPoolThreads
-  /// ceiling ValidateSearcherConfig enforces. A single query runs
-  /// sequentially (a sharded searcher still spreads it across shards).
+  /// Worker threads of the pool Search/SearchBatch lazily own, caller
+  /// included: 1 = sequential (the paper-methodology default); see
+  /// ResolveThreadCount in common/parallel.h for the 0 = one-per-hardware-
+  /// thread semantic and the kMaxPoolThreads ceiling ValidateSearcherConfig
+  /// enforces. SearchBatchWith ignores it: its pool rides on the call.
   size_t threads = 1;
-  /// Optional non-owning shared pool for SearchBatch — the serving layer
-  /// (src/serve/) injects one pool across every hosted collection. nullptr
-  /// (default) keeps today's behavior: the searcher lazily owns a private
-  /// pool sized to `threads`. With a pool injected, `threads` keeps only
-  /// its sequential escape hatch (1 = sequential); any other value runs on
-  /// the injected pool at the pool's size. The pool must outlive the
-  /// searcher.
-  ThreadPool* pool = nullptr;
   /// Vectors per PDX block; 0 = layout default (kPdxBlockSize, or the
   /// paper's 10K partitions for flat PDX-BOND).
   size_t block_capacity = 0;
@@ -106,7 +96,7 @@ struct SearcherConfig {
   /// rerank (raw quantized distances); ignored when quantization = kNone.
   size_t rerank_factor = 4;
 
-  /// PDXearch engine knobs; a step_observer forces SearchBatch sequential.
+  /// PDXearch engine knobs; a step_observer forces every batch sequential.
   PdxearchOptions search;
 };
 
@@ -121,30 +111,6 @@ Status ValidateSearcherConfig(const SearcherConfig& config);
 /// carries — and persists — names concrete values, never markers whose
 /// meaning could drift with future defaults.
 SearcherConfig ResolveConfig(SearcherConfig config);
-
-/// The config of a searcher nested under a facade that owns the batch
-/// fan-out (a shard of a sharded searcher): `config` made sequential
-/// with no pool, so the nested searcher never pulls a pool of its own into
-/// the query path.
-SearcherConfig LeafConfig(SearcherConfig config);
-
-/// Aggregate measurements of one SearchBatch call.
-struct BatchProfile {
-  size_t queries = 0;
-  double wall_ms = 0.0;     ///< Wall clock around the whole batch.
-  PdxearchProfile sum;      ///< Per-query profiles, summed.
-  LatencyRecorder latency;  ///< Per-query wall latencies (p50/p95/p99).
-
-  void Accumulate(const PdxearchProfile& profile);
-  /// Percentile snapshot of the per-query latencies.
-  LatencySummary latency_summary() const { return latency.Summary(); }
-  double qps() const {
-    return wall_ms > 0.0 ? 1000.0 * static_cast<double>(queries) / wall_ms
-                         : 0.0;
-  }
-  /// Pruning power over the whole batch.
-  double pruning_power() const { return sum.pruning_power(); }
-};
 
 /// Per-call query knobs for SearchWith / SearchBatchWith. 0 means "the
 /// searcher's configured default" (options().k / options().nprobe); k and
@@ -161,18 +127,20 @@ struct QueryKnobs {
 ///
 /// An implementation provides one query primitive, SearchWith: one query
 /// through one scratch slot. The base class fans batches out over slot
-/// bands (SearchBatchWith), and Search/SearchBatch are thin wrappers on
-/// band 0 that also record last_profile()/last_batch_profile().
+/// bands (SearchBatchWith) on the pool the caller passes; a searcher holds
+/// no pool it does not own. Search/SearchBatch are thin band-0 wrappers
+/// that run on a pool the searcher lazily owns (sized by options().threads)
+/// and record last_profile().
 ///
-/// Thread safety: Search and SearchBatch use band 0 and write the
-/// last-profile members, so one querier at a time on that surface.
-/// SearchBatch with threads != 1 parallelizes *internally* (per-worker
-/// engines over the shared read-only store) and returns exactly the
-/// neighbors the sequential path returns, query by query. The
-/// multi-querier surface is SearchWith/SearchBatchWith: after
-/// ReserveScratch, calls on disjoint slots (bands) may run concurrently
-/// from several threads — they mutate no shared searcher state, only the
-/// slot scratch they name.
+/// Thread safety: Search and SearchBatch use band 0, the owned pool and
+/// the last-profile member, so one querier at a time on that surface. A
+/// pooled batch parallelizes *internally* (per-worker engines over the
+/// shared read-only store) and returns exactly the neighbors the
+/// sequential path returns, query by query. The multi-querier surface is
+/// SearchWith/SearchBatchWith: after ReserveScratch, calls on disjoint
+/// slots (bands) may run concurrently from several threads, with any
+/// caller pools — they mutate no shared searcher state, only the slot
+/// scratch they name.
 class Searcher {
  public:
   virtual ~Searcher() = default;
@@ -181,21 +149,19 @@ class Searcher {
   Searcher& operator=(const Searcher&) = delete;
 
   /// k-NN of `query` (dim() floats) under options().k / options().nprobe:
-  /// a one-query SearchBatchWith on band 0 (so a sharded searcher still
-  /// fans the query out across its shards). Updates last_profile().
+  /// a one-query SearchBatchWith on band 0 and the owned pool (so a
+  /// sharded searcher still fans the query out across its shards). Updates
+  /// last_profile().
   std::vector<Neighbor> Search(const float* query);
 
-  /// k-NN of `num_queries` row-major queries on band 0, executed on
-  /// options().threads workers. results[q] corresponds to
-  /// queries + q * dim(). Updates last_batch_profile().
+  /// k-NN of `num_queries` row-major queries on band 0, executed on the
+  /// owned pool of options().threads workers. results[q] corresponds to
+  /// queries + q * dim().
   std::vector<std::vector<Neighbor>> SearchBatch(const float* queries,
                                                  size_t num_queries);
 
-  /// Profile of the most recent Search.
+  /// Work record of the most recent Search.
   const PdxearchProfile& last_profile() const { return last_profile_; }
-
-  /// Aggregate profile of the most recent SearchBatch.
-  const BatchProfile& last_batch_profile() const { return batch_profile_; }
 
   /// The PDX store backing this searcher (post-transformation layout). A
   /// sharded searcher returns its first shard's store; use count() for the
@@ -243,36 +209,39 @@ class Searcher {
   /// through slot `slot`'s scratch. After ReserveScratch(n), calls on
   /// distinct slots < n are safe to run concurrently (the store and pruner
   /// are read-only shared). `knobs` override k/nprobe for this call only.
-  /// Updates neither last_profile() nor last_batch_profile(); the call's
-  /// own profile is copied into `*profile` when non-null.
+  /// Does not update last_profile(); the call's own work record overwrites
+  /// `*profile` when non-null.
   virtual std::vector<Neighbor> SearchWith(
       size_t slot, QueryKnobs knobs, const float* query,
       PdxearchProfile* profile = nullptr) = 0;
 
   /// k-NN of `num_queries` row-major queries through the slot band
-  /// starting at `slot`, under per-call `knobs` — the batch entry point the
-  /// serving layer's replicated dispatchers use. With a pool (see
-  /// BatchPool) the batch fans out over slots [slot, slot + pool_threads);
-  /// sequentially it stays on `slot` alone. Concurrent calls are safe when
-  /// (a) their bands are disjoint and reserved up front via ReserveScratch
-  /// and (b) the pool is an injected shared pool (SearcherConfig::pool) —
-  /// the lazily owned pool is not built concurrency-safe. The call mutates
-  /// no shared searcher state; the batch's own profile is written to
-  /// `*profile` when non-null.
+  /// starting at `slot`, under per-call `knobs` — the one batch entry, and
+  /// the one the serving layer's replicated dispatchers use. The fan-out
+  /// rules:
+  ///   - no `pool`, or a step_observer in options().search: sequential on
+  ///     `slot` alone;
+  ///   - the base fan-out uses `pool` only for num_queries > 1, over slots
+  ///     [slot, slot + pool->num_threads());
+  ///   - the sharded (shard x query) tiling uses it for any num_queries,
+  ///     so even one query spreads across the shards.
+  /// Concurrent calls are safe, with any caller pools, when their bands
+  /// are disjoint and reserved up front via ReserveScratch; the call
+  /// mutates no shared searcher state. Only the band-0 wrappers (Search,
+  /// SearchBatch) touch the owned pool.
   ///
-  /// When `counters` is non-null it must point at `num_queries` entries;
-  /// the call overwrites counters[q] with query q's OWN search work
-  /// (blocks visited, lanes pruned, values avoided — per query even
-  /// inside a pooled batch). Unlike `profile`, filling it allocates
-  /// nothing: the serving layer passes a per-dispatcher pre-reserved
-  /// array, so per-query observability rides the dispatch path for free.
+  /// When `per_query` is non-null it must point at `num_queries` entries;
+  /// the call overwrites per_query[q] with query q's OWN search work (per
+  /// query even inside a pooled batch). Filling it allocates nothing: the
+  /// serving layer passes a per-dispatcher pre-reserved array, so
+  /// per-query observability rides the dispatch path for free.
   ///
-  /// The base implementation runs SearchWith once per query (see FanOut);
-  /// an override exists only where a batch needs more than that (shard x
-  /// query tiling, one lock around a whole batch).
+  /// The base implementation runs SearchWith once per query; an override
+  /// exists only where a batch needs more than that (shard x query tiling,
+  /// one lock around a whole batch).
   virtual std::vector<std::vector<Neighbor>> SearchBatchWith(
       size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
-      BatchProfile* profile = nullptr, SearchCounters* counters = nullptr);
+      ThreadPool* pool = nullptr, PdxearchProfile* per_query = nullptr);
 
   /// Serializes the searcher's full state to `path` in the versioned PDXC
   /// collection format (storage/collection_format.h), so a later process
@@ -300,101 +269,31 @@ class Searcher {
   /// (MutableSearcher under compaction) can answer from an immutable cache.
   virtual size_t dim() const { return store().dim(); }
 
-  /// A count above kMaxPoolThreads is a programming error (asserted in
-  /// debug builds) and clamped in release builds. 0 stays legal —
-  /// ResolveThreadCount in common/parallel.h is the single home of the
-  /// "0 = one per hardware thread" semantic. Virtual (like set_pool) so a
-  /// wrapper that delegates its batches to a nested searcher
-  /// (MutableSearcher) can forward the setting; not safe to call while the
-  /// searcher is queried.
-  virtual void set_threads(size_t threads) {
+  /// Sizes the pool Search/SearchBatch own. A count above kMaxPoolThreads
+  /// is a programming error (asserted in debug builds) and clamped in
+  /// release builds. 0 stays legal — ResolveThreadCount in
+  /// common/parallel.h is the single home of the "0 = one per hardware
+  /// thread" semantic. Not safe to call concurrently with any other
+  /// member.
+  void set_threads(size_t threads) {
     assert(threads <= kMaxPoolThreads);
     config_.threads = std::min(threads, kMaxPoolThreads);
   }
-  /// Injects (or with nullptr removes) a shared batch pool at runtime —
-  /// the serving layer calls this on adopted searchers. See
-  /// SearcherConfig::pool for the semantics and lifetime requirement.
-  virtual void set_pool(ThreadPool* pool) { config_.pool = pool; }
 
  protected:
   explicit Searcher(SearcherConfig config) : config_(std::move(config)) {}
 
-  /// The one home of the batch fan-out policy, shared by every facade
-  /// implementation so they cannot drift: nullptr = run sequentially
-  /// (threads resolves to 1, or a step_observer — single-consumer state —
-  /// is set); otherwise the injected shared pool wins, else a lazily owned
-  /// pool sized to `threads` (reused across calls).
-  ThreadPool* BatchPool();
-
-  /// The one batch fan-out loop: runs `search_one(slot, query, profile)`
-  /// for every query, sequentially on `slot` when `pool` is null, else
-  /// over the band [slot, slot + pool->num_threads()) — the caller has
-  /// reserved that band's scratch. Fills counters[q] and the optional
-  /// batch profile; with neither requested, `search_one` gets a null
-  /// profile, and with no profile no BatchProfile or latency window is
-  /// built.
-  template <typename SearchOne>
-  std::vector<std::vector<Neighbor>> FanOut(ThreadPool* pool, size_t slot,
-                                            const float* queries,
-                                            size_t num_queries,
-                                            BatchProfile* profile,
-                                            SearchCounters* counters,
-                                            const SearchOne& search_one);
-
   SearcherConfig config_;
 
  private:
-  PdxearchProfile last_profile_;            ///< See last_profile().
-  BatchProfile batch_profile_;              ///< See last_batch_profile().
-  std::shared_ptr<const void> image_pin_;   ///< See PinImage.
-  std::unique_ptr<ThreadPool> owned_pool_;  ///< Only without an injected pool.
-};
+  /// The band-0 wrappers' pool: nullptr when options().threads resolves to
+  /// 1, else a pool of that size, built on first use and reused.
+  ThreadPool* OwnedPool();
 
-template <typename SearchOne>
-std::vector<std::vector<Neighbor>> Searcher::FanOut(
-    ThreadPool* pool, size_t slot, const float* queries, size_t num_queries,
-    BatchProfile* profile, SearchCounters* counters,
-    const SearchOne& search_one) {
-  std::vector<std::vector<Neighbor>> results(num_queries);
-  if (profile != nullptr) {
-    *profile = BatchProfile{};
-    profile->queries = num_queries;
-  }
-  // Per-worker profiles only on the pool: workers must not share one
-  // latency window. Sequentially the caller's profile is the sink.
-  std::vector<BatchProfile> worker_profiles(
-      profile != nullptr && pool != nullptr ? pool->num_threads() : 0);
-  const size_t d = dim();
-  const bool measure = profile != nullptr || counters != nullptr;
-  auto run = [&](size_t q, size_t w) {
-    const Timer per_query;
-    PdxearchProfile query_profile;
-    results[q] = search_one(slot + w, queries + q * d,
-                            measure ? &query_profile : nullptr);
-    // Exactly one task owns index q, so counters[q] is written by one
-    // worker only — race-free without any synchronization.
-    if (counters != nullptr) counters[q] = query_profile.counters();
-    if (profile != nullptr) {
-      BatchProfile& sink = pool == nullptr ? *profile : worker_profiles[w];
-      sink.latency.Record(per_query.ElapsedMillis());
-      sink.Accumulate(query_profile);
-    }
-  };
-  const Timer wall;
-  if (pool == nullptr) {
-    for (size_t q = 0; q < num_queries; ++q) run(q, 0);
-  } else {
-    pool->ParallelFor(num_queries, run);
-  }
-  if (profile != nullptr) {
-    profile->wall_ms = wall.ElapsedMillis();
-    for (const BatchProfile& wp : worker_profiles) {
-      profile->Accumulate(wp.sum);
-      profile->latency.Merge(wp.latency);
-    }
-  }
-  return results;
-}
+  PdxearchProfile last_profile_;            ///< See last_profile().
+  std::shared_ptr<const void> image_pin_;   ///< See PinImage.
+  std::unique_ptr<ThreadPool> owned_pool_;  ///< See OwnedPool.
+};
 
 /// Builds the searcher `config` describes over `vectors`. On the kIvf
 /// layout the factory builds (and owns) an IvfIndex with config.ivf.

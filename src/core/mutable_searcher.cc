@@ -262,10 +262,6 @@ Status MutableSearcher::Compact() {
   // and slots >= snapshot_slots are exactly the rows appended during it.
   {
     std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    // The batch settings may have moved during the build (set_pool and
-    // set_threads take this lock), so the fresh base takes the current ones.
-    fresh->set_pool(config_.pool);
-    fresh->set_threads(config_.threads);
     fresh->ReserveScratch(reserved_slots_);
     const size_t new_base = survivors.count();
     const size_t total_slots = slot_ids_.size();
@@ -370,7 +366,7 @@ Status MutableSearcher::Save(const std::string& path) const {
 
 std::vector<Neighbor> MutableSearcher::MergeLocked(
     std::vector<Neighbor> base, const float* query, size_t k,
-    SearchCounters* counters) const {
+    PdxearchProfile* work) const {
   if (delta_.empty() && base_dead_ == 0) {
     // Nothing to merge or filter: remap base slots to external ids in
     // place. This keeps the unmutated serving path allocation-free beyond
@@ -399,11 +395,13 @@ std::vector<Neighbor> MutableSearcher::MergeLocked(
         const VectorId slot = block.id(i);
         if (!dead_[slot]) heap.Push(slot, distances[i]);
       }
-      if (counters != nullptr) {
-        ++counters->blocks_visited;
-        counters->values_scanned +=
-            static_cast<uint64_t>(block.count()) * dim_;
-        counters->dims_scanned += dim_;
+      if (work != nullptr) {
+        // A linear scan: every value of the block is scanned.
+        const uint64_t values = static_cast<uint64_t>(block.count()) * dim_;
+        ++work->blocks_visited;
+        work->values_scanned += values;
+        work->values_total += values;
+        work->dims_scanned += dim_;
       }
     }
   }
@@ -412,14 +410,6 @@ std::vector<Neighbor> MutableSearcher::MergeLocked(
     n.id = static_cast<VectorId>(slot_ids_[n.id]);
   }
   return merged;
-}
-
-void MutableSearcher::AddDeltaWork(const SearchCounters& delta_work,
-                                   PdxearchProfile& profile) {
-  profile.blocks_visited += delta_work.blocks_visited;
-  profile.values_scanned += delta_work.values_scanned;
-  profile.values_total += delta_work.values_scanned;
-  profile.dims_scanned += delta_work.dims_scanned;
 }
 
 std::vector<Neighbor> MutableSearcher::SearchWith(size_t slot,
@@ -432,54 +422,31 @@ std::vector<Neighbor> MutableSearcher::SearchWith(size_t slot,
   if (LiveCountLocked() == 0) return {};
   std::vector<Neighbor> base =
       inner_->SearchWith(slot, BaseKnobsLocked(k, knobs), query, profile);
-  SearchCounters delta_work;
-  std::vector<Neighbor> merged =
-      MergeLocked(std::move(base), query, k, &delta_work);
-  if (profile != nullptr) AddDeltaWork(delta_work, *profile);
-  return merged;
+  return MergeLocked(std::move(base), query, k, profile);
 }
 
 std::vector<std::vector<Neighbor>> MutableSearcher::SearchBatchWith(
     size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
-    BatchProfile* profile, SearchCounters* counters) {
+    ThreadPool* pool, PdxearchProfile* per_query) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   const size_t k = knobs.k > 0 ? knobs.k : config_.k;
   if (LiveCountLocked() == 0) {
-    if (profile != nullptr) {
-      *profile = BatchProfile{};
-      profile->queries = num_queries;
-    }
-    if (counters != nullptr) {
-      std::fill_n(counters, num_queries, SearchCounters{});
+    if (per_query != nullptr) {
+      std::fill_n(per_query, num_queries, PdxearchProfile{});
     }
     return std::vector<std::vector<Neighbor>>(num_queries);
   }
-  // The base searcher's own batch path runs on this facade's pool (see
-  // set_pool), so a sharded base still tiles (shard x query) — even a
-  // one-query batch spreads across its shards.
+  // The base searcher's own batch path runs on the caller's pool, so a
+  // sharded base still tiles (shard x query) — even a one-query batch
+  // spreads across its shards.
   std::vector<std::vector<Neighbor>> results =
       inner_->SearchBatchWith(slot, BaseKnobsLocked(k, knobs), queries,
-                              num_queries, profile, counters);
+                              num_queries, pool, per_query);
   for (size_t q = 0; q < num_queries; ++q) {
-    SearchCounters delta_work;
     results[q] = MergeLocked(std::move(results[q]), queries + q * dim_, k,
-                             &delta_work);
-    if (counters != nullptr) counters[q] += delta_work;
-    if (profile != nullptr) AddDeltaWork(delta_work, profile->sum);
+                             per_query != nullptr ? per_query + q : nullptr);
   }
   return results;
-}
-
-void MutableSearcher::set_threads(size_t threads) {
-  std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  Searcher::set_threads(threads);
-  inner_->set_threads(threads);
-}
-
-void MutableSearcher::set_pool(ThreadPool* pool) {
-  std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  Searcher::set_pool(pool);
-  inner_->set_pool(pool);
 }
 
 void MutableSearcher::ReserveScratch(size_t slots) {

@@ -76,10 +76,9 @@ struct MutationStats {
 /// single-querier restriction still applies to the plain Search/SearchBatch
 /// surface: one querier at a time there, though mutations may interleave.
 ///
-/// The base searcher carries this facade's pool and threads setting —
-/// SearcherConfig, or what set_pool/set_threads inject later, across
-/// compactions too — and runs every batch's base pass on it, so a sharded
-/// base keeps its (shard x query) tiling.
+/// Every batch runs its base pass on the pool SearchBatchWith is given, so
+/// a sharded base keeps its (shard x query) tiling; the facade forwards no
+/// pool or thread setting to the base, before or after a compaction.
 ///
 /// External ids are uint64 at the API (wire-friendly) but must fit VectorId
 /// (< kInvalidVectorId), since merged results carry them in Neighbor::id.
@@ -160,11 +159,8 @@ class MutableSearcher final : public Searcher {
   /// merges the delta and tombstones per query.
   std::vector<std::vector<Neighbor>> SearchBatchWith(
       size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
-      BatchProfile* profile, SearchCounters* counters) override;
+      ThreadPool* pool, PdxearchProfile* per_query) override;
   void ReserveScratch(size_t slots) override;
-  /// Both forward to the base searcher, which runs the batches.
-  void set_threads(size_t threads) override;
-  void set_pool(ThreadPool* pool) override;
 
   /// The current base searcher's store. The reference is only stable while
   /// no compaction runs; prefer count()/dim() for metadata.
@@ -197,19 +193,16 @@ class MutableSearcher final : public Searcher {
   /// Filters tombstones out of base results, scans the delta blocks, and
   /// merges one exact top-`k` (slot-id space). `base` carries base-slot
   /// ids; the returned list carries external ids. Adds the delta scan work
-  /// to `counters` when non-null.
+  /// to `work` when non-null.
   std::vector<Neighbor> MergeLocked(std::vector<Neighbor> base,
                                     const float* query, size_t k,
-                                    SearchCounters* counters) const;
+                                    PdxearchProfile* work) const;
   /// The base searcher's knobs for a merged top-`k`: k widened by the base
   /// tombstone count, so at least k live base candidates survive the
   /// filter (at most base_dead_ dead ones can outrank a live vector).
   QueryKnobs BaseKnobsLocked(size_t k, QueryKnobs knobs) const {
     return QueryKnobs{k + base_dead_, knobs.nprobe};
   }
-  /// Folds MergeLocked's delta-scan work into a query profile.
-  static void AddDeltaWork(const SearchCounters& delta_work,
-                           PdxearchProfile& profile);
 
   /// Guards all mutable state below. Searches take it shared, mutations and
   /// the compaction swap take it exclusive. Lock order with owners: any

@@ -17,14 +17,20 @@
 ///   auto nn = searcher->Search(query);
 ///
 /// Approximate search on an IVF index with ADSampling pruning, served in
-/// multi-threaded batches:
+/// multi-threaded batches on a pool the caller owns, with one work record
+/// (phase times, values scanned, pruning power) per query:
 ///
 ///   config.layout = pdx::SearcherLayout::kIvf;
 ///   config.pruner = pdx::PrunerKind::kAdsampling;
 ///   config.nprobe = 32;
-///   config.threads = 8;
 ///   auto ads = pdx::MakeSearcher(data, config).value();
-///   auto all_nn = ads->SearchBatch(queries, num_queries);
+///   pdx::ThreadPool pool(8);
+///   std::vector<pdx::PdxearchProfile> work(num_queries);
+///   auto all_nn = ads->SearchBatchWith(0, {}, queries, num_queries, &pool,
+///                                      work.data());
+///
+/// SearchBatch(queries, num_queries) runs the same batch on a pool the
+/// searcher owns, sized by config.threads.
 ///
 /// Serving many clients asynchronously — named collections, one shared
 /// pool, futures with admission control (src/serve/):

@@ -14,7 +14,7 @@
 #include "index/ivf.h"
 #include "index/topk.h"
 #include "kernels/kernel_dispatch.h"
-#include "obs/search_counters.h"
+#include "obs/pdxearch_profile.h"
 #include "storage/pdx_store.h"
 
 namespace pdx {
@@ -40,65 +40,6 @@ struct PdxearchOptions {
   /// merge. Used to trace pruning curves (Tables 2 & 6); leave empty
   /// otherwise.
   std::function<void(size_t, size_t, size_t)> step_observer;
-};
-
-/// Per-query measurements: phase times (Table 7) and pruning power
-/// (Tables 2 & 6: fraction of dimension values never touched).
-struct PdxearchProfile {
-  double preprocess_ms = 0.0;
-  double find_buckets_ms = 0.0;
-  double bounds_ms = 0.0;
-  double distance_ms = 0.0;
-  uint64_t values_scanned = 0;  ///< Dimension values used in kernels.
-  uint64_t values_total = 0;    ///< D x (vectors in visited blocks).
-  uint64_t predicate_evaluations = 0;
-  uint64_t blocks_visited = 0;  ///< Blocks whose lanes were touched.
-  uint64_t vectors_pruned = 0;  ///< Lanes broken off before full distance.
-  /// Dimension steps walked, summed over blocks (== blocks * D with no
-  /// pruning; less when whole blocks die early).
-  uint64_t dims_scanned = 0;
-  /// Candidates the u8 quantized tier re-ranked on exact distances (always
-  /// 0 for the float-tier engines).
-  uint64_t rerank_candidates = 0;
-
-  double total_ms() const {
-    return preprocess_ms + find_buckets_ms + bounds_ms + distance_ms;
-  }
-  /// Field-wise sum; keeps aggregation (batch profiles) next to the fields
-  /// so a new counter can't be silently dropped from it.
-  PdxearchProfile& operator+=(const PdxearchProfile& other) {
-    preprocess_ms += other.preprocess_ms;
-    find_buckets_ms += other.find_buckets_ms;
-    bounds_ms += other.bounds_ms;
-    distance_ms += other.distance_ms;
-    values_scanned += other.values_scanned;
-    values_total += other.values_total;
-    predicate_evaluations += other.predicate_evaluations;
-    blocks_visited += other.blocks_visited;
-    vectors_pruned += other.vectors_pruned;
-    dims_scanned += other.dims_scanned;
-    rerank_candidates += other.rerank_candidates;
-    return *this;
-  }
-  /// The profile's work counters in the serving layer's wire shape.
-  SearchCounters counters() const {
-    SearchCounters c;
-    c.blocks_visited = blocks_visited;
-    c.vectors_pruned = vectors_pruned;
-    c.values_scanned = values_scanned;
-    c.values_avoided =
-        values_total > values_scanned ? values_total - values_scanned : 0;
-    c.dims_scanned = dims_scanned;
-    c.predicate_evaluations = predicate_evaluations;
-    c.rerank_candidates = rerank_candidates;
-    return c;
-  }
-  /// Pruning power: fraction of values avoided (0 when nothing visited).
-  double pruning_power() const {
-    return values_total == 0
-               ? 0.0
-               : 1.0 - double(values_scanned) / double(values_total);
-  }
 };
 
 /// The "prune nothing" policy: PDXearch degenerates to a blockwise linear

@@ -1,5 +1,7 @@
 #include "core/persist.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -18,7 +20,10 @@ SavedMeta MetaFromConfig(const SearcherConfig& config) {
   meta.bond_zone_size = static_cast<uint32_t>(config.bond_zone_size);
   meta.ads_epsilon0 = config.ads_epsilon0;
   meta.quantization = static_cast<uint32_t>(config.quantization);
-  meta.rerank_factor = static_cast<uint32_t>(config.rerank_factor);
+  // Saturated, not wrapped: every factor at or past the vector count
+  // (< 2^32) serves the same results, so the u32 field loses nothing.
+  meta.rerank_factor = static_cast<uint32_t>(
+      std::min<size_t>(config.rerank_factor, UINT32_MAX));
   meta.ads_seed = config.ads_seed;
   meta.bsa_multiplier = config.bsa_multiplier;
   meta.bsa_max_fit_samples = config.bsa_max_fit_samples;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "core/persist.h"
 #include "storage/collection_format.h"
 
@@ -76,11 +75,10 @@ class ShardedSearcher final : public Searcher {
 
   std::vector<std::vector<Neighbor>> SearchBatchWith(
       size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
-      BatchProfile* profile, SearchCounters* counters) override {
-    ThreadPool* pool = num_queries > 0 ? BatchPool() : nullptr;
-    if (pool == nullptr) {
+      ThreadPool* pool, PdxearchProfile* per_query) override {
+    if (pool == nullptr || config_.search.step_observer) {
       return Searcher::SearchBatchWith(slot, knobs, queries, num_queries,
-                                       profile, counters);
+                                       nullptr, per_query);
     }
     // (shard x query) tiling: the task grid is every shard-query pair, so
     // even one query — or one large batch against one collection —
@@ -88,38 +86,26 @@ class ShardedSearcher final : public Searcher {
     // through slot `slot + w`, so concurrent batches on disjoint bands
     // never share a shard engine. Pre-growing on the calling thread (a
     // no-op once bands are reserved) keeps the workers' lazy-growth path
-    // out of the parallel region. On this path the latency window holds
-    // per-(shard, query) shard-search times, not whole-query times.
+    // out of the parallel region.
     knobs = Resolve(knobs);
     CountDispatches(num_queries);
     const size_t num_shards = shards_.size();
     const size_t d = dim();
-    const size_t workers = pool->num_threads();
-    ReserveScratch(slot + workers);
+    ReserveScratch(slot + pool->num_threads());
     std::vector<std::vector<std::vector<Neighbor>>> partial(
         num_shards, std::vector<std::vector<Neighbor>>(num_queries));
-    std::vector<BatchProfile> worker_profiles(profile != nullptr ? workers
-                                                                 : 0);
     // Tasks for the SAME query run concurrently across shards, so the
-    // per-query counters cannot be accumulated in place; each task drops
-    // its share into its own (s, q) grid cell and the calling thread
-    // reduces per query after the barrier.
-    std::vector<SearchCounters> task_counters(
-        counters != nullptr ? num_shards * num_queries : 0);
-    const bool measure = profile != nullptr || counters != nullptr;
-    const Timer wall;
+    // per-query work cannot be accumulated in place; each task drops its
+    // share into its own (s, q) grid cell and the calling thread reduces
+    // per query after the barrier.
+    std::vector<PdxearchProfile> task_work(
+        per_query != nullptr ? num_shards * num_queries : 0);
     pool->ParallelFor(num_shards * num_queries, [&](size_t t, size_t w) {
       const size_t s = t / num_queries;
       const size_t q = t % num_queries;
-      const Timer per_task;
-      PdxearchProfile task_profile;
       partial[s][q] = shards_[s]->SearchWith(
-          slot + w, knobs, queries + q * d, measure ? &task_profile : nullptr);
-      if (counters != nullptr) task_counters[t] = task_profile.counters();
-      if (profile != nullptr) {
-        worker_profiles[w].latency.Record(per_task.ElapsedMillis());
-        worker_profiles[w].Accumulate(task_profile);
-      }
+          slot + w, knobs, queries + q * d,
+          per_query != nullptr ? &task_work[t] : nullptr);
     });
     std::vector<std::vector<Neighbor>> results(num_queries);
     std::vector<std::vector<Neighbor>> per_shard(num_shards);
@@ -128,20 +114,11 @@ class ShardedSearcher final : public Searcher {
         per_shard[s] = std::move(partial[s][q]);
       }
       results[q] = MergeShards(per_shard, knobs.k);
-      if (counters != nullptr) {
-        counters[q] = SearchCounters{};
+      if (per_query != nullptr) {
+        per_query[q] = PdxearchProfile{};
         for (size_t s = 0; s < num_shards; ++s) {
-          counters[q] += task_counters[s * num_queries + q];
+          per_query[q] += task_work[s * num_queries + q];
         }
-      }
-    }
-    if (profile != nullptr) {
-      *profile = BatchProfile{};
-      profile->queries = num_queries;
-      profile->wall_ms = wall.ElapsedMillis();
-      for (const BatchProfile& wp : worker_profiles) {
-        profile->Accumulate(wp.sum);
-        profile->latency.Merge(wp.latency);
       }
     }
     return results;
@@ -327,18 +304,13 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcher(
   std::vector<std::vector<VectorId>> shard_ids =
       AssignShardIds(count, num_shards, sharding.assignment);
 
-  // Shards are sequential leaves — the sharded facade owns all the
-  // parallelism, so a shard must never pull the shared pool into a nested
-  // loop of its own.
-  const SearcherConfig shard_config = LeafConfig(config);
-
   std::vector<std::unique_ptr<Searcher>> shards;
   shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     // The slice (and the contiguous id list) is a temporary: searchers
     // copy everything they keep into their own PdxStore / pruner / index.
     const VectorSet slice = vectors.Select(shard_ids[s]);
-    auto made = MakeSearcher(slice, shard_config);
+    auto made = MakeSearcher(slice, config);
     if (!made.ok()) return made.status();
     shards.push_back(std::move(made).value());
   }
@@ -368,14 +340,12 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
     return MakeSearcherFromImage(std::move(image), 0, std::move(config));
   }
 
-  const SearcherConfig shard_config = LeafConfig(config);
-
   std::vector<std::unique_ptr<Searcher>> shards;
   shards.reserve(num_shards);
   size_t restored = 0;
   for (size_t s = 0; s < num_shards; ++s) {
-    auto made = MakeSearcherFromImage(image, static_cast<uint32_t>(s),
-                                      shard_config);
+    auto made =
+        MakeSearcherFromImage(image, static_cast<uint32_t>(s), config);
     if (!made.ok()) return made.status();
     restored += made.value()->count();
     shards.push_back(std::move(made).value());

@@ -49,15 +49,13 @@ struct ShardingOptions {
 ///     returned are identical either way, the tied ids may not be (same
 ///     caveat as any scatter-gather merge, e.g. Faiss IndexShards).
 ///   - SearchBatchWith — and so Search and SearchBatch — tiles (shard x
-///     query) tasks over config.pool (or a lazily owned pool) when
-///     threads != 1, so one query, or one large batch against one
-///     collection, saturates the whole pool. With threads == 1 it runs
-///     SearchWith query by query. Only k-sized result lists cross shard
-///     boundaries.
+///     query) tasks over the pool it is given, so one query, or one large
+///     batch against one collection, saturates the whole pool. With no
+///     pool it runs SearchWith query by query. Only k-sized result lists
+///     cross shard boundaries.
 ///
-/// The per-shard searchers are built sequential (threads = 1, no pool);
-/// the sharded facade owns all parallelism, so nesting it under the
-/// serving layer's one shared pool composes without pool cycles.
+/// The sharded facade owns all parallelism: it queries each shard only
+/// through SearchWith, so no shard ever runs a pool of its own.
 ///
 /// Thread safety matches the facade contract: one querier at a time on
 /// the Search/SearchBatch surface (ShardDispatchCounts() alone may be

@@ -42,18 +42,25 @@ JsonValue NeighborsJson(const std::vector<Neighbor>& neighbors) {
   return out;
 }
 
-JsonValue CountersJson(const SearchCounters& counters) {
+/// A query's work record as the wire's `counters` object.
+JsonValue CountersJson(const PdxearchProfile& work) {
+  const uint64_t avoided = work.values_avoided();
+  const uint64_t touched = work.values_scanned + avoided;
   JsonValue out = JsonValue::Object();
-  out.Set("blocks_visited", static_cast<size_t>(counters.blocks_visited));
-  out.Set("vectors_pruned", static_cast<size_t>(counters.vectors_pruned));
-  out.Set("values_scanned", static_cast<size_t>(counters.values_scanned));
-  out.Set("values_avoided", static_cast<size_t>(counters.values_avoided));
-  out.Set("dims_scanned", static_cast<size_t>(counters.dims_scanned));
+  out.Set("blocks_visited", static_cast<size_t>(work.blocks_visited));
+  out.Set("vectors_pruned", static_cast<size_t>(work.vectors_pruned));
+  out.Set("values_scanned", static_cast<size_t>(work.values_scanned));
+  out.Set("values_avoided", static_cast<size_t>(avoided));
+  out.Set("dims_scanned", static_cast<size_t>(work.dims_scanned));
   out.Set("predicate_evaluations",
-          static_cast<size_t>(counters.predicate_evaluations));
-  out.Set("rerank_candidates",
-          static_cast<size_t>(counters.rerank_candidates));
-  out.Set("pruning_power", counters.pruning_power());
+          static_cast<size_t>(work.predicate_evaluations));
+  out.Set("rerank_candidates", static_cast<size_t>(work.rerank_candidates));
+  // Not work.pruning_power(): 1 - scanned / total can differ from this
+  // quotient in the last bit, and the wire value must not move.
+  out.Set("pruning_power",
+          touched == 0 ? 0.0
+                       : static_cast<double>(avoided) /
+                             static_cast<double>(touched));
   return out;
 }
 

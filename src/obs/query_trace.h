@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "obs/search_counters.h"
+#include "obs/pdxearch_profile.h"
 
 namespace pdx {
 
@@ -26,8 +26,8 @@ namespace pdx {
 ///   total_ms    admission -> delivery (= the QueryResult's total_ms).
 ///
 /// `counters` is the query's OWN search work (blocks visited, lanes
-/// pruned, values avoided) — per query, not per batch: the engine profiles
-/// are collected per query slot even inside a coalesced batch.
+/// pruned, values avoided) — per query, not per batch: SearchBatchWith
+/// fills one work record per query even inside a coalesced batch.
 ///
 /// The trace is heap-allocated only for traced queries; with trace off the
 /// serving layer allocates nothing for it (QueryResult::trace stays null).
@@ -38,7 +38,7 @@ struct QueryTrace {
   double search_ms = 0.0;
   double deliver_ms = 0.0;
   double total_ms = 0.0;
-  SearchCounters counters;
+  PdxearchProfile counters;
 };
 
 }  // namespace pdx

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/search_counters.h"
+#include "obs/pdxearch_profile.h"
 
 namespace pdx {
 
@@ -26,7 +26,7 @@ struct SlowQueryEntry {
   double stage_ms = 0.0;    ///< 0 for queries shed before dispatch.
   double search_ms = 0.0;   ///< 0 for queries shed before dispatch.
   double total_ms = 0.0;
-  SearchCounters counters;  ///< All-zero for queries shed before dispatch.
+  PdxearchProfile counters;  ///< All-zero for queries shed before dispatch.
 };
 
 /// Lock-bounded ring of the N worst queries (by total_ms) one collection

@@ -95,7 +95,7 @@ float HorizontalAdsCandidate(const AdSamplingPruner& pruner,
                              const DualBlockStore& store, size_t pos,
                              const float* query, float threshold,
                              size_t delta_d, KernelFn kernel,
-                             HorizontalSearchCounters* counters) {
+                             HorizontalScanCounters* counters) {
   const size_t dim = store.dim();
   const size_t head_dim = store.split_dim();
   float distance = kernel(query, store.Head(pos), head_dim);
@@ -122,7 +122,7 @@ std::vector<Neighbor> IvfHorizontalAdsSearch(
     const DualBlockStore& store, const std::vector<VectorId>& ids,
     const std::vector<size_t>& offsets, const float* raw_query, size_t k,
     size_t nprobe, HorizontalKernel kernel, size_t delta_d,
-    HorizontalSearchCounters* counters) {
+    HorizontalScanCounters* counters) {
   assert(store.dim() == pruner.dim());
   AdSamplingPruner::QueryState qs = pruner.PrepareQuery(raw_query);
   const float* query = qs.query.data();

@@ -105,7 +105,7 @@ enum class HorizontalKernel : uint8_t {
 /// distorting it, so the Table 7 harness instead counts tests/values here
 /// and converts counts to time with a separately micro-benchmarked
 /// per-operation cost.
-struct HorizontalSearchCounters {
+struct HorizontalScanCounters {
   uint64_t bound_tests = 0;      ///< Hypothesis/bound evaluations.
   uint64_t distance_values = 0;  ///< Dimension values consumed by kernels.
 };
@@ -123,7 +123,7 @@ std::vector<Neighbor> IvfHorizontalAdsSearch(
     const DualBlockStore& store, const std::vector<VectorId>& ids,
     const std::vector<size_t>& offsets, const float* raw_query, size_t k,
     size_t nprobe, HorizontalKernel kernel, size_t delta_d = 32,
-    HorizontalSearchCounters* counters = nullptr);
+    HorizontalScanCounters* counters = nullptr);
 
 }  // namespace pdx
 

@@ -100,7 +100,7 @@ std::vector<Neighbor> IvfHorizontalBsaSearch(
     const std::vector<size_t>& offsets,
     const std::vector<float>& suffix_norms, const float* raw_query, size_t k,
     size_t nprobe, bool use_simd, size_t delta_d,
-    HorizontalSearchCounters* counters) {
+    HorizontalScanCounters* counters) {
   assert(store.dim() == pruner.dim());
   const size_t dim = store.dim();
   const size_t checkpoints = dim + 1;

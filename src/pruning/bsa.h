@@ -115,7 +115,7 @@ std::vector<Neighbor> IvfHorizontalBsaSearch(
     const std::vector<size_t>& offsets,
     const std::vector<float>& suffix_norms, const float* raw_query, size_t k,
     size_t nprobe, bool use_simd, size_t delta_d = 32,
-    HorizontalSearchCounters* counters = nullptr);
+    HorizontalScanCounters* counters = nullptr);
 
 }  // namespace pdx
 

@@ -70,9 +70,14 @@ class QuantizedSearcher final : public Searcher {
     if (timed) result_profile.preprocess_ms = phase.ElapsedMillis();
 
     // Code-space scan: select k * rerank_factor candidates (or the final
-    // k when reranking is off).
+    // k when reranking is off). An over-fetch of count() candidates
+    // already reranks every scanned vector, so the product saturates
+    // there — a huge rerank_factor can neither overflow nor over-allocate.
     const size_t rerank = config_.rerank_factor;
-    const size_t fetch = rerank == 0 ? k : std::max(k * rerank, k);
+    const size_t vectors = qstore_.count();
+    const size_t fetch =
+        rerank == 0 ? k
+                    : std::max(k, rerank > vectors / k ? vectors : k * rerank);
     TopK candidates(fetch);
     const QuantAccumulateFn accumulate = ActiveKernels().quant_accumulate;
     float* distances = s.distances.data();

@@ -164,7 +164,7 @@ struct SearchService::Pending {
   Clock::time_point search_end{};  ///< When that call returned.
   /// This query's own search work, copied from the dispatcher's
   /// pre-reserved scratch after the batch — a POD copy, no allocation.
-  SearchCounters counters;
+  PdxearchProfile counters;
   std::promise<QueryResult> promise;
   QueryCallback callback;
 };
@@ -329,10 +329,6 @@ Status SearchService::Adopt(const std::string& name,
     return Status::InvalidArgument("AddCollection: name already hosted: " +
                                    name);
   }
-  // The whole point of the service: every collection's batches run on the
-  // one shared pool, never on a private per-searcher pool.
-  searcher->set_pool(&pool_);
-  searcher->set_threads(0);
   // Reserve every dispatcher's slot band up front: per-slot scratch growth
   // reallocates (not thread-safe), so the dispatch path must never grow
   // it. Dispatcher d then runs its batches on the disjoint band
@@ -1136,18 +1132,18 @@ void SearchService::DispatchBatch(
       host->metric.dispatches->Inc();
       self.batches->Inc();
     }
-    // Per-query search-work counters land in the dispatcher's
-    // pre-reserved scratch — observability adds no allocation here (a
-    // BatchProfile would drag a LatencyRecorder window along).
+    // Every collection's batches run on the one shared pool, passed on
+    // each call. Per-query work records land in the dispatcher's
+    // pre-reserved scratch, so observability adds no allocation here.
     const Clock::time_point search_begin = Clock::now();
     std::vector<std::vector<Neighbor>> results =
         searcher.SearchBatchWith(slot, knobs, self.scratch.data(),
-                                 live.size(), nullptr,
+                                 live.size(), &pool_,
                                  self.counters_scratch.data());
     const Clock::time_point search_end = Clock::now();
     const double stage_ms = MillisBetween(dispatch_start, search_begin);
     const double search_ms = MillisBetween(search_begin, search_end);
-    SearchCounters batch_work;
+    PdxearchProfile batch_work;
     for (size_t i = 0; i < live.size(); ++i) {
       live[i]->searched = true;
       live[i]->stage_ms = stage_ms;
@@ -1159,7 +1155,7 @@ void SearchService::DispatchBatch(
     host->metric.blocks_visited->Inc(batch_work.blocks_visited);
     host->metric.vectors_pruned->Inc(batch_work.vectors_pruned);
     host->metric.values_scanned->Inc(batch_work.values_scanned);
-    host->metric.values_avoided->Inc(batch_work.values_avoided);
+    host->metric.values_avoided->Inc(batch_work.values_avoided());
     host->metric.dims_scanned->Inc(batch_work.dims_scanned);
     host->metric.rerank_candidates->Inc(batch_work.rerank_candidates);
     for (size_t i = 0; i < live.size(); ++i) {

@@ -114,13 +114,17 @@ struct CollectionInfo {
 /// threads drain a bounded FIFO admission queue; per pop a dispatcher
 /// opportunistically coalesces queued queries for the same collection
 /// (and same k/nprobe) into one
-/// Searcher::SearchBatchWith(slot, QueryKnobs, ...) call, which fans out
-/// over the shared pool (every hosted searcher gets it injected at
-/// adoption, so the query path never constructs a pool). Dispatcher d
+/// Searcher::SearchBatchWith(slot, QueryKnobs, ..., &pool) call, which
+/// fans out over the shared pool passed on every call (no hosted searcher
+/// holds a pool, so the query path never constructs one). Dispatcher d
 /// owns slot band [d * pool_threads, (d+1) * pool_threads) of every hosted
-/// searcher's per-slot scratch — reserved at adoption time — so two
-/// batches against the SAME collection proceed concurrently on disjoint
-/// engines, with no shared-config mutation anywhere on the dispatch path.
+/// searcher's per-slot scratch — reserved at adoption time — and
+/// concurrent SearchBatchWith calls on disjoint reserved bands are safe
+/// with any caller pool, so two batches against the SAME collection
+/// proceed concurrently on disjoint engines, with no shared-config
+/// mutation anywhere on the dispatch path. Hosted searchers are never
+/// queried through the band-0 wrappers (Search, SearchBatch), the only
+/// surface that touches a searcher's owned pool.
 /// Dispatchers also timed-wait on the earliest queued deadline and shed
 /// expired queries even while paused, so a deadline never strands a future
 /// behind other batch keys or a Pause().
@@ -169,11 +173,11 @@ class SearchService {
                        const IvfIndex& index, SearcherConfig config);
 
   /// Adopts an already-built searcher. On success the pointer is moved
-  /// from, the service injects its shared pool (set_pool) and takes over
-  /// the threads knob, and the searcher must not be queried by the caller
-  /// again. A custom searcher needs only SearchWith over per-slot scratch:
-  /// the base SearchBatchWith fans its batches out over the dispatcher's
-  /// band on that pool. On failure (duplicate name, shut down) the caller
+  /// from and the searcher must not be queried by the caller again; its
+  /// batches run on the shared pool whatever its threads setting. A
+  /// custom searcher needs only SearchWith over per-slot scratch: the base
+  /// SearchBatchWith fans its batches out over the dispatcher's band on
+  /// that pool. On failure (duplicate name, shut down) the caller
   /// keeps the searcher untouched — an expensively built index is never
   /// silently destroyed. Adopted collections are immutable through the
   /// service (AddVectors/DeleteVectors fail with kUnsupported).
@@ -386,10 +390,10 @@ class SearchService {
   struct Dispatcher {
     std::thread thread;
     std::vector<float> scratch;  ///< This dispatcher's query staging buffer.
-    /// Per-query search-work counters for the batch in flight, sized
-    /// max_batch at construction so the dispatch path never allocates for
+    /// Per-query work records for the batch in flight, sized max_batch at
+    /// construction so the dispatch path never allocates for
     /// observability — the "tracing off costs nothing" contract.
-    std::vector<SearchCounters> counters_scratch;
+    std::vector<PdxearchProfile> counters_scratch;
     /// Ring of completed batches' (end time, busy duration) — the windowed
     /// busy_fraction gauge. Guarded by mutex_.
     struct BusySample {

@@ -46,22 +46,6 @@ TEST(LatencyRecorderTest, WindowSlidesButTotalsRemember) {
   EXPECT_EQ(summary.p99_ms, 8.0);
 }
 
-TEST(LatencyRecorderTest, MergeCombinesWorkers) {
-  LatencyRecorder a, b;
-  for (int i = 1; i <= 50; ++i) a.Record(static_cast<double>(i));
-  for (int i = 51; i <= 100; ++i) b.Record(static_cast<double>(i));
-  a.Merge(b);
-  const LatencySummary summary = a.Summary();
-  EXPECT_EQ(summary.count, 100u);
-  EXPECT_EQ(summary.min_ms, 1.0);
-  EXPECT_EQ(summary.max_ms, 100.0);
-  EXPECT_EQ(summary.p50_ms, 50.0);
-  EXPECT_EQ(summary.p99_ms, 99.0);
-  // Merging an empty recorder changes nothing.
-  a.Merge(LatencyRecorder());
-  EXPECT_EQ(a.Summary().count, 100u);
-}
-
 TEST(LatencyRecorderTest, ResetClears) {
   LatencyRecorder recorder;
   recorder.Record(3.0);

@@ -242,13 +242,11 @@ TEST(AnySearcherTest, FlatBatchMatchesSequential) {
   }
 }
 
-TEST(AnySearcherTest, InjectedPoolIsSharedAcrossSearchers) {
+TEST(AnySearcherTest, CallerPoolIsSharedAcrossSearchers) {
   Fixture fx = MakeFixture(24, 86);
   ThreadPool pool(3);
 
   SearcherConfig config = IvfConfig(PrunerKind::kBond, 4);
-  config.threads = 0;  // Non-1: defer to the injected pool's size.
-  config.pool = &pool;
   auto a = MakeSearcher(fx.dataset.data, fx.index, config);
   config.pruner = PrunerKind::kLinear;
   auto b = MakeSearcher(fx.dataset.data, fx.index, config);
@@ -264,50 +262,38 @@ TEST(AnySearcherTest, InjectedPoolIsSharedAcrossSearchers) {
   // Batches on both searchers must run on `pool` — no private pool may be
   // constructed on the query path — and still return the sequential
   // results exactly.
+  const size_t nq = fx.dataset.queries.count();
   const uint64_t pools_before = ThreadPool::num_created();
-  const auto batch_a = a.value()->SearchBatch(fx.dataset.queries.data(),
-                                              fx.dataset.queries.count());
-  const auto batch_b = b.value()->SearchBatch(fx.dataset.queries.data(),
-                                              fx.dataset.queries.count());
+  const auto batch_a = a.value()->SearchBatchWith(
+      0, QueryKnobs{}, fx.dataset.queries.data(), nq, &pool);
+  const auto batch_b = b.value()->SearchBatchWith(
+      0, QueryKnobs{}, fx.dataset.queries.data(), nq, &pool);
   EXPECT_EQ(ThreadPool::num_created(), pools_before);
-  for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
-    ExpectSameNeighbors(batch_a[q], expected_a[q], "injected-pool bond", q);
-    ExpectSameNeighbors(batch_b[q], expected_b[q], "injected-pool linear", q);
+  for (size_t q = 0; q < nq; ++q) {
+    ExpectSameNeighbors(batch_a[q], expected_a[q], "caller-pool bond", q);
+    ExpectSameNeighbors(batch_b[q], expected_b[q], "caller-pool linear", q);
   }
 }
 
-TEST(AnySearcherTest, InjectedPoolKeepsSequentialEscapeHatch) {
+TEST(AnySearcherTest, SequentialBatchesBuildNoPool) {
+  // Paper methodology: threads = 1 keeps SearchBatch sequential, and a
+  // SearchBatchWith without a pool runs on its slot alone.
   Fixture fx = MakeFixture(16, 87);
-  ThreadPool pool(3);
   SearcherConfig config = IvfConfig(PrunerKind::kBond, 4);
-  config.threads = 1;  // Paper methodology: sequential even with a pool.
-  config.pool = &pool;
-  auto made = MakeSearcher(fx.dataset.data, fx.index, config);
-  ASSERT_TRUE(made.ok());
-  const auto batch = made.value()->SearchBatch(fx.dataset.queries.data(),
-                                               fx.dataset.queries.count());
-  for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
-    ExpectSameNeighbors(batch[q],
-                        made.value()->Search(fx.dataset.queries.Vector(q)),
-                        "sequential with pool", q);
-  }
-}
-
-TEST(AnySearcherTest, BatchProfileTracksLatencyPercentiles) {
-  Fixture fx = MakeFixture(16, 88);
-  SearcherConfig config = IvfConfig(PrunerKind::kBond, 4);
-  config.threads = 2;
+  config.threads = 1;
   auto made = MakeSearcher(fx.dataset.data, fx.index, config);
   ASSERT_TRUE(made.ok());
   const size_t nq = fx.dataset.queries.count();
-  made.value()->SearchBatch(fx.dataset.queries.data(), nq);
-  const LatencySummary latency =
-      made.value()->last_batch_profile().latency_summary();
-  EXPECT_EQ(latency.count, nq);
-  EXPECT_GT(latency.p50_ms, 0.0);
-  EXPECT_LE(latency.p50_ms, latency.p95_ms);
-  EXPECT_LE(latency.p95_ms, latency.p99_ms);
-  EXPECT_LE(latency.p99_ms, latency.max_ms + 1e-9);
+  const uint64_t pools_before = ThreadPool::num_created();
+  const auto batch = made.value()->SearchBatch(fx.dataset.queries.data(), nq);
+  const auto with = made.value()->SearchBatchWith(
+      0, QueryKnobs{}, fx.dataset.queries.data(), nq);
+  EXPECT_EQ(ThreadPool::num_created(), pools_before);
+  for (size_t q = 0; q < nq; ++q) {
+    const auto single = made.value()->Search(fx.dataset.queries.Vector(q));
+    ExpectSameNeighbors(batch[q], single, "sequential SearchBatch", q);
+    ExpectSameNeighbors(with[q], single, "sequential SearchBatchWith", q);
+  }
 }
 
 TEST(AnySearcherTest, RejectsAbsurdThreadCounts) {
@@ -324,22 +310,26 @@ TEST(AnySearcherTest, RejectsAbsurdThreadCounts) {
   EXPECT_TRUE(ValidateSearcherConfig(config).ok());
 }
 
-TEST(AnySearcherTest, BatchProfileAggregates) {
+TEST(AnySearcherTest, PerQueryWorkRecordsAggregate) {
   Fixture fx = MakeFixture(16, 77);
-  SearcherConfig config = IvfConfig(PrunerKind::kBond, 4);
-  config.threads = 2;
-  auto made = MakeSearcher(fx.dataset.data, fx.index, config);
+  ThreadPool pool(2);
+  auto made =
+      MakeSearcher(fx.dataset.data, fx.index, IvfConfig(PrunerKind::kBond, 4));
   ASSERT_TRUE(made.ok());
   auto& searcher = *made.value();
   const size_t nq = fx.dataset.queries.count();
-  searcher.SearchBatch(fx.dataset.queries.data(), nq);
-  const BatchProfile& profile = searcher.last_batch_profile();
-  EXPECT_EQ(profile.queries, nq);
-  EXPECT_GT(profile.wall_ms, 0.0);
-  EXPECT_GT(profile.sum.values_total, 0u);
-  EXPECT_LE(profile.sum.values_scanned, profile.sum.values_total);
-  EXPECT_GT(profile.qps(), 0.0);
-  EXPECT_GE(profile.pruning_power(), 0.0);
+  std::vector<PdxearchProfile> work(nq);
+  searcher.SearchBatchWith(0, QueryKnobs{}, fx.dataset.queries.data(), nq,
+                           &pool, work.data());
+  PdxearchProfile sum;
+  for (const PdxearchProfile& w : work) {
+    EXPECT_GT(w.values_total, 0u);
+    sum += w;
+  }
+  EXPECT_GT(sum.values_total, 0u);
+  EXPECT_LE(sum.values_scanned, sum.values_total);
+  EXPECT_EQ(sum.values_avoided(), sum.values_total - sum.values_scanned);
+  EXPECT_GE(sum.pruning_power(), 0.0);
 }
 
 // --- Knob-explicit concurrent entry points --------------------------------
@@ -349,6 +339,7 @@ TEST(AnySearcherTest, SearchBatchWithMatchesBuildTimeKnobs) {
   // exactly, for every pruner on both layouts.
   Fixture fx = MakeFixture();
   const size_t nq = fx.dataset.queries.count();
+  ThreadPool pool(2);
   for (SearcherLayout layout : {SearcherLayout::kFlat, SearcherLayout::kIvf}) {
     for (PrunerKind pruner :
          {PrunerKind::kLinear, PrunerKind::kAdsampling, PrunerKind::kBsa,
@@ -372,15 +363,14 @@ TEST(AnySearcherTest, SearchBatchWithMatchesBuildTimeKnobs) {
 
       const auto expected =
           built.value()->SearchBatch(fx.dataset.queries.data(), nq);
-      BatchProfile profile;
+      std::vector<PdxearchProfile> work(nq);
       const auto actual = knob_explicit.value()->SearchBatchWith(
-          /*slot=*/0, QueryKnobs{5, 7}, fx.dataset.queries.data(), nq,
-          &profile);
+          /*slot=*/0, QueryKnobs{5, 7}, fx.dataset.queries.data(), nq, &pool,
+          work.data());
       for (size_t q = 0; q < nq; ++q) {
         ExpectSameNeighbors(actual[q], expected[q], label, q);
+        EXPECT_GT(work[q].values_total, 0u) << label << " q" << q;
       }
-      EXPECT_EQ(profile.queries, nq);
-      EXPECT_GT(profile.sum.values_total, 0u);
       // ...and the knob-explicit call mutated nothing: the configured
       // defaults still apply afterwards.
       EXPECT_EQ(knob_explicit.value()->options().k, 10u);
@@ -398,10 +388,8 @@ TEST(AnySearcherTest, ConcurrentBatchesOnDisjointBandsKeepParity) {
   // reference per k, and TSan must stay silent.
   Fixture fx = MakeFixture(24, 72);
   ThreadPool pool(3);
-  SearcherConfig config = IvfConfig(PrunerKind::kBond, 4);
-  config.threads = 0;
-  config.pool = &pool;
-  auto made = MakeSearcher(fx.dataset.data, fx.index, config);
+  auto made =
+      MakeSearcher(fx.dataset.data, fx.index, IvfConfig(PrunerKind::kBond, 4));
   ASSERT_TRUE(made.ok());
   Searcher& searcher = *made.value();
   const size_t band = pool.num_threads();
@@ -425,7 +413,7 @@ TEST(AnySearcherTest, ConcurrentBatchesOnDisjointBandsKeepParity) {
                  const std::vector<std::vector<Neighbor>>& expected) {
     for (int round = 0; round < 10; ++round) {
       const auto results = searcher.SearchBatchWith(
-          slot, QueryKnobs{k, 0}, fx.dataset.queries.data(), nq);
+          slot, QueryKnobs{k, 0}, fx.dataset.queries.data(), nq, &pool);
       for (size_t q = 0; q < nq; ++q) {
         if (results[q].size() != expected[q].size()) {
           mismatches.fetch_add(1);

@@ -11,6 +11,8 @@
 #include "common/random.h"
 #include "core/any_searcher.h"
 #include "core/sharded_searcher.h"
+#include "index/kmeans.h"
+#include "storage/pdx_store.h"
 #include "storage/vector_set.h"
 
 namespace pdx {
@@ -442,7 +444,7 @@ TEST(MutableSearcherTest, SearchWithMatchesSearch) {
   for (size_t q = 0; q < queries.count(); ++q) {
     flat.insert(flat.end(), queries.Vector(q), queries.Vector(q) + dim);
   }
-  std::vector<SearchCounters> counters(queries.count());
+  std::vector<PdxearchProfile> counters(queries.count());
   const auto batch = live.SearchBatchWith(0, QueryKnobs{}, flat.data(),
                                           queries.count(), nullptr,
                                           counters.data());
@@ -456,6 +458,27 @@ TEST(MutableSearcherTest, SearchWithMatchesSearch) {
     }
     EXPECT_GT(counters[q].blocks_visited, 0u);
     EXPECT_GT(counters[q].values_scanned, 0u);
+  }
+}
+
+TEST(MutableSearcherTest, AddWorkIsIndependentOfBaseSize) {
+  // Ingest never touches the base: the same rows appended over IVF bases
+  // of N and 4N rows run no k-means and pack no PDX store — each append
+  // repacks only the delta's tail block.
+  const size_t dim = 8;
+  const VectorSet rows = RandomVectors(40, dim, 27);
+  for (size_t base_rows : {size_t{250}, size_t{1000}}) {
+    auto made = MutableSearcher::Make(RandomVectors(base_rows, dim, 28),
+                                      Config(SearcherLayout::kIvf,
+                                             PrunerKind::kBond));
+    ASSERT_TRUE(made.ok());
+    MutableSearcher& live = *made.value();
+    const uint64_t packs = PdxStorePackCount();
+    const uint64_t kmeans = KMeansRunCount();
+    ASSERT_TRUE(live.Add(rows.data(), rows.count()).ok());
+    EXPECT_EQ(PdxStorePackCount(), packs) << "base " << base_rows;
+    EXPECT_EQ(KMeansRunCount(), kmeans) << "base " << base_rows;
+    EXPECT_EQ(live.mutation_stats().delta_rows, rows.count());
   }
 }
 

@@ -1,14 +1,15 @@
 // One parity table over every Searcher implementation: the plain float
-// facade (flat and IVF), the u8 quantized tier, the sharded facade and a
-// live collection after mutations, over a plain and over a sharded base. Each implementation provides only the
-// per-slot SearchWith primitive (plus, for the sharded and live ones, a
-// SearchBatchWith override); Search, SearchBatch and the batch fan-out come
-// from the base class, so all three query surfaces must agree exactly —
-// with each other and with a searcher built with the same knobs.
+// facade (flat and IVF), the u8 quantized tier, the sharded facade (flat
+// and IVF) and a live collection after mutations, over a plain and over a
+// sharded base. Each implementation provides only the per-slot SearchWith
+// primitive (plus, for the sharded and live ones, a SearchBatchWith
+// override); Search, SearchBatch and the batch fan-out come from the base
+// class, so all three query surfaces must agree exactly — with each other
+// and with a searcher built with the same knobs — and a pooled batch must
+// hand out the same per-query work records as a sequential one.
 //
 // The binary also counts heap allocations (global operator new) to pin
-// that the shared fan-out adds none of its own when no profile is asked
-// for.
+// that the shared fan-out adds none of its own.
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,7 @@ std::vector<Case> Cases(const Dataset& data) {
           {"ivf", ivf, plain},
           {"u8", u8, plain},
           {"sharded", flat, sharded},
+          {"sharded-ivf", ivf, sharded},
           {"mutable", flat, live_plain},
           {"mutable-sharded", ivf, live_sharded}};
 }
@@ -173,18 +175,16 @@ TEST(SearcherSurfaceTest, EveryQuerySurfaceAgreesOnEveryImplementation) {
       ASSERT_NE(defaults.k, kK);
 
       const auto batch = configured->SearchBatch(data.queries.data(), nq);
-      const BatchProfile& batch_profile = configured->last_batch_profile();
-      EXPECT_EQ(batch_profile.queries, nq) << label;
-      EXPECT_GT(batch_profile.sum.blocks_visited, 0u) << label;
-      // One latency sample per query — per (shard, query) task on the
-      // sharded tiling.
-      EXPECT_GE(batch_profile.latency.count(), nq) << label;
 
-      // A band other than 0: any reserved band must serve identically.
+      // A band other than 0, on a caller pool of the same size (1 spawns
+      // nothing): any reserved band must serve identically.
       const size_t band = 4;
+      ThreadPool pool(threads);
       generic->ReserveScratch(band + threads);
-      const auto with_knobs = generic->SearchBatchWith(
-          band, QueryKnobs{kK, kNprobe}, data.queries.data(), nq);
+      std::vector<PdxearchProfile> work(nq);
+      const auto with_knobs =
+          generic->SearchBatchWith(band, QueryKnobs{kK, kNprobe},
+                                   data.queries.data(), nq, &pool, work.data());
 
       for (size_t q = 0; q < nq; ++q) {
         const std::string query_label = label + " q" + std::to_string(q);
@@ -196,19 +196,58 @@ TEST(SearcherSurfaceTest, EveryQuerySurfaceAgreesOnEveryImplementation) {
         ExpectSameNeighbors(batch[q], single, query_label + " SearchBatch");
         ExpectSameNeighbors(with_knobs[q], single,
                             query_label + " SearchBatchWith");
+        EXPECT_GT(work[q].blocks_visited, 0u) << query_label;
       }
       // Per-call knobs never touch the configured defaults.
       EXPECT_EQ(generic->options().k, defaults.k) << label;
-
-      // A one-query batch on a pool still spreads across shards: the
-      // (shard x query) tiling records one latency sample per shard task.
-      BatchProfile one;
-      (void)configured->SearchBatchWith(0, QueryKnobs{}, data.queries.data(),
-                                        1, &one);
-      EXPECT_EQ(one.latency.count(),
-                threads > 1 ? configured->num_shards() : size_t{1})
-          << label;
     }
+  }
+}
+
+/// Every work counter of `actual` equals `expected`'s (the phase times are
+/// wall clock and are not compared).
+void ExpectSameWork(const PdxearchProfile& actual,
+                    const PdxearchProfile& expected,
+                    const std::string& label) {
+  EXPECT_EQ(actual.values_scanned, expected.values_scanned) << label;
+  EXPECT_EQ(actual.values_total, expected.values_total) << label;
+  EXPECT_EQ(actual.predicate_evaluations, expected.predicate_evaluations)
+      << label;
+  EXPECT_EQ(actual.blocks_visited, expected.blocks_visited) << label;
+  EXPECT_EQ(actual.vectors_pruned, expected.vectors_pruned) << label;
+  EXPECT_EQ(actual.dims_scanned, expected.dims_scanned) << label;
+  EXPECT_EQ(actual.rerank_candidates, expected.rerank_candidates) << label;
+}
+
+TEST(SearcherSurfaceTest, PooledWorkRecordsEqualSequentialOnes) {
+  // per_query[q] of a pooled batch is query q's own work, exactly as a
+  // sequential batch reports it: on the base fan-out, on the sharded
+  // (shard x query) tiling, which reduces one record per shard task into
+  // each query's, and on a live collection, which adds its delta scan.
+  const Dataset data = MakeData();
+  const size_t nq = data.queries.count();
+  ThreadPool pool(4);
+
+  for (const Case& c : Cases(data)) {
+    std::unique_ptr<Searcher> searcher = c.build(c.config);
+    ASSERT_NE(searcher, nullptr) << c.name;
+    std::vector<PdxearchProfile> sequential(nq);
+    std::vector<PdxearchProfile> pooled(nq);
+    (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(), nq,
+                                    nullptr, sequential.data());
+    (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(), nq,
+                                    &pool, pooled.data());
+    for (size_t q = 0; q < nq; ++q) {
+      const std::string label = c.name + " q" + std::to_string(q);
+      EXPECT_GT(sequential[q].blocks_visited, 0u) << label;
+      ExpectSameWork(pooled[q], sequential[q], label);
+    }
+    // One query on a pool: sequential on the base fan-out, spread over the
+    // shards on the tiling.
+    PdxearchProfile one;
+    (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(), 1,
+                                    &pool, &one);
+    ExpectSameWork(one, sequential[0], c.name + " one-query batch");
   }
 }
 
@@ -220,10 +259,10 @@ uint64_t CountAllocations(const Fn& fn) {
   return Allocations() - before;
 }
 
-TEST(SearcherSurfaceTest, SequentialFanOutAllocatesNothingOfItsOwn) {
+TEST(SearcherSurfaceTest, SequentialBatchAllocatesNothingOfItsOwn) {
   const Dataset data = MakeData();
   const size_t nq = data.queries.count();
-  std::vector<SearchCounters> counters(nq);
+  std::vector<PdxearchProfile> counters(nq);
 
   for (const Case& c : Cases(data)) {
     std::unique_ptr<Searcher> searcher = c.build(c.config);
@@ -261,19 +300,17 @@ void TouchEveryThread(ThreadPool& pool) {
   });
 }
 
-TEST(SearcherSurfaceTest, PooledFanOutAllocationsDoNotGrowWithThePool) {
+TEST(SearcherSurfaceTest, PooledBatchAllocationsDoNotGrowWithThePool) {
   const Dataset data = MakeData();
   const size_t nq = data.queries.count();
-  std::vector<SearchCounters> counters(nq);
+  std::vector<PdxearchProfile> counters(nq);
   ThreadPool two(2);
   ThreadPool four(4);
   TouchEveryThread(two);
   TouchEveryThread(four);
 
   for (const Case& c : Cases(data)) {
-    SearcherConfig config = c.config;
-    config.threads = 0;
-    std::unique_ptr<Searcher> searcher = c.build(config);
+    std::unique_ptr<Searcher> searcher = c.build(c.config);
     ASSERT_NE(searcher, nullptr) << c.name;
     const QueryKnobs knobs{5, 3};
     searcher->ReserveScratch(four.num_threads());
@@ -285,12 +322,11 @@ TEST(SearcherSurfaceTest, PooledFanOutAllocationsDoNotGrowWithThePool) {
       }
     }
     auto pooled = [&](ThreadPool& pool) {
-      searcher->set_pool(&pool);
       (void)searcher->SearchBatchWith(0, knobs, data.queries.data(), nq,
-                                      nullptr, counters.data());  // Warm.
+                                      &pool, counters.data());  // Warm.
       return CountAllocations([&] {
         (void)searcher->SearchBatchWith(0, knobs, data.queries.data(), nq,
-                                        nullptr, counters.data());
+                                        &pool, counters.data());
       });
     };
     const uint64_t on_two = pooled(two);

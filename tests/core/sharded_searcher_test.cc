@@ -88,7 +88,7 @@ TEST(ShardedSearcherTest, MatchesUnshardedExactPruners) {
   }
 }
 
-// --- SearchBatch: sequential, own pool, and injected pool all agree ------
+// --- SearchBatch: sequential, own pool, and caller pool all agree --------
 
 TEST(ShardedSearcherTest, BatchMatchesSearchAcrossThreadModes) {
   Dataset data = MakeData(16, 1500, 12, 11);
@@ -105,18 +105,17 @@ TEST(ShardedSearcherTest, BatchMatchesSearchAcrossThreadModes) {
   ASSERT_TRUE(own.ok());
 
   ThreadPool pool(4);
-  SearcherConfig injected = sequential;
-  injected.threads = 4;
-  injected.pool = &pool;
-  auto shared = MakeShardedSearcher(data.data, injected, sharding);
+  auto shared = MakeShardedSearcher(data.data, own_pool, sharding);
   ASSERT_TRUE(shared.ok());
 
   const size_t nq = data.queries.count();
   const uint64_t pools_before = ThreadPool::num_created();
   auto seq_batch = seq.value()->SearchBatch(data.queries.data(), nq);
   auto own_batch = own.value()->SearchBatch(data.queries.data(), nq);
-  auto shared_batch = shared.value()->SearchBatch(data.queries.data(), nq);
-  // The injected-pool searcher must not have built a pool of its own (the
+  std::vector<PdxearchProfile> work(nq);
+  auto shared_batch = shared.value()->SearchBatchWith(
+      0, QueryKnobs{}, data.queries.data(), nq, &pool, work.data());
+  // A batch on a caller pool must not build a pool of its own (the
   // sequential one spawns nothing; the own-pool one builds exactly one).
   EXPECT_EQ(ThreadPool::num_created(), pools_before + 1);
 
@@ -128,10 +127,9 @@ TEST(ShardedSearcherTest, BatchMatchesSearchAcrossThreadModes) {
     ExpectSameNeighbors(own_batch[q], expected,
                         "own-pool batch q" + std::to_string(q));
     ExpectSameNeighbors(shared_batch[q], expected,
-                        "injected-pool batch q" + std::to_string(q));
+                        "caller-pool batch q" + std::to_string(q));
+    EXPECT_GT(work[q].values_scanned, 0u) << "caller-pool batch q" << q;
   }
-  EXPECT_EQ(shared.value()->last_batch_profile().queries, nq);
-  EXPECT_GT(shared.value()->last_batch_profile().wall_ms, 0.0);
 }
 
 // --- Knob-explicit batches: the serving dispatch path ---------------------
@@ -146,8 +144,6 @@ TEST(ShardedSearcherTest, SearchBatchWithMatchesBuildTimeKnobs) {
 
   for (SearcherLayout layout : {SearcherLayout::kFlat, SearcherLayout::kIvf}) {
     SearcherConfig config = Config(layout, PrunerKind::kBond, 8);
-    config.threads = 0;
-    config.pool = &pool;
     auto knob_explicit = MakeShardedSearcher(data.data, config, sharding);
     SearcherConfig built_config = config;
     built_config.k = 4;
@@ -162,14 +158,14 @@ TEST(ShardedSearcherTest, SearchBatchWithMatchesBuildTimeKnobs) {
     // Band base 2 * pool size: any valid band works, not just 0.
     const size_t slot = 2 * pool.num_threads();
     knob_explicit.value()->ReserveScratch(slot + pool.num_threads());
-    BatchProfile profile;
+    std::vector<PdxearchProfile> work(nq);
     const auto actual = knob_explicit.value()->SearchBatchWith(
-        slot, QueryKnobs{4, 3}, data.queries.data(), nq, &profile);
+        slot, QueryKnobs{4, 3}, data.queries.data(), nq, &pool, work.data());
     for (size_t q = 0; q < nq; ++q) {
       ExpectSameNeighbors(actual[q], expected[q],
                           label + " knob-explicit q" + std::to_string(q));
+      EXPECT_GT(work[q].values_scanned, 0u) << label << " q" << q;
     }
-    EXPECT_EQ(profile.queries, nq);
     // No mutation: the facade's configured defaults are intact.
     EXPECT_EQ(knob_explicit.value()->options().k, 10u);
     EXPECT_EQ(knob_explicit.value()->Search(data.queries.Vector(0)).size(),

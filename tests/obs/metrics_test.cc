@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/search_counters.h"
+#include "obs/pdxearch_profile.h"
 #include "obs/slow_query_log.h"
 
 // Global operator new/delete overrides that count every heap allocation in
@@ -243,7 +243,7 @@ TEST(MetricsTest, HotPathInstrumentCallsDoNotAllocate) {
     entry.total_ms = 100.0 + i;
     slowlog.Add(entry);
   }
-  SearchCounters a, b;
+  PdxearchProfile a, b;
   a.values_scanned = 7;
 
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -282,13 +282,14 @@ TEST(MetricsTest, SlowQueryLogKeepsWorstSortedAndBounded) {
   EXPECT_TRUE(log.Qualifies(5.1));
 }
 
-TEST(MetricsTest, SearchCountersAccumulateAndReportPruningPower) {
-  SearchCounters c;
+TEST(MetricsTest, PdxearchProfileAccumulatesAndReportsPruningPower) {
+  PdxearchProfile c;
   EXPECT_DOUBLE_EQ(c.pruning_power(), 0.0);  // No work yet: defined as 0.
   c.values_scanned = 25;
-  c.values_avoided = 75;
+  c.values_total = 100;
+  EXPECT_EQ(c.values_avoided(), 75u);
   EXPECT_DOUBLE_EQ(c.pruning_power(), 0.75);
-  SearchCounters d;
+  PdxearchProfile d;
   d.blocks_visited = 2;
   d.values_scanned = 5;
   c += d;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -16,7 +17,7 @@
 #include "core/any_searcher.h"
 #include "core/persist.h"
 #include "core/sharded_searcher.h"
-#include "obs/search_counters.h"
+#include "obs/pdxearch_profile.h"
 #include "quant/quantized_store.h"
 
 namespace pdx {
@@ -136,7 +137,7 @@ TEST(QuantizedSearcherTest, RerankCandidatesCounterSurfaces) {
   std::unique_ptr<Searcher> searcher = std::move(made).value();
   searcher->ReserveScratch(1);
 
-  std::vector<SearchCounters> counters(data.queries.count());
+  std::vector<PdxearchProfile> counters(data.queries.count());
   (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(),
                                   data.queries.count(), nullptr,
                                   counters.data());
@@ -149,13 +150,85 @@ TEST(QuantizedSearcherTest, RerankCandidatesCounterSurfaces) {
                           QuantConfig(SearcherLayout::kFlat, 0, k));
   ASSERT_TRUE(raw.ok()) << raw.status().message();
   raw.value()->ReserveScratch(1);
-  std::vector<SearchCounters> raw_counters(data.queries.count());
+  std::vector<PdxearchProfile> raw_counters(data.queries.count());
   (void)raw.value()->SearchBatchWith(0, QueryKnobs{}, data.queries.data(),
                                      data.queries.count(), nullptr,
                                      raw_counters.data());
   for (size_t q = 0; q < raw_counters.size(); ++q) {
     EXPECT_EQ(raw_counters[q].rerank_candidates, 0u) << "query " << q;
   }
+}
+
+// An over-fetch of count() candidates already reranks every scanned
+// vector, so a rerank_factor far beyond it (one the config and the wire
+// accept) serves byte-identical results, with the same rerank work,
+// instead of overflowing or exhausting memory in the candidate heap.
+TEST(QuantizedSearcherTest, HugeRerankFactorMatchesRerankingEverything) {
+  Dataset data = MakeData(16, 600, 6, 29);
+  const size_t count = data.data.count();
+  ShardingOptions three;
+  three.num_shards = 3;
+  struct Shape {
+    const char* name;
+    SearcherLayout layout;
+    ShardingOptions sharding;
+  };
+  for (const Shape& shape : {Shape{"flat", SearcherLayout::kFlat, {}},
+                             Shape{"ivf", SearcherLayout::kIvf, {}},
+                             Shape{"3-shard", SearcherLayout::kFlat, three}}) {
+    auto everything = MakeShardedSearcher(
+        data.data, QuantConfig(shape.layout, count), shape.sharding);
+    auto huge = MakeShardedSearcher(
+        data.data, QuantConfig(shape.layout, size_t{1000000000000000}),
+        shape.sharding);
+    ASSERT_TRUE(everything.ok()) << everything.status().message();
+    ASSERT_TRUE(huge.ok()) << huge.status().message();
+    const size_t nq = data.queries.count();
+    std::vector<PdxearchProfile> expected_work(nq);
+    std::vector<PdxearchProfile> huge_work(nq);
+    const auto expected = everything.value()->SearchBatchWith(
+        0, QueryKnobs{}, data.queries.data(), nq, nullptr,
+        expected_work.data());
+    const auto actual = huge.value()->SearchBatchWith(
+        0, QueryKnobs{}, data.queries.data(), nq, nullptr, huge_work.data());
+    for (size_t q = 0; q < nq; ++q) {
+      ASSERT_EQ(actual[q].size(), expected[q].size()) << shape.name;
+      for (size_t i = 0; i < actual[q].size(); ++i) {
+        EXPECT_EQ(actual[q][i].id, expected[q][i].id) << shape.name;
+        EXPECT_EQ(actual[q][i].distance, expected[q][i].distance)
+            << shape.name;
+      }
+      EXPECT_EQ(huge_work[q].rerank_candidates,
+                expected_work[q].rerank_candidates)
+          << shape.name;
+    }
+  }
+}
+
+// The saved meta holds the factor in 32 bits. It saturates there instead
+// of wrapping — 2^40 would wrap to 0 and reload with reranking off — and
+// any factor past the vector count serves the same results.
+TEST(QuantizedSearcherTest, HugeRerankFactorSurvivesSaveAndLoad) {
+  Dataset data = MakeData(16, 600, 6, 31);
+  auto built = MakeSearcher(
+      data.data, QuantConfig(SearcherLayout::kFlat, size_t{1} << 40));
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  const std::string path = TempPath("quant_huge_rerank.pdxc");
+  ASSERT_TRUE(built.value()->Save(path).ok());
+  auto loaded = LoadCollection(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().config.rerank_factor, size_t{UINT32_MAX});
+  for (size_t q = 0; q < data.queries.count(); ++q) {
+    const float* query = data.queries.Vector(q);
+    const std::vector<Neighbor> expect = built.value()->Search(query);
+    const std::vector<Neighbor> got = loaded.value().searcher->Search(query);
+    ASSERT_EQ(got.size(), expect.size()) << "query " << q;
+    for (size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(got[i].id, expect[i].id) << "query " << q;
+      EXPECT_EQ(got[i].distance, expect[i].distance) << "query " << q;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // The compressed footprint is one byte per value: quantized_bytes() ==

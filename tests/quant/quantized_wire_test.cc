@@ -166,6 +166,39 @@ TEST(QuantizedWireTest, U8CollectionServesWithRerankRecall) {
             std::string::npos);
 }
 
+// A rerank_factor far past the collection size — the PUT body accepts up
+// to 9e15 — is served like one that reranks every vector: 200 with k
+// neighbors, not a 500 from a candidate heap sized k * rerank_factor.
+TEST(QuantizedWireTest, HugeRerankFactorStillAnswers200) {
+  Dataset data = MakeData(16, 300, 1, 322);
+  WireStack stack;
+  HttpClient client = stack.NewClient();
+  JsonValue put = JsonValue::Object();
+  put.Set("vectors", VectorsJson(data.data));
+  put.Set("layout", "flat");
+  put.Set("quantization", "u8");
+  put.Set("rerank_factor", size_t{1000000000000000});
+  Result<HttpResponse> created =
+      client.Roundtrip("PUT", "/collections/huge", WriteJson(put));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created.value().status, 201) << created.value().body;
+
+  JsonValue request = JsonValue::Object();
+  JsonValue values = JsonValue::Array();
+  const float* query = data.queries.Vector(0);
+  for (size_t d = 0; d < data.queries.dim(); ++d) {
+    values.Append(static_cast<double>(query[d]));
+  }
+  request.Set("query", std::move(values));
+  Result<HttpResponse> response = client.Roundtrip(
+      "POST", "/collections/huge/search", WriteJson(request));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response.value().status, 200) << response.value().body;
+  const JsonValue body = MustParseBody(response.value());
+  ASSERT_NE(body.Find("neighbors"), nullptr);
+  EXPECT_EQ(body.Find("neighbors")->size(), SearcherConfig{}.k);
+}
+
 TEST(QuantizedWireTest, UnknownQuantizationRejectedWith400) {
   Dataset data = MakeData(8, 64, 1, 9);
   WireStack stack;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -620,7 +622,7 @@ TEST(SearchServiceTest, ConcurrentSubmittersShareOnePoolWithParity) {
   }
 
   // From here on, the query path must construct no ThreadPool: every batch
-  // runs on the service's one injected pool.
+  // runs on the service's one shared pool.
   const uint64_t pools_before = ThreadPool::num_created();
 
   constexpr size_t kSubmitters = 4;
@@ -672,6 +674,50 @@ TEST(SearchServiceTest, ConcurrentSubmittersShareOnePoolWithParity) {
   EXPECT_EQ(stats.collections.at("flat-ads").completed, kRounds * nq);
 }
 
+/// Serves `rounds` paused backlogs of every query from two client threads,
+/// so both dispatchers drain multi-query batches of collection `name`
+/// concurrently. Returns how many answers differ from `expected`.
+size_t ServePausedBacklogs(SearchService& service, const std::string& name,
+                           const VectorSet& queries,
+                           const std::vector<std::vector<Neighbor>>& expected,
+                           size_t rounds) {
+  constexpr size_t kClients = 2;
+  const size_t nq = queries.count();
+  size_t mismatches = 0;
+  for (size_t round = 0; round < rounds; ++round) {
+    service.Pause();
+    std::vector<std::vector<QueryTicket>> tickets(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t q = 0; q < nq; ++q) {
+          tickets[c].push_back(service.Submit(name, queries.Vector(q)));
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    service.Resume();
+    for (size_t c = 0; c < kClients; ++c) {
+      for (size_t q = 0; q < nq; ++q) {
+        QueryResult result = tickets[c][q].result.get();
+        EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+        if (result.neighbors.size() != expected[q].size()) {
+          ++mismatches;
+          continue;
+        }
+        for (size_t i = 0; i < expected[q].size(); ++i) {
+          if (result.neighbors[i].id != expected[q][i].id ||
+              result.neighbors[i].distance != expected[q][i].distance) {
+            ++mismatches;
+            break;
+          }
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
 TEST(SearchServiceTest, AdoptedMutableCollectionRunsOnTheServicePool) {
   // A live collection built with threads = 0 and no pool, then adopted:
   // its batches must fan out on the service's pool over the dispatcher's
@@ -710,48 +756,105 @@ TEST(SearchServiceTest, AdoptedMutableCollectionRunsOnTheServicePool) {
   ASSERT_TRUE(service.AddCollection("live", adopted).ok());
 
   const uint64_t pools_before = ThreadPool::num_created();
-  constexpr size_t kClients = 2;
   constexpr size_t kRounds = 3;
-  size_t mismatches = 0;
-  for (size_t round = 0; round < kRounds; ++round) {
-    // A paused backlog coalesces into multi-query batches, which both
-    // dispatchers then drain concurrently.
-    service.Pause();
-    std::vector<std::vector<QueryTicket>> tickets(kClients);
-    std::vector<std::thread> clients;
-    for (size_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (size_t q = 0; q < nq; ++q) {
-          tickets[c].push_back(
-              service.Submit("live", fx.dataset.queries.Vector(q)));
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    service.Resume();
-    for (size_t c = 0; c < kClients; ++c) {
-      for (size_t q = 0; q < nq; ++q) {
-        QueryResult result = tickets[c][q].result.get();
-        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-        if (result.neighbors.size() != expected[q].size()) {
-          ++mismatches;
-          continue;
-        }
-        for (size_t i = 0; i < expected[q].size(); ++i) {
-          if (result.neighbors[i].id != expected[q][i].id ||
-              result.neighbors[i].distance != expected[q][i].distance) {
-            ++mismatches;
-            break;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(ServePausedBacklogs(service, "live", fx.dataset.queries, expected,
+                                kRounds),
+            0u);
   EXPECT_EQ(ThreadPool::num_created(), pools_before)
       << "the live collection built a private pool on the query path";
+  // Two clients per round: fewer dispatches than queries means batches.
   EXPECT_LT(service.Stats().collections.at("live").dispatches,
-            kRounds * kClients * nq);
+            kRounds * 2 * nq);
+}
+
+TEST(SearchServiceTest, CompactedLiveCollectionRunsOnTheServicePool) {
+  // A background compaction swaps in a freshly built base searcher. Its
+  // batches must still run on the service's pool: no searcher holds a
+  // pool, so there is nothing for the swap to lose or re-inject.
+  Fixture fx = MakeFixture(24, 97, 1500, 12);
+  SearcherConfig config = Config(SearcherLayout::kFlat, PrunerKind::kBond);
+  config.threads = 0;  // A hardware-sized owned pool, were one ever built.
+  const size_t added = 80;
+  std::vector<float> rows(added * fx.dataset.dim());
+  for (size_t i = 0; i < added; ++i) {
+    const float* src = fx.dataset.data.Vector(static_cast<VectorId>(i * 7));
+    std::copy(src, src + fx.dataset.dim(), rows.begin() + i * fx.dataset.dim());
+  }
+  // The reference folds the same rows the same way, directly.
+  auto reference = MutableSearcher::Make(fx.dataset.data, config);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference.value()->Add(rows.data(), added).ok());
+  ASSERT_TRUE(reference.value()->Compact().ok());
+  const size_t nq = fx.dataset.queries.count();
+  std::vector<std::vector<Neighbor>> expected(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    expected[q] = reference.value()->Search(fx.dataset.queries.Vector(q));
+  }
+
+  ServiceConfig sc;
+  sc.threads = 2;
+  sc.dispatchers = 2;
+  sc.max_batch = 4;
+  sc.mutation.compact_threshold = 64;
+  SearchService service(sc);
+  ASSERT_TRUE(service.AddCollection("live", fx.dataset.data, config).ok());
+  ASSERT_TRUE(service.AddVectors("live", rows.data(), added, fx.dataset.dim(),
+                                 nullptr)
+                  .ok());
+  bool compacted = false;
+  for (int spin = 0; spin < 500 && !compacted; ++spin) {
+    std::this_thread::sleep_for(10ms);
+    compacted = service.Stats().collections.at("live").compactions > 0;
+  }
+  ASSERT_TRUE(compacted) << "background compaction never ran";
+
+  const uint64_t pools_before = ThreadPool::num_created();
+  EXPECT_EQ(
+      ServePausedBacklogs(service, "live", fx.dataset.queries, expected, 2),
+      0u);
+  EXPECT_EQ(ThreadPool::num_created(), pools_before)
+      << "the compacted collection built a private pool on the query path";
+}
+
+TEST(SearchServiceTest, LoadedShardedLiveCollectionRunsOnTheServicePool) {
+  // A sharded live collection restored from its file: the (shard x query)
+  // tiling must run on the service's pool, not a pool of its own.
+  Fixture fx = MakeFixture(24, 98, 1500, 12);
+  SearcherConfig config = Config(SearcherLayout::kFlat, PrunerKind::kBond);
+  config.threads = 0;
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  auto made = MutableSearcher::Make(fx.dataset.data, config, {}, sharding);
+  ASSERT_TRUE(made.ok());
+  MutableSearcher& live = *made.value();
+  const std::vector<uint64_t> ids = {0, 1, 2};
+  ASSERT_TRUE(live.Add(fx.dataset.queries.data(), ids.size(), ids.data()).ok());
+  ASSERT_TRUE(live.Delete(10).ok());
+  const size_t nq = fx.dataset.queries.count();
+  std::vector<std::vector<Neighbor>> expected(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    expected[q] = live.Search(fx.dataset.queries.Vector(q));
+  }
+  const std::string path =
+      testing::TempDir() + "/service_loaded_sharded_live.pdxc";
+  ASSERT_TRUE(live.Save(path).ok());
+
+  ServiceConfig sc;
+  sc.threads = 2;
+  sc.dispatchers = 2;
+  sc.max_batch = 4;
+  SearchService service(sc);
+  ASSERT_TRUE(service.LoadCollection("live", path).ok());
+  EXPECT_EQ(service.Stats().collections.at("live").shards, 3u);
+
+  const uint64_t pools_before = ThreadPool::num_created();
+  EXPECT_EQ(
+      ServePausedBacklogs(service, "live", fx.dataset.queries, expected, 2),
+      0u);
+  EXPECT_EQ(ThreadPool::num_created(), pools_before)
+      << "the loaded collection built a private pool on the query path";
+  service.Shutdown();
+  std::remove(path.c_str());
 }
 
 // --- Sharded collections ---------------------------------------------------

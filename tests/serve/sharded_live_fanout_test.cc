@@ -1,7 +1,7 @@
 // A sharded live collection served through SearchService must spread even a
 // one-query batch across its shards on the service's shared pool: the
 // MutableSearcher wrapper hands each batch to its sharded base, whose
-// (shard x query) tiling runs on whatever pool the service injected.
+// (shard x query) tiling runs on the pool the service passes with it.
 //
 // The binary counts which threads allocate while a query is in flight
 // (global operator new): every shard search allocates its result list, so

@@ -76,6 +76,15 @@ Status ValidateSearcherConfig(const SearcherConfig& config) {
     return Status::InvalidArgument(
         "SearcherConfig: nprobe must be > 0 on the IVF layout");
   }
+  // A zero fetch size never advances the scan of a block.
+  if ((config.search.adaptive_steps ? config.search.initial_step
+                                    : config.search.fixed_step) == 0) {
+    return Status::InvalidArgument(
+        config.search.adaptive_steps
+            ? "SearcherConfig: search.initial_step must be > 0"
+            : "SearcherConfig: search.fixed_step must be > 0 when "
+              "search.adaptive_steps is off");
+  }
   // Same discipline as Searcher::set_threads, which clamps at runtime:
   // ResolveThreadCount (common/parallel.h) owns the 0 = one-per-hardware-
   // thread semantic; counts above kMaxPoolThreads are unit mistakes.
@@ -375,6 +384,11 @@ Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
         DecodeIvfIndex(*image, shard, store.dim(), store.count());
     if (!ivf.ok()) return ivf.status();
     owned = std::move(ivf).value();
+    // The engine scans bucket b as the store's group b.
+    if (owned->num_buckets() != store.num_groups()) {
+      return Status::Corruption("collection file " + image->path() +
+                                ": store groups disagree with bucket count");
+    }
   }
   const IvfIndex* index = owned.get();
   auto make = [&](auto pruner) -> std::unique_ptr<Searcher> {

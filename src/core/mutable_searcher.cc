@@ -382,7 +382,10 @@ std::vector<Neighbor> MutableSearcher::MergeLocked(
   }
   if (!delta_.empty()) {
     const KernelTable& kernels = ActiveKernels();
-    std::vector<float> distances(delta_.block_capacity());
+    // No delta block holds more lanes than the delta has rows, whatever
+    // capacity the collection was configured (or loaded) with.
+    std::vector<float> distances(
+        std::min(delta_.block_capacity(), delta_.count()));
     for (size_t b = 0; b < delta_.num_blocks(); ++b) {
       const PdxBlock& block = delta_.block(b);
       // The dispatched vertical kernel accumulates per lane in ascending
@@ -417,7 +420,7 @@ std::vector<Neighbor> MutableSearcher::SearchWith(size_t slot,
                                                   const float* query,
                                                   PdxearchProfile* profile) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  const size_t k = knobs.k > 0 ? knobs.k : config_.k;
+  const size_t k = ResolveKLocked(knobs);
   if (profile != nullptr) *profile = PdxearchProfile{};
   if (LiveCountLocked() == 0) return {};
   std::vector<Neighbor> base =
@@ -429,7 +432,7 @@ std::vector<std::vector<Neighbor>> MutableSearcher::SearchBatchWith(
     size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
     ThreadPool* pool, PdxearchProfile* per_query) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  const size_t k = knobs.k > 0 ? knobs.k : config_.k;
+  const size_t k = ResolveKLocked(knobs);
   if (LiveCountLocked() == 0) {
     if (per_query != nullptr) {
       std::fill_n(per_query, num_queries, PdxearchProfile{});

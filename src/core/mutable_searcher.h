@@ -1,6 +1,7 @@
 #ifndef PDX_CORE_MUTABLE_SEARCHER_H_
 #define PDX_CORE_MUTABLE_SEARCHER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -202,6 +203,11 @@ class MutableSearcher final : public Searcher {
   /// filter (at most base_dead_ dead ones can outrank a live vector).
   QueryKnobs BaseKnobsLocked(size_t k, QueryKnobs knobs) const {
     return QueryKnobs{k + base_dead_, knobs.nprobe};
+  }
+  /// The query's k, saturated at the slot count: no query returns more,
+  /// and the merge heap (and the base over-fetch above) is sized by it.
+  size_t ResolveKLocked(QueryKnobs knobs) const {
+    return std::min(knobs.k > 0 ? knobs.k : config_.k, slot_ids_.size());
   }
 
   /// Guards all mutable state below. Searches take it shared, mutations and

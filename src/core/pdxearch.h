@@ -122,7 +122,9 @@ class PdxearchEngine {
     if (options_.collect_phase_times) {
       profile_.preprocess_ms = timer.ElapsedMillis();
     }
-    TopK heap(k);
+    // k saturates at the store's count: a larger k returns the same
+    // results, and the heap is sized by it.
+    TopK heap(std::min(k, store_->count()));
     for (size_t b = 0; b < store_->num_blocks(); ++b) {
       SearchBlock(qs, b, heap);
     }
@@ -148,7 +150,7 @@ class PdxearchEngine {
       profile_.find_buckets_ms = timer.ElapsedMillis();
     }
     const size_t probes = std::min(nprobe, ranked.size());
-    TopK heap(k);
+    TopK heap(std::min(k, store_->count()));
     for (size_t r = 0; r < probes; ++r) {
       const auto [first, last] = store_->GroupBlockRange(ranked[r]);
       for (size_t b = first; b < last; ++b) {

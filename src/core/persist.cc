@@ -123,7 +123,7 @@ Result<PdxStore> DecodePdxStore(const CollectionImage& image, uint32_t unit) {
 Result<std::unique_ptr<IvfIndex>> DecodeIvfIndex(const CollectionImage& image,
                                                  uint32_t shard, size_t dim,
                                                  size_t count) {
-  Result<IvfImage> ivf = DecodeIvf(image, shard);
+  Result<IvfImage> ivf = DecodeIvf(image, shard, count);
   if (!ivf.ok()) return ivf.status();
   Result<PdxStore> centroids_pdx = DecodePdxStore(image, 2 * shard + 1);
   if (!centroids_pdx.ok()) return centroids_pdx.status();

@@ -337,31 +337,37 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
   const size_t count = image->meta().count;
   const size_t num_shards = sharding.num_shards;
   if (num_shards <= 1) {
-    return MakeSearcherFromImage(std::move(image), 0, std::move(config));
-  }
-
-  std::vector<std::unique_ptr<Searcher>> shards;
-  shards.reserve(num_shards);
-  size_t restored = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    auto made =
-        MakeSearcherFromImage(image, static_cast<uint32_t>(s), config);
-    if (!made.ok()) return made.status();
-    restored += made.value()->count();
-    shards.push_back(std::move(made).value());
-  }
-  if (restored != count) {
-    return Status::Corruption(
-        "sharded load: shard counts sum to " + std::to_string(restored) +
-        " but collection meta says " + std::to_string(count));
+    auto made = MakeSearcherFromImage(image, 0, std::move(config));
+    if (made.ok() && made.value()->count() != count) {
+      return Status::Corruption(
+          "load: the store holds " + std::to_string(made.value()->count()) +
+          " vectors but collection meta says " + std::to_string(count));
+    }
+    return made;
   }
 
   // The maps are recomputed, not persisted: AssignShardIds is
   // deterministic in (count, num_shards, assignment), so these are the
-  // same maps the saved searcher used.
-  std::vector<ShardedSearcher::ShardMap> shard_maps = MapsFromShardIds(
-      sharding.assignment,
-      AssignShardIds(count, num_shards, sharding.assignment));
+  // same maps the saved searcher used. Each shard must hold exactly the
+  // vectors its map names, or a shard-local id would remap out of range.
+  std::vector<std::vector<VectorId>> shard_ids =
+      AssignShardIds(count, num_shards, sharding.assignment);
+  std::vector<std::unique_ptr<Searcher>> shards;
+  shards.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    auto made =
+        MakeSearcherFromImage(image, static_cast<uint32_t>(s), config);
+    if (!made.ok()) return made.status();
+    if (made.value()->count() != shard_ids[s].size()) {
+      return Status::Corruption(
+          "sharded load: shard " + std::to_string(s) + " holds " +
+          std::to_string(made.value()->count()) + " vectors but the " +
+          "assignment gives it " + std::to_string(shard_ids[s].size()));
+    }
+    shards.push_back(std::move(made).value());
+  }
+  std::vector<ShardedSearcher::ShardMap> shard_maps =
+      MapsFromShardIds(sharding.assignment, std::move(shard_ids));
   std::unique_ptr<Searcher> searcher(new ShardedSearcher(
       std::move(config), std::move(shards), std::move(shard_maps), count,
       sharding.assignment));

@@ -59,7 +59,10 @@ class QuantizedSearcher final : public Searcher {
     // reserve their bands first (growth reallocates slots_).
     if (slot >= slots_.size()) GrowSlots(slot + 1);
     Slot& s = *slots_[slot];
-    const size_t k = knobs.k > 0 ? knobs.k : config_.k;
+    // k saturates at the vector count: a larger k returns the same
+    // results, and the heaps below are sized by it.
+    const size_t k =
+        std::min(knobs.k > 0 ? knobs.k : config_.k, qstore_.count());
     const size_t nprobe = knobs.nprobe > 0 ? knobs.nprobe : config_.nprobe;
     const size_t dim = qstore_.dim();
     const bool timed = config_.search.collect_phase_times;
@@ -203,11 +206,6 @@ Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
   Result<QuantImage> quant = DecodeQuant(*image, shard);
   if (!quant.ok()) return quant.status();
   QuantImage& qi = quant.value();
-  if (qi.codes_bytes != uint64_t{qi.count} * qi.dim) {
-    return Status::Corruption("collection file " + image->path() +
-                              ": quant codes size disagrees with count x "
-                              "dim");
-  }
 
   std::unique_ptr<IvfIndex> owned;
   std::vector<size_t> group_sizes;
@@ -225,10 +223,6 @@ Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
     }
   } else {
     group_sizes.push_back(qi.count);
-  }
-  if (ids.size() != (config.layout == SearcherLayout::kIvf ? qi.count : 0)) {
-    return Status::Corruption("collection file " + image->path() +
-                              ": bucket lists disagree with quant count");
   }
 
   QuantizedPdxStore qstore = QuantizedPdxStore::FromView(

@@ -21,8 +21,12 @@ size_t AlignedBlockFloats(size_t dim, size_t n) {
   return (floats + 15) / 16 * 16;
 }
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
+// The five primes of the xxHash64 spec.
+constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
 
 constexpr size_t kHeaderBytes = 32;
 constexpr size_t kEntryBytes = 32;
@@ -210,14 +214,84 @@ Status ReadStats(ByteReader& reader, size_t dim, DimensionStats* out) {
   return Status::OK();
 }
 
+// Unaligned little-endian word reads go through memcpy, which compiles to
+// one load and keeps UBSan's alignment check quiet on any input pointer.
+uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t RotL64(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+uint64_t XxRound(uint64_t acc, uint64_t input) {
+  acc += input * kXxPrime2;
+  return RotL64(acc, 31) * kXxPrime1;
+}
+
+uint64_t XxMergeRound(uint64_t acc, uint64_t lane) {
+  acc ^= XxRound(0, lane);
+  return acc * kXxPrime1 + kXxPrime4;
+}
+
 }  // namespace
 
-uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t seed) {
-  uint64_t hash = seed != 0 ? seed : kFnvOffset;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= kFnvPrime;
+uint64_t XxHash64(const uint8_t* data, size_t size, uint64_t seed) {
+  const uint8_t* p = data;
+  const uint8_t* const end = data + size;
+  uint64_t hash;
+  if (size >= 32) {
+    // Four independent lanes over 32-byte stripes: the multiplies of one
+    // stripe overlap, which is what lifts this past a byte-serial hash.
+    uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    uint64_t v2 = seed + kXxPrime2;
+    uint64_t v3 = seed;
+    uint64_t v4 = seed - kXxPrime1;
+    const uint8_t* const last_stripe = end - 32;
+    do {
+      v1 = XxRound(v1, LoadU64(p));
+      v2 = XxRound(v2, LoadU64(p + 8));
+      v3 = XxRound(v3, LoadU64(p + 16));
+      v4 = XxRound(v4, LoadU64(p + 24));
+      p += 32;
+    } while (p <= last_stripe);
+    hash = RotL64(v1, 1) + RotL64(v2, 7) + RotL64(v3, 12) + RotL64(v4, 18);
+    hash = XxMergeRound(hash, v1);
+    hash = XxMergeRound(hash, v2);
+    hash = XxMergeRound(hash, v3);
+    hash = XxMergeRound(hash, v4);
+  } else {
+    hash = seed + kXxPrime5;
   }
+  hash += static_cast<uint64_t>(size);
+  // Tail: 8-byte words, then at most one 4-byte word, then single bytes.
+  while (end - p >= 8) {
+    hash ^= XxRound(0, LoadU64(p));
+    hash = RotL64(hash, 27) * kXxPrime1 + kXxPrime4;
+    p += 8;
+  }
+  if (end - p >= 4) {
+    hash ^= static_cast<uint64_t>(LoadU32(p)) * kXxPrime1;
+    hash = RotL64(hash, 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  while (p < end) {
+    hash ^= static_cast<uint64_t>(*p) * kXxPrime5;
+    hash = RotL64(hash, 11) * kXxPrime1;
+    ++p;
+  }
+  // Avalanche.
+  hash ^= hash >> 33;
+  hash *= kXxPrime2;
+  hash ^= hash >> 29;
+  hash *= kXxPrime3;
+  hash ^= hash >> 32;
   return hash;
 }
 
@@ -408,7 +482,7 @@ Status WriteCollectionFile(const std::string& path,
     AppendPod(table, sections[i].unit);
     AppendPod(table, offsets[i]);
     AppendPod(table, sections[i].size());
-    AppendPod(table, Fnv1a64(sections[i].data(), sections[i].size()));
+    AppendPod(table, XxHash64(sections[i].data(), sections[i].size()));
   }
 
   uint8_t header[kHeaderBytes] = {0};
@@ -418,8 +492,8 @@ Status WriteCollectionFile(const std::string& path,
   const uint32_t section_count = static_cast<uint32_t>(sections.size());
   std::memcpy(header + 8, &section_count, 4);
   std::memcpy(header + 16, &file_size, 8);
-  const uint64_t header_checksum = Fnv1a64(
-      table.data(), table.size(), Fnv1a64(header, kHeaderChecksumOffset));
+  const uint64_t header_checksum = XxHash64(
+      table.data(), table.size(), XxHash64(header, kHeaderChecksumOffset));
   std::memcpy(header + kHeaderChecksumOffset, &header_checksum, 8);
 
   // The snapshot goes to a fresh file beside `path`, is fsynced, and is
@@ -533,6 +607,15 @@ Result<std::shared_ptr<CollectionImage>> CollectionImage::Load(
     return Status::Corruption("collection file " + path +
                               ": invalid format version 0");
   }
+  if (version < kCollectionFormatVersion) {
+    // Only the current checksum is implemented, so an older file is refused
+    // here, before any checksum runs, rather than as a checksum mismatch.
+    return Status::InvalidArgument(
+        "collection file " + path + ": format version " +
+        std::to_string(version) + " is no longer supported (this build " +
+        "reads version " + std::to_string(kCollectionFormatVersion) +
+        " only; rebuild the collection and save it again)");
+  }
   uint32_t section_count = 0;
   std::memcpy(&section_count, data + 8, 4);
   uint64_t recorded_size = 0;
@@ -551,8 +634,8 @@ Result<std::shared_ptr<CollectionImage>> CollectionImage::Load(
   uint64_t stored_header_checksum = 0;
   std::memcpy(&stored_header_checksum, data + kHeaderChecksumOffset, 8);
   const uint64_t computed_header_checksum =
-      Fnv1a64(data + kHeaderBytes, kEntryBytes * section_count,
-              Fnv1a64(data, kHeaderChecksumOffset));
+      XxHash64(data + kHeaderBytes, kEntryBytes * section_count,
+               XxHash64(data, kHeaderChecksumOffset));
   if (stored_header_checksum != computed_header_checksum) {
     return Status::Corruption("collection file " + path +
                               ": header checksum mismatch");
@@ -583,7 +666,7 @@ Result<std::shared_ptr<CollectionImage>> CollectionImage::Load(
       return Status::Corruption("collection file " + path +
                                 ": misaligned arena section");
     }
-    if (Fnv1a64(data + e.offset, e.size) != checksum) {
+    if (XxHash64(data + e.offset, e.size) != checksum) {
       return Status::Corruption("collection file " + path + ": section " +
                                 std::to_string(e.kind) + "/" +
                                 std::to_string(e.unit) +
@@ -600,9 +683,19 @@ Result<std::shared_ptr<CollectionImage>> CollectionImage::Load(
                               ": unexpected metadata size");
   }
   std::memcpy(&image->meta_, meta.value().data, sizeof(SavedMeta));
-  if (image->meta_.dim == 0 || image->meta_.num_shards == 0) {
+  const SavedMeta& m = image->meta_;
+  if (m.dim == 0 || m.num_shards == 0) {
     return Status::Corruption("collection file " + path +
                               ": metadata has zero dim or shards");
+  }
+  // Every vector takes at least one byte per dimension in the file (u8
+  // codes; float arenas and rows take four), every shard holds a vector
+  // and at least one section. A shape the file cannot hold is corrupt, and
+  // bounding it here keeps every later size product from overflowing.
+  if (m.dim > size || m.count > size / m.dim || m.num_shards > m.count ||
+      m.num_shards > section_count) {
+    return Status::Corruption("collection file " + path +
+                              ": metadata shape exceeds the file");
   }
   return image;
 }
@@ -638,9 +731,12 @@ Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit) {
   ByteReader reader(meta.value());
   uint64_t dim = 0, count = 0, num_blocks = 0, num_groups = 0,
            arena_floats = 0;
+  // The arena holds count x dim floats, so count and dim are bounded by the
+  // file before any product of them is formed.
   if (!reader.ReadU64(&dim) || !reader.ReadU64(&count) ||
       !reader.ReadU64(&num_blocks) || !reader.ReadU64(&num_groups) ||
-      !reader.ReadU64(&arena_floats) || dim == 0) {
+      !reader.ReadU64(&arena_floats) || dim != image.meta().dim ||
+      count == 0 || count > image.file_bytes() / sizeof(float) / dim) {
     return malformed;
   }
   std::vector<uint32_t> block_counts;
@@ -654,7 +750,7 @@ Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit) {
   uint64_t total = 0;
   uint64_t expected_arena = 0;
   for (uint32_t bc : block_counts) {
-    if (bc == 0) return malformed;
+    if (bc == 0 || bc > count - total) return malformed;
     total += bc;
     expected_arena += AlignedBlockFloats(dim, bc);
   }
@@ -679,6 +775,18 @@ Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit) {
       return Status::Corruption("collection file " + image.path() +
                                 ": malformed store ids (unit " +
                                 std::to_string(unit) + ")");
+    }
+    // Lane ids index per-vector tables (id remaps, tombstones, rerank
+    // rows) with no further check, so each must name one of the store's
+    // own vectors.
+    for (const uint32_t id : raw_ids) {
+      if (id >= count) {
+        return Status::Corruption("collection file " + image.path() +
+                                  ": store lane id " + std::to_string(id) +
+                                  " out of range (unit " +
+                                  std::to_string(unit) + ", " +
+                                  std::to_string(count) + " vectors)");
+      }
     }
     out.ids.assign(raw_ids.begin(), raw_ids.end());
   }
@@ -713,7 +821,8 @@ Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit) {
   return out;
 }
 
-Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit) {
+Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit,
+                           size_t count) {
   Result<SectionView> buckets = image.Section(SectionKind::kIvfBuckets, unit);
   if (!buckets.ok()) return buckets.status();
   const Status malformed =
@@ -729,16 +838,24 @@ Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit) {
   }
   std::vector<uint64_t> offsets;
   std::vector<uint32_t> members;
-  if (num_buckets + 1 < num_buckets ||
+  if (num_buckets == 0 || num_buckets + 1 < num_buckets ||
       !reader.ReadU64Array(num_buckets + 1, &offsets) ||
       !reader.ReadU32Array(total, &members) || !reader.AtEnd()) {
     return malformed;
   }
-  if (offsets.front() != 0 || offsets.back() != total) return malformed;
+  // The buckets partition the shard: every vector sits in exactly one.
+  if (offsets.front() != 0 || offsets.back() != total || total != count) {
+    return malformed;
+  }
+  for (const uint32_t id : members) {
+    if (id >= count) return malformed;
+  }
   out.num_buckets = num_buckets;
   out.buckets.resize(num_buckets);
   for (size_t b = 0; b < num_buckets; ++b) {
-    if (offsets[b + 1] < offsets[b]) return malformed;
+    if (offsets[b + 1] < offsets[b] || offsets[b + 1] > total) {
+      return malformed;
+    }
     out.buckets[b].assign(members.begin() + offsets[b],
                           members.begin() + offsets[b + 1]);
   }
@@ -746,8 +863,9 @@ Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit) {
   Result<SectionView> rows =
       image.Section(SectionKind::kIvfCentroidRows, unit);
   if (!rows.ok()) return rows.status();
-  const uint64_t dim = image.meta().dim;
-  if (rows.value().size != num_buckets * dim * sizeof(float)) {
+  const uint64_t row_bytes = image.meta().dim * sizeof(float);
+  if (rows.value().size % row_bytes != 0 ||
+      rows.value().size / row_bytes != num_buckets) {
     return Status::Corruption("collection file " + image.path() +
                               ": centroid rows size mismatch (shard " +
                               std::to_string(unit) + ")");
@@ -763,7 +881,7 @@ Result<Matrix> DecodeRotation(const CollectionImage& image, uint32_t unit) {
   ByteReader reader(section.value());
   uint64_t rows = 0, cols = 0;
   if (!reader.ReadU64(&rows) || !reader.ReadU64(&cols) || rows == 0 ||
-      rows != cols || rows > reader.remaining()) {
+      rows != cols || rows > reader.remaining() / sizeof(float) / cols) {
     return Status::Corruption("collection file " + image.path() +
                               ": malformed rotation matrix");
   }
@@ -789,8 +907,10 @@ Result<PcaImage> DecodePca(const CollectionImage& image, uint32_t unit) {
     return malformed;
   }
   uint64_t rows = 0, cols = 0;
-  if (!reader.ReadU64(&rows) || !reader.ReadU64(&cols) || rows == 0 ||
-      cols != dim || rows > reader.remaining()) {
+  // A full basis: the transform writes one output per component row into
+  // a dim-sized query buffer.
+  if (!reader.ReadU64(&rows) || !reader.ReadU64(&cols) || rows != dim ||
+      cols != dim || rows > reader.remaining() / sizeof(float) / cols) {
     return malformed;
   }
   out.components = Matrix(rows, cols);
@@ -810,8 +930,8 @@ Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit) {
   ByteReader reader(params.value());
   QuantImage out;
   uint64_t dim = 0, count = 0;
-  if (!reader.ReadU64(&dim) || !reader.ReadU64(&count) || dim == 0 ||
-      count == 0 || dim > reader.remaining() ||
+  if (!reader.ReadU64(&dim) || !reader.ReadU64(&count) ||
+      dim != image.meta().dim || count == 0 ||
       !reader.ReadFloatVector(dim, &out.offsets) ||
       !reader.ReadFloatVector(dim, &out.scales) || !reader.AtEnd()) {
     return malformed;
@@ -821,7 +941,7 @@ Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit) {
 
   Result<SectionView> codes = image.Section(SectionKind::kQuantCodes, unit);
   if (!codes.ok()) return codes.status();
-  if (codes.value().size != count * dim) {
+  if (codes.value().size % dim != 0 || codes.value().size / dim != count) {
     return Status::Corruption("collection file " + image.path() +
                               ": quant codes size disagrees with count x dim");
   }
@@ -830,7 +950,8 @@ Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit) {
 
   Result<SectionView> rows = image.Section(SectionKind::kQuantRows, unit);
   if (!rows.ok()) return rows.status();
-  if (rows.value().size != count * dim * sizeof(float)) {
+  if (rows.value().size % (dim * sizeof(float)) != 0 ||
+      rows.value().size / (dim * sizeof(float)) != count) {
     return Status::Corruption("collection file " + image.path() +
                               ": quant rows size disagrees with count x dim");
   }
@@ -864,6 +985,7 @@ Result<MutableImage> DecodeMutable(const CollectionImage& image) {
   }
   std::vector<uint32_t> slots;
   if (!delta_reader.ReadU32Array(delta_count, &slots) ||
+      delta_count > delta_reader.remaining() / sizeof(float) / dim ||
       !delta_reader.ViewFloats(delta_count * dim, &out.delta_rows) ||
       !delta_reader.AtEnd()) {
     return malformed_delta;

@@ -24,8 +24,8 @@ namespace pdx {
 ///   [8]  u32 section count
 ///   [12] u32 reserved (0)
 ///   [16] u64 file size
-///   [24] u64 header checksum (FNV-1a 64 over bytes [0, 24) plus the
-///        whole section table)
+///   [24] u64 header checksum (XxHash64 of the whole section table,
+///        seeded with XxHash64 of bytes [0, 24))
 ///   [32] section table: per section
 ///        {u32 kind, u32 unit, u64 offset, u64 size, u64 payload checksum}
 ///   ...  payload sections
@@ -41,8 +41,11 @@ namespace pdx {
 /// uses unit 2*s, its IVF-centroid store unit 2*s + 1; per-shard sections
 /// (buckets, pruner transforms) use unit s. Collection-wide sections use
 /// unit 0.
+///
+/// Version 2 checksums with xxHash64; version 1 used FNV-1a 64 with the same
+/// layout. The loader rejects every version but the current one.
 inline constexpr char kCollectionMagic[4] = {'P', 'D', 'X', 'C'};
-inline constexpr uint32_t kCollectionFormatVersion = 1;
+inline constexpr uint32_t kCollectionFormatVersion = 2;
 
 enum class SectionKind : uint32_t {
   kCollectionMeta = 1,   ///< One SavedMeta (unit 0).
@@ -236,16 +239,19 @@ struct StoreImage {
   size_t arena_floats = 0;
 };
 
-/// Decodes store unit `unit` (meta + ids + stats + arena view).
+/// Decodes store unit `unit` (meta + ids + stats + arena view). Every lane
+/// id is below the store's count.
 Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit);
 
-/// IVF structures of shard `unit`.
+/// IVF structures of shard `unit`, whose `count` vectors the buckets must
+/// partition: every member is below `count` and the lists hold `count` ids.
 struct IvfImage {
   std::vector<std::vector<VectorId>> buckets;
   const float* centroid_rows = nullptr;  ///< nb x dim floats.
   size_t num_buckets = 0;
 };
-Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit);
+Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit,
+                           size_t count);
 
 /// ADSampling rotation of shard `unit`.
 Result<Matrix> DecodeRotation(const CollectionImage& image, uint32_t unit);
@@ -258,8 +264,9 @@ struct PcaImage {
 };
 Result<PcaImage> DecodePca(const CollectionImage& image, uint32_t unit);
 
-/// u8 quantized tier of shard `unit`: parameters owned, codes and rerank
-/// rows borrowed 64-byte-aligned views into the image.
+/// u8 quantized tier of shard `unit`: parameters owned, codes (count x dim
+/// bytes) and rerank rows (count x dim floats) borrowed 64-byte-aligned
+/// views into the image.
 struct QuantImage {
   size_t dim = 0;
   size_t count = 0;
@@ -285,9 +292,10 @@ struct MutableImage {
 };
 Result<MutableImage> DecodeMutable(const CollectionImage& image);
 
-/// FNV-1a 64-bit — the format's checksum. Exposed for tests that corrupt
-/// files surgically.
-uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t seed = 0);
+/// xxHash64 (XXH64 of the published xxHash spec) — the format's checksum,
+/// for every section payload and for the header. The header checksum chains
+/// through `seed`. Exposed for tests that corrupt files surgically.
+uint64_t XxHash64(const uint8_t* data, size_t size, uint64_t seed = 0);
 
 }  // namespace pdx
 

@@ -482,6 +482,20 @@ TEST(AnySearcherTest, RejectsZeroBondZoneSize) {
       MakeSearcher(fx.dataset.data, config).status().IsInvalidArgument());
 }
 
+TEST(AnySearcherTest, RejectsAZeroFetchStep) {
+  // A zero step never advances a block's scan: the search would spin.
+  Fixture fx = MakeFixture(16, 86);
+  SearcherConfig config;
+  config.search.initial_step = 0;
+  EXPECT_TRUE(
+      MakeSearcher(fx.dataset.data, config).status().IsInvalidArgument());
+  config.search.adaptive_steps = false;
+  EXPECT_TRUE(MakeSearcher(fx.dataset.data, config).ok());
+  config.search.fixed_step = 0;
+  EXPECT_TRUE(
+      MakeSearcher(fx.dataset.data, config).status().IsInvalidArgument());
+}
+
 TEST(AnySearcherTest, RejectsOutOfRangeEnumValues) {
   Fixture fx = MakeFixture(16, 84);
   SearcherConfig config;

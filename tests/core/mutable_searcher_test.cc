@@ -500,5 +500,36 @@ TEST(MutableSearcherTest, RejectsOutOfRangeIds) {
   EXPECT_EQ(live.mutation_stats().delta_rows, 0u);
 }
 
+TEST(MutableSearcherTest, HugeDeltaBlockCapacityServesTheSameResults) {
+  // The capacity only caps how many lanes a delta block may grow to; the
+  // per-query scratch of the delta scan is sized by what the delta holds,
+  // so a huge capacity (configured, or read back from a file) answers
+  // exactly as the default one does.
+  VectorSet base = RandomVectors(300, 8, 27);
+  MutationConfig huge;
+  huge.delta_block_capacity = SIZE_MAX;
+  auto wide = MutableSearcher::Make(
+      base, Config(SearcherLayout::kFlat, PrunerKind::kLinear), huge);
+  auto plain = MutableSearcher::Make(
+      base, Config(SearcherLayout::kFlat, PrunerKind::kLinear));
+  ASSERT_TRUE(wide.ok() && plain.ok());
+  Rng rng(28);
+  for (int r = 0; r < 3; ++r) {
+    const std::vector<float> row = RandomRow(rng, 8);
+    ASSERT_TRUE(wide.value()->Add(row.data(), 1).ok());
+    ASSERT_TRUE(plain.value()->Add(row.data(), 1).ok());
+  }
+  for (int q = 0; q < 4; ++q) {
+    const std::vector<float> query = RandomRow(rng, 8);
+    const auto expected = plain.value()->Search(query.data());
+    const auto actual = wide.value()->Search(query.data());
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].id, expected[i].id);
+      EXPECT_EQ(actual[i].distance, expected[i].distance);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pdx

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -200,6 +201,38 @@ TEST(SearcherSurfaceTest, EveryQuerySurfaceAgreesOnEveryImplementation) {
       }
       // Per-call knobs never touch the configured defaults.
       EXPECT_EQ(generic->options().k, defaults.k) << label;
+    }
+  }
+}
+
+TEST(SearcherSurfaceTest, HugeKMatchesKEqualToCount) {
+  // Any k at or past the vector count returns every candidate the search
+  // reaches, so a huge k — configured, as a loaded file's meta can carry
+  // it, or per call — must answer exactly as k = count() does instead of
+  // sizing a heap by it.
+  const Dataset data = MakeData();
+  constexpr size_t kQueries = 3;
+  constexpr size_t kHugeK = size_t{1} << 40;
+  for (const Case& c : Cases(data)) {
+    SearcherConfig huge_config = c.config;
+    huge_config.k = kHugeK;
+    std::unique_ptr<Searcher> huge = c.build(huge_config);
+    ASSERT_NE(huge, nullptr) << c.name;
+    SearcherConfig count_config = c.config;
+    count_config.k = huge->count();
+    std::unique_ptr<Searcher> everything = c.build(count_config);
+    ASSERT_NE(everything, nullptr) << c.name;
+
+    const auto expected =
+        everything->SearchBatch(data.queries.data(), kQueries);
+    const auto configured = huge->SearchBatch(data.queries.data(), kQueries);
+    const auto per_call = everything->SearchBatchWith(
+        0, QueryKnobs{SIZE_MAX, 0}, data.queries.data(), kQueries);
+    for (size_t q = 0; q < kQueries; ++q) {
+      const std::string label = c.name + " q" + std::to_string(q);
+      EXPECT_GT(expected[q].size(), c.config.k) << label;
+      ExpectSameNeighbors(configured[q], expected[q], label + " configured");
+      ExpectSameNeighbors(per_call[q], expected[q], label + " per call");
     }
   }
 }

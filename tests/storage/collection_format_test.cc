@@ -81,9 +81,9 @@ T ReadAt(const std::vector<uint8_t>& bytes, size_t offset) {
 /// checksum.
 void FixHeaderChecksum(std::vector<uint8_t>& bytes) {
   const uint32_t sections = ReadAt<uint32_t>(bytes, kOffSectionCount);
-  uint64_t checksum = Fnv1a64(bytes.data(), kOffHeaderChecksum);
-  checksum = Fnv1a64(bytes.data() + kSectionTableStart,
-                     sections * kSectionEntrySize, checksum);
+  uint64_t checksum = XxHash64(bytes.data(), kOffHeaderChecksum);
+  checksum = XxHash64(bytes.data() + kSectionTableStart,
+                      sections * kSectionEntrySize, checksum);
   std::memcpy(bytes.data() + kOffHeaderChecksum, &checksum, sizeof(checksum));
 }
 
@@ -99,9 +99,9 @@ TEST(CollectionFormatTest, GoldenHeaderAndSectionTableLayout) {
   EXPECT_GE(sections, 3u);  // At least meta + store meta/ids/stats/arena.
   EXPECT_EQ(ReadAt<uint32_t>(bytes, kOffReserved), 0u);
   EXPECT_EQ(ReadAt<uint64_t>(bytes, kOffFileSize), bytes.size());
-  uint64_t expected = Fnv1a64(bytes.data(), kOffHeaderChecksum);
-  expected = Fnv1a64(bytes.data() + kSectionTableStart,
-                     sections * kSectionEntrySize, expected);
+  uint64_t expected = XxHash64(bytes.data(), kOffHeaderChecksum);
+  expected = XxHash64(bytes.data() + kSectionTableStart,
+                      sections * kSectionEntrySize, expected);
   EXPECT_EQ(ReadAt<uint64_t>(bytes, kOffHeaderChecksum), expected);
 
   // Section table: 32-byte entries {u32 kind, u32 unit, u64 offset,
@@ -117,7 +117,7 @@ TEST(CollectionFormatTest, GoldenHeaderAndSectionTableLayout) {
     EXPECT_GE(kind, static_cast<uint32_t>(SectionKind::kCollectionMeta));
     EXPECT_LE(kind, static_cast<uint32_t>(SectionKind::kTombstones));
     ASSERT_LE(offset + size, bytes.size());
-    EXPECT_EQ(Fnv1a64(bytes.data() + offset, size), checksum);
+    EXPECT_EQ(XxHash64(bytes.data() + offset, size), checksum);
     if (kind == static_cast<uint32_t>(SectionKind::kCollectionMeta)) {
       saw_meta = true;
       EXPECT_EQ(size, sizeof(SavedMeta));
@@ -153,6 +153,28 @@ TEST(CollectionFormatTest, FutureVersionIsRejectedAsInvalidArgument) {
   EXPECT_TRUE(image.status().IsInvalidArgument());
   EXPECT_NE(image.status().message().find("newer"), std::string::npos)
       << image.status().ToString();
+}
+
+TEST(CollectionFormatTest, V1FileIsRejectedNamingItsVersion) {
+  // Version 1 files carry FNV-1a checksums, which this build no longer
+  // computes: they must fail on the version, named in the message, not as
+  // a checksum mismatch further down.
+  const std::string path = TempPath("v1.pdxc");
+  std::vector<uint8_t> bytes = WriteSampleFile(path);
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + kOffVersion, &v1, sizeof(v1));
+  WriteBytes(path, bytes.data(), bytes.size());
+  for (const bool allow_mmap : {true, false}) {
+    auto image = CollectionImage::Load(path, allow_mmap);
+    ASSERT_FALSE(image.ok());
+    EXPECT_TRUE(image.status().IsInvalidArgument())
+        << image.status().ToString();
+    EXPECT_NE(image.status().message().find("format version 1"),
+              std::string::npos)
+        << image.status().ToString();
+    EXPECT_EQ(image.status().message().find("checksum"), std::string::npos)
+        << image.status().ToString();
+  }
 }
 
 TEST(CollectionFormatTest, VersionZeroIsCorruption) {
@@ -230,14 +252,23 @@ TEST(CollectionFormatTest, FlippedChecksumBytesFailLoad) {
   }
 }
 
-TEST(CollectionFormatTest, FnvChecksumIsPinned) {
-  // The checksum algorithm is part of the format: a "faster" replacement
-  // would silently orphan every existing file. Standard FNV-1a 64 vectors.
-  EXPECT_EQ(Fnv1a64(nullptr, 0), 0xcbf29ce484222325ull);
-  const uint8_t a = 'a';
-  EXPECT_EQ(Fnv1a64(&a, 1), 0xaf63dc4c8601ec8cull);
-  const uint8_t foobar[6] = {'f', 'o', 'o', 'b', 'a', 'r'};
-  EXPECT_EQ(Fnv1a64(foobar, 6), 0x85944171f73967e8ull);
+TEST(CollectionFormatTest, XxHash64ChecksumIsPinned) {
+  // The checksum algorithm is part of the format: a different hash would
+  // silently orphan every existing file. Published XXH64 seed-0 vectors,
+  // chosen so that between them they take every branch: the short-input
+  // seed, the 32-byte stripe loop, and the 8-byte, 4-byte and 1-byte tails.
+  const auto xxh = [](const std::string& s) {
+    return XxHash64(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  };
+  EXPECT_EQ(XxHash64(nullptr, 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh("abc"), 0x44bc2cf5ad770999ull);
+  const std::string spam = "Nobody inspects the spammish repetition";
+  ASSERT_EQ(spam.size(), 39u);  // A stripe, a 4-byte and three 1-byte tails.
+  EXPECT_EQ(xxh(spam), 0xfbcea83c8a378bf1ull);
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  ASSERT_EQ(fox.size(), 43u);  // A stripe, an 8-byte and three 1-byte tails.
+  EXPECT_EQ(xxh(fox), 0x0b242d361fda71bcull);
 }
 
 }  // namespace

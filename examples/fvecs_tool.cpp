@@ -7,12 +7,15 @@
 //       Prints count/dim and per-dimension statistics summary.
 //   fvecs_tool search <data.fvecs> <queries.fvecs> <k>
 //       Exact k-NN of every query via PDX-BOND; prints ids and distances.
-//   fvecs_tool save <data.fvecs> <out.pdxc>
-//       Builds an IVF/BOND collection and persists it in the PDXC format.
+//   fvecs_tool save <data.fvecs> <out.pdxc> [<queries.fvecs> <k>]
+//       Builds an IVF PDX-BOND collection (dimension zones) and persists it
+//       in the PDXC format; with queries, also prints the saved searcher's
+//       answers in restore-search's `query N:` format.
 //   fvecs_tool restore-search <collection.pdxc> <queries.fvecs> <k>
 //       Restores a saved collection (no k-means, no re-packing) and
 //       searches it. `save` in one process + `restore-search` in another
-//       is the cross-process round-trip CI exercises.
+//       is the cross-process round-trip CI exercises: the two processes'
+//       `query N:` lines must be identical.
 //
 // Demonstrates the I/O layer (Status-based error handling) and the
 // plug-and-play property of PDX-BOND: point it at raw floats and search.
@@ -70,23 +73,19 @@ int Info(const char* path) {
   return 0;
 }
 
-int Search(const char* data_path, const char* query_path, size_t k) {
-  pdx::Result<pdx::VectorSet> data = pdx::ReadFvecs(data_path);
-  if (!data.ok()) return Fail(data.status());
+/// Prints `searcher`'s k-NN of every query as `query N: id:distance ...`,
+/// the lines a save and a restore in another process must agree on.
+int PrintAnswers(pdx::Searcher& searcher, const char* query_path, size_t k) {
   pdx::Result<pdx::VectorSet> queries = pdx::ReadFvecs(query_path);
   if (!queries.ok()) return Fail(queries.status());
-  if (data.value().dim() != queries.value().dim()) {
+  if (searcher.dim() != queries.value().dim()) {
     return Fail(pdx::Status::InvalidArgument(
-        "data and query dimensionality differ"));
+        "collection and query dimensionality differ"));
   }
-
-  pdx::SearcherConfig config;  // Flat PDX-BOND: exact search.
-  config.k = k;
-  auto made = pdx::MakeSearcher(data.value(), std::move(config));
-  if (!made.ok()) return Fail(made.status());
-  pdx::Searcher& searcher = *made.value();
+  if (k == 0) return Fail(pdx::Status::InvalidArgument("k must be > 0"));
   for (size_t q = 0; q < queries.value().count(); ++q) {
-    const auto neighbors = searcher.Search(queries.value().Vector(q));
+    const auto neighbors = searcher.SearchWith(0, pdx::QueryKnobs{k, 0},
+                                               queries.value().Vector(q));
     std::printf("query %zu:", q);
     for (const pdx::Neighbor& n : neighbors) {
       std::printf(" %u:%.4f", n.id, n.distance);
@@ -96,7 +95,18 @@ int Search(const char* data_path, const char* query_path, size_t k) {
   return 0;
 }
 
-int SaveCollection(const char* data_path, const char* out_path) {
+int Search(const char* data_path, const char* query_path, size_t k) {
+  pdx::Result<pdx::VectorSet> data = pdx::ReadFvecs(data_path);
+  if (!data.ok()) return Fail(data.status());
+  pdx::SearcherConfig config;  // Flat PDX-BOND: exact search.
+  config.k = k;
+  auto made = pdx::MakeSearcher(data.value(), std::move(config));
+  if (!made.ok()) return Fail(made.status());
+  return PrintAnswers(*made.value(), query_path, k);
+}
+
+int SaveCollection(const char* data_path, const char* out_path,
+                   const char* query_path, size_t k) {
   pdx::Result<pdx::VectorSet> data = pdx::ReadFvecs(data_path);
   if (!data.ok()) return Fail(data.status());
   pdx::SearcherConfig config;
@@ -109,33 +119,18 @@ int SaveCollection(const char* data_path, const char* out_path) {
   if (!saved.ok()) return Fail(saved);
   std::printf("saved %zu x %zu to %s\n", data.value().count(),
               data.value().dim(), out_path);
-  return 0;
+  if (query_path == nullptr) return 0;
+  return PrintAnswers(*made.value(), query_path, k);
 }
 
 int RestoreSearch(const char* collection_path, const char* query_path,
                   size_t k) {
   auto loaded = pdx::LoadCollection(collection_path);
   if (!loaded.ok()) return Fail(loaded.status());
-  pdx::Result<pdx::VectorSet> queries = pdx::ReadFvecs(query_path);
-  if (!queries.ok()) return Fail(queries.status());
-  if (loaded.value().searcher->dim() != queries.value().dim()) {
-    return Fail(pdx::Status::InvalidArgument(
-        "collection and query dimensionality differ"));
-  }
-  if (k == 0) return Fail(pdx::Status::InvalidArgument("k must be > 0"));
   std::printf("restored %s (%s, %llu bytes)\n", collection_path,
               loaded.value().source.c_str(),
               static_cast<unsigned long long>(loaded.value().file_bytes));
-  for (size_t q = 0; q < queries.value().count(); ++q) {
-    const auto neighbors = loaded.value().searcher->SearchWith(
-        0, pdx::QueryKnobs{k, 0}, queries.value().Vector(q));
-    std::printf("query %zu:", q);
-    for (const pdx::Neighbor& n : neighbors) {
-      std::printf(" %u:%.4f", n.id, n.distance);
-    }
-    std::printf("\n");
-  }
-  return 0;
+  return PrintAnswers(*loaded.value().searcher, query_path, k);
 }
 
 void Usage() {
@@ -144,7 +139,8 @@ void Usage() {
                "  fvecs_tool generate <out.fvecs> <count> <dim> [skewed]\n"
                "  fvecs_tool info <file.fvecs>\n"
                "  fvecs_tool search <data.fvecs> <queries.fvecs> <k>\n"
-               "  fvecs_tool save <data.fvecs> <out.pdxc>\n"
+               "  fvecs_tool save <data.fvecs> <out.pdxc> "
+               "[<queries.fvecs> <k>]\n"
                "  fvecs_tool restore-search <collection.pdxc> "
                "<queries.fvecs> <k>\n");
 }
@@ -172,7 +168,13 @@ int main(int argc, char** argv) {
   if (command == "search" && argc == 5) {
     return Search(argv[2], argv[3], std::strtoull(argv[4], nullptr, 10));
   }
-  if (command == "save" && argc == 4) return SaveCollection(argv[2], argv[3]);
+  if (command == "save" && argc == 4) {
+    return SaveCollection(argv[2], argv[3], nullptr, 0);
+  }
+  if (command == "save" && argc == 6) {
+    return SaveCollection(argv[2], argv[3], argv[4],
+                          std::strtoull(argv[5], nullptr, 10));
+  }
   if (command == "restore-search" && argc == 5) {
     return RestoreSearch(argv[2], argv[3],
                          std::strtoull(argv[4], nullptr, 10));

@@ -41,7 +41,7 @@ int main() {
   std::printf("searcher: %s layout, %s pruner, %zu PDX blocks\n",
               pdx::SearcherLayoutName(searcher->options().layout),
               pdx::PrunerKindName(searcher->options().pruner),
-              searcher->store().num_blocks());
+              searcher->num_blocks());
 
   // 3. Query. Results are exact (identical to brute force), but most
   //    dimension values are never touched thanks to pruning.

@@ -41,6 +41,10 @@ inline const char* MetricName(Metric metric) {
 /// 64 is the sweet spot across NEON/AVX2/AVX512 (paper Table 5): the
 /// per-lane distance accumulators of a full block fit in the architectural
 /// SIMD register file, so the inner loop never spills to memory.
+///
+/// PDXC files do not record the IVF centroid store's layout: the loader
+/// derives it from this constant, so changing it needs a format version
+/// bump (storage/collection_format.h).
 inline constexpr size_t kPdxBlockSize = 64;
 
 /// Cache-line / widest-SIMD-register alignment used for vector data.

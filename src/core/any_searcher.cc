@@ -11,6 +11,7 @@
 #include "pruning/bsa.h"
 #include "pruning/pdx_bond.h"
 #include "quant/quantized_searcher.h"
+#include "storage/block_stats.h"
 #include "storage/collection_format.h"
 
 namespace pdx {
@@ -245,7 +246,9 @@ class AnySearcherImpl final : public Searcher {
     pruner_.BuildAux(store_);
   }
 
-  const PdxStore& store() const override { return store_; }
+  size_t num_blocks() const override { return store_.num_blocks(); }
+  size_t count() const override { return store_.count(); }
+  size_t dim() const override { return store_.dim(); }
 
   const IvfIndex* index() const override { return index_; }
 
@@ -255,7 +258,8 @@ class AnySearcherImpl final : public Searcher {
     out.meta.dim = dim();
     out.meta.count = count();
     SavedShard shard;
-    shard.store = ExportStore(store_);
+    shard.arena = store_.arena_data();
+    shard.arena_floats = store_.arena_floats();
     if (index_ != nullptr) ExportIvf(*index_, shard);
     if constexpr (std::is_same_v<P, AdSamplingPruner>) {
       shard.ads_rotation = pruner_.rotation();
@@ -264,9 +268,9 @@ class AnySearcherImpl final : public Searcher {
       shard.pca_mean = pca.mean();
       shard.pca_variance = pca.explained_variance();
       shard.pca_components = pca.components();
+    } else if constexpr (std::is_same_v<P, PdxBondPruner>) {
+      shard.bond_means = pruner_.means();
     }
-    // PDX-BOND needs no section: it is rebuilt from the persisted store
-    // stats (means) plus the resolved order/zone knobs in the meta.
     out.shards.push_back(std::move(shard));
     return Status::OK();
   }
@@ -352,10 +356,10 @@ std::unique_ptr<Searcher> BuildSearcher(const VectorSet& vectors,
       return make(std::move(store), std::move(pruner));
     }
     case PrunerKind::kBond: {
-      PdxStore store = pack(vectors);
-      PdxBondPruner pruner(store.stats().means, *config.bond_order,
-                           config.bond_zone_size);
-      return make(std::move(store), std::move(pruner));
+      PdxBondPruner pruner(
+          ComputeStats(vectors.data(), vectors.count(), vectors.dim()).means,
+          *config.bond_order, config.bond_zone_size);
+      return make(pack(vectors), std::move(pruner));
     }
   }
   return nullptr;
@@ -365,31 +369,28 @@ std::unique_ptr<Searcher> BuildSearcher(const VectorSet& vectors,
 
 Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
     std::shared_ptr<const CollectionImage> image, uint32_t shard,
-    SearcherConfig config) {
+    size_t count, SearcherConfig config) {
   PDX_RETURN_IF_ERROR(ValidateSearcherConfig(config));
   config = ResolveConfig(std::move(config));
   if (config.quantization == QuantizationKind::kU8) {
-    return RestoreQuantizedSearcher(std::move(image), shard,
+    return RestoreQuantizedSearcher(std::move(image), shard, count,
                                     std::move(config));
   }
 
-  // No transform, no packing: the store views the image and the pruner is
-  // reloaded (or, for PDX-BOND, rebuilt from the persisted store stats).
-  Result<PdxStore> decoded = DecodePdxStore(*image, 2 * shard);
-  if (!decoded.ok()) return decoded.status();
-  PdxStore store = std::move(decoded).value();
+  // No transform, no packing: the store views the image in the layout the
+  // build packed (derived from count, block_capacity and the buckets), and
+  // the pruner is reloaded.
   std::unique_ptr<IvfIndex> owned;
   if (config.layout == SearcherLayout::kIvf) {
     Result<std::unique_ptr<IvfIndex>> ivf =
-        DecodeIvfIndex(*image, shard, store.dim(), store.count());
+        DecodeIvfIndex(*image, shard, count);
     if (!ivf.ok()) return ivf.status();
     owned = std::move(ivf).value();
-    // The engine scans bucket b as the store's group b.
-    if (owned->num_buckets() != store.num_groups()) {
-      return Status::Corruption("collection file " + image->path() +
-                                ": store groups disagree with bucket count");
-    }
   }
+  Result<PdxStore> decoded = DecodePdxStore(*image, shard, count, owned.get(),
+                                            config.block_capacity);
+  if (!decoded.ok()) return decoded.status();
+  PdxStore store = std::move(decoded).value();
   const IvfIndex* index = owned.get();
   auto make = [&](auto pruner) -> std::unique_ptr<Searcher> {
     std::unique_ptr<Searcher> searcher =
@@ -429,9 +430,12 @@ Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
                                            std::move(pca.value().components)),
                             config.bsa_multiplier));
     }
-    case PrunerKind::kBond:
-      return make(PdxBondPruner(store.stats().means, *config.bond_order,
+    case PrunerKind::kBond: {
+      Result<std::vector<float>> means = DecodeMeans(*image, shard);
+      if (!means.ok()) return means.status();
+      return make(PdxBondPruner(std::move(means).value(), *config.bond_order,
                                 config.bond_zone_size));
+    }
   }
   return Status::Internal("MakeSearcherFromImage: unhandled pruner");
 }

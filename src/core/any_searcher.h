@@ -163,19 +163,18 @@ class Searcher {
   /// Work record of the most recent Search.
   const PdxearchProfile& last_profile() const { return last_profile_; }
 
-  /// The PDX store backing this searcher (post-transformation layout). A
-  /// sharded searcher returns its first shard's store; use count() for the
-  /// logical collection size.
-  virtual const PdxStore& store() const = 0;
+  /// Blocks this searcher scans from: PDX blocks on the float tiers, code
+  /// blocks on the u8 tier; a sharded searcher sums its shards, and a live
+  /// collection reports its base (not its delta).
+  virtual size_t num_blocks() const = 0;
 
   /// The IVF index queries are routed through; nullptr on the flat layout
   /// and on sharded searchers (each shard routes through its own index).
   virtual const IvfIndex* index() const = 0;
 
-  /// Vectors searchable through this facade. Equals store().count() for the
-  /// single-store searchers; a sharded searcher reports the sum over its
-  /// shards.
-  virtual size_t count() const { return store().count(); }
+  /// Vectors searchable through this facade; a sharded searcher reports
+  /// the sum over its shards.
+  virtual size_t count() const = 0;
 
   /// Ceiling for runtime nprobe overrides: the IVF index's bucket count (1
   /// on the flat layout, where nprobe is ignored). A sharded searcher
@@ -265,9 +264,8 @@ class Searcher {
   }
 
   const SearcherConfig& options() const { return config_; }
-  /// Vector dimensionality. Virtual so wrappers whose store() is swappable
-  /// (MutableSearcher under compaction) can answer from an immutable cache.
-  virtual size_t dim() const { return store().dim(); }
+  /// Vector dimensionality.
+  virtual size_t dim() const = 0;
 
   /// Sizes the pool Search/SearchBatch own. A count above kMaxPoolThreads
   /// is a programming error (asserted in debug builds) and clamped in

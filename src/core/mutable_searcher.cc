@@ -312,9 +312,7 @@ MutationStats MutableSearcher::mutation_stats() const {
   stats.live = LiveCountLocked();
   stats.base_rows = base_count_;
   stats.delta_rows = delta_.count();
-  // For a sharded base this is the first shard's store — a per-shard view,
-  // matching the facade's store() contract.
-  stats.base_blocks = inner_->store().num_blocks();
+  stats.base_blocks = inner_->num_blocks();
   stats.delta_blocks = delta_.num_blocks();
   stats.tombstones = base_dead_ + delta_dead_;
   stats.compactions = compactions_;
@@ -458,9 +456,9 @@ void MutableSearcher::ReserveScratch(size_t slots) {
   inner_->ReserveScratch(slots);
 }
 
-const PdxStore& MutableSearcher::store() const {
+size_t MutableSearcher::num_blocks() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return inner_->store();
+  return inner_->num_blocks();
 }
 
 const IvfIndex* MutableSearcher::index() const {

@@ -40,7 +40,7 @@ struct MutationStats {
   size_t live = 0;         ///< Searchable vectors (appended minus deleted).
   size_t base_rows = 0;    ///< Rows in the immutable base searcher.
   size_t delta_rows = 0;   ///< Rows in the append delta region.
-  size_t base_blocks = 0;  ///< PDX blocks in the base store.
+  size_t base_blocks = 0;  ///< Blocks of the base, summed over its shards.
   size_t delta_blocks = 0;
   size_t tombstones = 0;   ///< Dead slots awaiting compaction (base + delta).
   uint64_t compactions = 0;  ///< Completed Compact() calls, lifetime.
@@ -163,9 +163,9 @@ class MutableSearcher final : public Searcher {
       ThreadPool* pool, PdxearchProfile* per_query) override;
   void ReserveScratch(size_t slots) override;
 
-  /// The current base searcher's store. The reference is only stable while
-  /// no compaction runs; prefer count()/dim() for metadata.
-  const PdxStore& store() const override;
+  /// The current base searcher's blocks (every shard's); the delta's are
+  /// mutation_stats().delta_blocks.
+  size_t num_blocks() const override;
   const IvfIndex* index() const override;
   /// Live vectors (base + delta - tombstones).
   size_t count() const override;

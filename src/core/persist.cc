@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -95,12 +96,36 @@ Status ConfigFromMeta(const SavedMeta& meta, SearcherConfig* config,
   return Status::OK();
 }
 
+namespace {
+
+/// One group of `count` vectors in row order: the flat store's lanes, and
+/// the IVF centroids'.
+std::vector<std::vector<VectorId>> RowOrder(size_t count) {
+  std::vector<std::vector<VectorId>> groups(1, std::vector<VectorId>(count));
+  std::iota(groups[0].begin(), groups[0].end(), 0);
+  return groups;
+}
+
+/// The store of `groups` of `dim`-d vectors split by `block_capacity`,
+/// viewing the arena (`kind`, `unit`) of `image`, which must hold exactly
+/// that layout.
+Result<PdxStore> DecodeStoreView(
+    const CollectionImage& image, SectionKind kind, uint32_t unit,
+    size_t dim, const std::vector<std::vector<VectorId>>& groups,
+    size_t block_capacity) {
+  Result<const float*> arena =
+      DecodeArena(image, kind, unit,
+                  PdxStore::ArenaFloats(dim, groups, block_capacity));
+  if (!arena.ok()) return arena.status();
+  return PdxStore::FromView(dim, groups, block_capacity, arena.value());
+}
+
+}  // namespace
+
 void ExportIvf(const IvfIndex& index, SavedShard& shard) {
   shard.has_ivf = true;
-  shard.centroids = ExportStore(index.centroids_pdx());
-  const VectorSet& rows = index.centroids();
-  shard.centroid_rows.assign(rows.data(),
-                             rows.data() + rows.count() * rows.dim());
+  shard.centroid_arena = index.centroids_pdx().arena_data();
+  shard.centroid_arena_floats = index.centroids_pdx().arena_floats();
   shard.bucket_offsets.reserve(index.num_buckets() + 1);
   shard.bucket_offsets.push_back(0);
   for (const std::vector<VectorId>& bucket : index.buckets()) {
@@ -110,33 +135,29 @@ void ExportIvf(const IvfIndex& index, SavedShard& shard) {
   }
 }
 
-Result<PdxStore> DecodePdxStore(const CollectionImage& image, uint32_t unit) {
-  Result<StoreImage> decoded = DecodeStore(image, unit);
-  if (!decoded.ok()) return decoded.status();
-  StoreImage& si = decoded.value();
-  return PdxStore::FromView(si.dim, si.count, si.block_counts,
-                            std::move(si.group_block_start), si.ids,
-                            std::move(si.stats), std::move(si.block_stats),
-                            si.arena);
+Result<PdxStore> DecodePdxStore(const CollectionImage& image,
+                                uint32_t shard, size_t count,
+                                const IvfIndex* index, size_t block_capacity) {
+  if (index != nullptr) {
+    return DecodeStoreView(image, SectionKind::kStoreArena, shard,
+                           image.meta().dim, index->buckets(),
+                           block_capacity);
+  }
+  return DecodeStoreView(image, SectionKind::kStoreArena, shard,
+                         image.meta().dim, RowOrder(count), block_capacity);
 }
 
 Result<std::unique_ptr<IvfIndex>> DecodeIvfIndex(const CollectionImage& image,
-                                                 uint32_t shard, size_t dim,
+                                                 uint32_t shard,
                                                  size_t count) {
-  Result<IvfImage> ivf = DecodeIvf(image, shard, count);
-  if (!ivf.ok()) return ivf.status();
-  Result<PdxStore> centroids_pdx = DecodePdxStore(image, 2 * shard + 1);
-  if (!centroids_pdx.ok()) return centroids_pdx.status();
-  if (centroids_pdx.value().count() != ivf.value().num_buckets ||
-      centroids_pdx.value().dim() != dim) {
-    return Status::Corruption("collection file " + image.path() +
-                              ": centroid store disagrees with bucket count");
-  }
-  VectorSet centroids = VectorSet::FromRowMajor(
-      ivf.value().centroid_rows, ivf.value().num_buckets, dim);
+  auto buckets = DecodeBuckets(image, shard, count);
+  if (!buckets.ok()) return buckets.status();
+  Result<PdxStore> centroids = DecodeStoreView(
+      image, SectionKind::kIvfCentroids, shard, image.meta().dim,
+      RowOrder(buckets.value().size()), kPdxBlockSize);
+  if (!centroids.ok()) return centroids.status();
   return std::make_unique<IvfIndex>(IvfIndex::FromParts(
-      count, std::move(centroids), std::move(centroids_pdx).value(),
-      std::move(ivf.value().buckets)));
+      count, std::move(centroids).value(), std::move(buckets).value()));
 }
 
 Result<LoadedCollection> LoadCollectionFromImage(

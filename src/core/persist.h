@@ -26,43 +26,49 @@ SavedMeta MetaFromConfig(const SearcherConfig& config);
 Status ConfigFromMeta(const SavedMeta& meta, SearcherConfig* config,
                       ShardingOptions* sharding, MutationConfig* mutation);
 
-/// Adds `index`'s sections to `shard`: the centroid PDX store (persisted,
+/// Adds `index`'s sections to `shard`: the centroid PDX arena (persisted,
 /// not rebuilt at load — repacking would cost time and let a future
-/// packing change silently alter the saved index's bucket ranking), the
-/// horizontal centroid rows, and the bucket lists. Every tier's exporter
-/// uses this one.
+/// packing change silently alter the saved index's bucket ranking; the
+/// loader transposes it back to the centroid rows) and the bucket lists.
+/// Every tier's exporter uses this one.
 void ExportIvf(const IvfIndex& index, SavedShard& shard);
 
-/// Decodes store unit `unit` of `image` into a PdxStore whose blocks view
-/// the image's arena (the image must outlive the store).
-Result<PdxStore> DecodePdxStore(const CollectionImage& image, uint32_t unit);
+/// Decodes shard `shard`'s float store: its `count` vectors grouped by
+/// `index`'s buckets (in row order when `index` is null, the flat layout)
+/// and split by `block_capacity`. The layout and lane ids are derived, not
+/// read, and the arena must hold exactly that layout's floats. The store's
+/// blocks view the image, which must outlive the store.
+Result<PdxStore> DecodePdxStore(const CollectionImage& image,
+                                uint32_t shard, size_t count,
+                                const IvfIndex* index, size_t block_capacity);
 
-/// Reassembles shard `shard`'s IVF index from `image` (bucket lists,
-/// centroid rows, and the persisted centroid PDX store) — no k-means runs.
-/// `dim` and `count` are the shard's served dimensionality and vector
-/// count; a centroid store that disagrees with them or with the bucket
-/// count fails with Corruption.
+/// Reassembles shard `shard`'s IVF index from `image` — no k-means runs:
+/// the bucket lists, which must partition the shard's `count` vectors, and
+/// the centroid arena, whose layout (one group of num_buckets centroids in
+/// kPdxBlockSize blocks, as IvfIndex::Build packs them) is derived.
 Result<std::unique_ptr<IvfIndex>> DecodeIvfIndex(const CollectionImage& image,
-                                                 uint32_t shard, size_t dim,
+                                                 uint32_t shard,
                                                  size_t count);
 
-/// Restores one unsharded searcher from shard `shard`'s sections of
-/// `image`: the PDX stores become zero-copy views into the image (which
-/// the searcher pins), pruner transforms are reloaded rather than
-/// re-derived, and neither k-means nor block packing runs — the
-/// persistence tests pin both counters at zero across this call. `config`
-/// must be the resolved config decoded from the image's meta.
+/// Restores one unsharded searcher over the `count` vectors of shard
+/// `shard` of `image`: the stores become zero-copy views into the image
+/// (which the searcher pins), their layouts and lane ids are derived from
+/// `count`, the config's block_capacity and (on IVF) the bucket lists,
+/// pruner state is reloaded rather than re-derived, and neither k-means
+/// nor block packing runs — the persistence tests pin both counters at
+/// zero across this call. `config` must be the resolved config decoded
+/// from the image's meta.
 Result<std::unique_ptr<Searcher>> MakeSearcherFromImage(
     std::shared_ptr<const CollectionImage> image, uint32_t shard,
-    SearcherConfig config);
+    size_t count, SearcherConfig config);
 
-/// Sharded restore: one image-backed searcher per shard (units 2s / 2s+1)
-/// behind the scatter-gather facade. Shard maps are recomputed from
-/// (count, num_shards, assignment) — the assignment is deterministic, so
-/// the recomputed maps are identical to the saved searcher's and merged
-/// results match byte for byte. With a single shard this is
-/// MakeSearcherFromImage of shard 0 — the one restore entry point for any
-/// shard count.
+/// Sharded restore: one image-backed searcher per shard (unit s) behind
+/// the scatter-gather facade. Shard maps, and with them each shard's
+/// vector count, are recomputed from (count, num_shards, assignment) — the
+/// assignment is deterministic, so the recomputed maps are identical to
+/// the saved searcher's and merged results match byte for byte. With a
+/// single shard this is MakeSearcherFromImage of shard 0 — the one restore
+/// entry point for any shard count.
 Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
     std::shared_ptr<const CollectionImage> image, SearcherConfig config,
     ShardingOptions sharding);

@@ -124,15 +124,16 @@ class ShardedSearcher final : public Searcher {
     return results;
   }
 
-  const PdxStore& store() const override { return shards_.front()->store(); }
+  size_t num_blocks() const override {
+    size_t total = 0;
+    for (const auto& shard : shards_) total += shard->num_blocks();
+    return total;
+  }
 
   const IvfIndex* index() const override { return nullptr; }
 
   size_t count() const override { return total_count_; }
 
-  /// Answered by the first shard directly (not via store()): quantized
-  /// shards have no float PDX store to expose, but every shard knows its
-  /// dimensionality.
   size_t dim() const override { return shards_.front()->dim(); }
 
   uint64_t quantized_bytes() const override {
@@ -337,33 +338,22 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
   const size_t count = image->meta().count;
   const size_t num_shards = sharding.num_shards;
   if (num_shards <= 1) {
-    auto made = MakeSearcherFromImage(image, 0, std::move(config));
-    if (made.ok() && made.value()->count() != count) {
-      return Status::Corruption(
-          "load: the store holds " + std::to_string(made.value()->count()) +
-          " vectors but collection meta says " + std::to_string(count));
-    }
-    return made;
+    return MakeSearcherFromImage(std::move(image), 0, count,
+                                 std::move(config));
   }
 
   // The maps are recomputed, not persisted: AssignShardIds is
   // deterministic in (count, num_shards, assignment), so these are the
-  // same maps the saved searcher used. Each shard must hold exactly the
-  // vectors its map names, or a shard-local id would remap out of range.
+  // same maps the saved searcher used. Each shard is restored over exactly
+  // the vectors its map names, so its sections must hold that many.
   std::vector<std::vector<VectorId>> shard_ids =
       AssignShardIds(count, num_shards, sharding.assignment);
   std::vector<std::unique_ptr<Searcher>> shards;
   shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    auto made =
-        MakeSearcherFromImage(image, static_cast<uint32_t>(s), config);
+    auto made = MakeSearcherFromImage(image, static_cast<uint32_t>(s),
+                                      shard_ids[s].size(), config);
     if (!made.ok()) return made.status();
-    if (made.value()->count() != shard_ids[s].size()) {
-      return Status::Corruption(
-          "sharded load: shard " + std::to_string(s) + " holds " +
-          std::to_string(made.value()->count()) + " vectors but the " +
-          "assignment gives it " + std::to_string(shard_ids[s].size()));
-    }
     shards.push_back(std::move(made).value());
   }
   std::vector<ShardedSearcher::ShardMap> shard_maps =

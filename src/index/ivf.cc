@@ -34,18 +34,17 @@ IvfIndex IvfIndex::Build(const VectorSet& vectors, const IvfOptions& options) {
         static_cast<VectorId>(i));
   }
   index.centroids_ = std::move(clustering.centroids);
-  index.centroids_pdx_ = PdxStore::FromVectorSet(index.centroids_);
+  index.centroids_pdx_ =
+      PdxStore::FromVectorSet(index.centroids_, kPdxBlockSize);
   return index;
 }
 
-IvfIndex IvfIndex::FromParts(size_t count, VectorSet centroids,
-                             PdxStore centroids_pdx,
+IvfIndex IvfIndex::FromParts(size_t count, PdxStore centroids_pdx,
                              std::vector<std::vector<VectorId>> buckets) {
-  assert(centroids.count() == buckets.size());
   assert(centroids_pdx.count() == buckets.size());
   IvfIndex index;
   index.count_ = count;
-  index.centroids_ = std::move(centroids);
+  index.centroids_ = centroids_pdx.ToVectorSet();
   index.centroids_pdx_ = std::move(centroids_pdx);
   index.buckets_ = std::move(buckets);
   return index;

@@ -48,11 +48,11 @@ class IvfIndex {
   static IvfIndex Build(const VectorSet& vectors, const IvfOptions& options);
 
   /// Reassembles an index from persisted parts — no k-means runs.
-  /// `centroids_pdx` must be the persisted PDX arrangement of `centroids`
+  /// `centroids_pdx` is the persisted PDX arrangement of the centroids
   /// (rebuilding it would repack; restoring it keeps bucket ranking
-  /// byte-identical to the saved index).
-  static IvfIndex FromParts(size_t count, VectorSet centroids,
-                            PdxStore centroids_pdx,
+  /// byte-identical to the saved index), transposed back for the
+  /// horizontal copy.
+  static IvfIndex FromParts(size_t count, PdxStore centroids_pdx,
                             std::vector<std::vector<VectorId>> buckets);
 
   size_t num_buckets() const { return buckets_.size(); }
@@ -69,7 +69,9 @@ class IvfIndex {
   const VectorSet& centroids() const { return centroids_; }
 
   /// Centroids in PDX layout (Table 7: "centroids are also stored with
-  /// PDX", which speeds the find-nearest-buckets phase).
+  /// PDX", which speeds the find-nearest-buckets phase): one group in
+  /// centroid order, kPdxBlockSize blocks. The PDXC loader derives this
+  /// layout rather than reading it.
   const PdxStore& centroids_pdx() const { return centroids_pdx_; }
 
   /// Ranks all buckets by centroid distance to `query` (ascending L2) using

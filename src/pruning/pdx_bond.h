@@ -23,13 +23,15 @@ namespace pdx {
 /// fast as possible (distance-to-means / dimension zones).
 class PdxBondPruner {
  public:
-  /// `means` are collection-level per-dimension means (PdxStore::stats()).
-  /// `zone_size` applies to kDimensionZones.
+  /// `means` are collection-level per-dimension means (ComputeStats at
+  /// build; the pruner's own PDXC section at load). `zone_size` applies to
+  /// kDimensionZones.
   PdxBondPruner(std::vector<float> means,
                 DimensionOrder order = DimensionOrder::kDimensionZones,
                 size_t zone_size = 16);
 
   size_t dim() const { return means_.size(); }
+  const std::vector<float>& means() const { return means_; }
   DimensionOrder order() const { return order_; }
 
   // --- PDXearch pruner policy -------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -37,11 +36,7 @@ class QuantizedSearcher final : public Searcher {
     }
   }
 
-  const PdxStore& store() const override {
-    throw std::logic_error(
-        "QuantizedSearcher::store: the u8 tier serves from a quantized "
-        "store; there is no float PDX store to expose");
-  }
+  size_t num_blocks() const override { return qstore_.num_blocks(); }
 
   const IvfIndex* index() const override { return index_; }
 
@@ -202,8 +197,8 @@ std::unique_ptr<Searcher> BuildQuantizedSearcher(
 
 Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
     std::shared_ptr<const CollectionImage> image, uint32_t shard,
-    SearcherConfig config) {
-  Result<QuantImage> quant = DecodeQuant(*image, shard);
+    size_t count, SearcherConfig config) {
+  Result<QuantImage> quant = DecodeQuant(*image, shard, count);
   if (!quant.ok()) return quant.status();
   QuantImage& qi = quant.value();
 
@@ -212,7 +207,7 @@ Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
   std::vector<VectorId> ids;
   if (config.layout == SearcherLayout::kIvf) {
     Result<std::unique_ptr<IvfIndex>> ivf =
-        DecodeIvfIndex(*image, shard, qi.dim, qi.count);
+        DecodeIvfIndex(*image, shard, count);
     if (!ivf.ok()) return ivf.status();
     owned = std::move(ivf).value();
     group_sizes.reserve(owned->num_buckets());

@@ -16,10 +16,9 @@ namespace pdx {
 /// k * rerank_factor candidates, whose exact distances are recomputed on the
 /// retained full-precision rows. Products implement the full Searcher
 /// facade — per-slot SearchWith bands, ExportSaved to the
-/// PDXC quant sections, quantized_bytes() — so they compose with
-/// MakeShardedSearcher and the serving layer unchanged. store() is the one
-/// unsupported surface (there is no float PDX store to expose) and fails
-/// loudly.
+/// PDXC quant sections, quantized_bytes(), num_blocks() over the code
+/// blocks — so they compose with MakeShardedSearcher and the serving layer
+/// unchanged.
 ///
 /// Both are internal to the facade: MakeSearcher and MakeSearcherFromImage
 /// validate and resolve `config`, then route here when config.quantization
@@ -32,14 +31,16 @@ std::unique_ptr<Searcher> BuildQuantizedSearcher(
     const VectorSet& vectors, SearcherConfig config,
     std::unique_ptr<IvfIndex> owned, const IvfIndex* index);
 
-/// Restores a quantized searcher from shard `shard`'s kQuantParams /
-/// kQuantCodes / kQuantRows sections of `image`: codes and rerank rows
-/// become zero-copy views into the image (which the searcher pins) and no
+/// Restores a quantized searcher over the `count` vectors of shard
+/// `shard` from its kQuantParams / kQuantCodes / kQuantRows sections of
+/// `image`: codes and rerank rows become zero-copy views into the image
+/// (which the searcher pins), the code blocks and (on IVF) lane ids are
+/// derived from `count`, block_capacity and the bucket lists, and no
 /// requantization runs — the persistence tests pin QuantizedPackCount at
 /// zero across this call.
 Result<std::unique_ptr<Searcher>> RestoreQuantizedSearcher(
     std::shared_ptr<const CollectionImage> image, uint32_t shard,
-    SearcherConfig config);
+    size_t count, SearcherConfig config);
 
 }  // namespace pdx
 

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "storage/block_stats.h"
+#include "storage/pdx_store.h"
 
 namespace pdx {
 
@@ -33,23 +34,14 @@ uint64_t QuantizedPackCount() {
 
 void QuantizedPdxStore::BuildLayout(const std::vector<size_t>& group_sizes,
                                     size_t block_capacity) {
-  assert(block_capacity > 0);
-  group_block_start_.clear();
-  group_block_start_.push_back(0);
-  size_t offset = 0;
+  BlockLayout layout = SplitIntoBlocks(group_sizes, block_capacity);
+  block_counts_ = std::move(layout.block_counts);
+  group_block_start_ = std::move(layout.group_block_start);
+  block_first_row_.reserve(block_counts_.size());
   size_t position = 0;
-  for (const size_t size : group_sizes) {
-    size_t remaining = size;
-    while (remaining > 0) {
-      const size_t n = std::min(block_capacity, remaining);
-      block_offsets_.push_back(offset);
-      block_counts_.push_back(n);
-      block_first_row_.push_back(position);
-      offset += n * dim_;
-      position += n;
-      remaining -= n;
-    }
-    group_block_start_.push_back(block_offsets_.size());
+  for (const size_t n : block_counts_) {
+    block_first_row_.push_back(position);
+    position += n;
   }
   assert(position == count_);
 }
@@ -71,9 +63,9 @@ void QuantizedPdxStore::FitParameters(const VectorSet& vectors) {
 void QuantizedPdxStore::EncodeRows(const VectorSet& vectors) {
   codes_.resize(count_ * dim_);
   codes_data_ = codes_.data();
-  for (size_t b = 0; b < block_offsets_.size(); ++b) {
+  for (size_t b = 0; b < block_counts_.size(); ++b) {
     const size_t n = block_counts_[b];
-    uint8_t* block = codes_.data() + block_offsets_[b];
+    uint8_t* block = codes_.data() + block_first_row_[b] * dim_;
     for (size_t i = 0; i < n; ++i) {
       const size_t position = block_first_row_[b] + i;
       const VectorId row =

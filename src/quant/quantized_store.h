@@ -68,13 +68,13 @@ class QuantizedPdxStore {
 
   size_t dim() const { return dim_; }
   size_t count() const { return count_; }
-  size_t num_blocks() const { return block_offsets_.size(); }
+  size_t num_blocks() const { return block_counts_.size(); }
 
   /// Lanes in block b.
   size_t BlockCount(size_t b) const { return block_counts_[b]; }
   /// Dimension-major codes of block b: value(d, i) at [d*BlockCount(b)+i].
   const uint8_t* BlockData(size_t b) const {
-    return codes_data_ + block_offsets_[b];
+    return codes_data_ + block_first_row_[b] * dim_;
   }
   /// Global id of lane i in block b (identity for row-order stores; the
   /// listed group member for FromGroups stores).
@@ -116,8 +116,9 @@ class QuantizedPdxStore {
   double MaxDistanceError(const float* query) const;
 
  private:
-  /// Lays out blocks for groups of the given sizes: fills block_offsets_,
-  /// block_counts_, block_first_row_, group_block_start_.
+  /// Lays out blocks for groups of the given sizes (SplitIntoBlocks, the
+  /// float store's split): fills block_counts_, block_first_row_,
+  /// group_block_start_.
   void BuildLayout(const std::vector<size_t>& group_sizes,
                    size_t block_capacity);
   /// Derives offsets_/scales_ from per-dimension min/max of `vectors`.
@@ -134,7 +135,6 @@ class QuantizedPdxStore {
   /// FromView stores.
   const uint8_t* codes_data_ = nullptr;
   std::vector<VectorId> ids_;  // Position -> global id; empty = identity.
-  std::vector<size_t> block_offsets_;
   std::vector<size_t> block_counts_;
   std::vector<size_t> block_first_row_;
   std::vector<size_t> group_block_start_;  // num_groups + 1 boundaries.

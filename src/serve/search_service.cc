@@ -24,7 +24,6 @@ ServiceConfig Sanitize(ServiceConfig config) {
   config.max_batch = std::max<size_t>(1, config.max_batch);
   config.dispatchers =
       std::min(std::max<size_t>(1, config.dispatchers), kMaxPoolThreads);
-  config.latency_window = std::max<size_t>(1, config.latency_window);
   if (config.qps_window.count() <= 0) {
     config.qps_window = ServiceConfig{}.qps_window;
   }
@@ -80,24 +79,23 @@ struct SearchService::Collection {
   std::string persist_path;
 
   // Windowed views with no registry equivalent (exact percentiles over the
-  // last latency_window samples; the recent-completion ring). Reset when
-  // the name is re-added. Guarded by mutex_.
+  // last LatencyRecorder::kDefaultWindow samples; the recent-completion
+  // ring). Reset when the name is re-added. Guarded by mutex_.
   LatencyRecorder queue_wait;
   LatencyRecorder latency;
   /// Ring of the most recent completion timestamps — the windowed QPS
   /// gauge. A lifetime first-done/last-done span would decay across idle
   /// gaps and never recover.
   std::vector<Clock::time_point> done_ring;
-  size_t done_ring_capacity = 1;
   size_t done_next = 0;
 
   void RecordDone(Clock::time_point now) {
-    if (done_ring.size() < done_ring_capacity) {
+    if (done_ring.size() < LatencyRecorder::kDefaultWindow) {
       done_ring.push_back(now);
     } else {
       done_ring[done_next] = now;
     }
-    done_next = (done_next + 1) % done_ring_capacity;
+    done_next = (done_next + 1) % LatencyRecorder::kDefaultWindow;
   }
 
   /// Metric instruments, resolved ONCE at adoption (get-or-create on the
@@ -201,9 +199,7 @@ SearchService::SearchService(ServiceConfig config)
     // Pre-reserved per dispatcher: the dispatch path hands this array to
     // SearchBatchWith instead of allocating per batch.
     dispatchers_[d].counters_scratch.resize(config_.max_batch);
-    dispatchers_[d].busy_ring_capacity = config_.latency_window;
-    dispatchers_[d].busy_ring.reserve(
-        std::min<size_t>(config_.latency_window, 4096));
+    dispatchers_[d].busy_ring.reserve(LatencyRecorder::kDefaultWindow);
     dispatchers_[d].batches = metrics_->GetCounter(
         "pdx_dispatcher_batches_total", "Batches run, per dispatcher thread",
         {{"dispatcher", std::to_string(d)}});
@@ -344,11 +340,9 @@ Status SearchService::Adopt(const std::string& name,
   collection->live = live;
   collection->source = source;
   collection->mapped_bytes = mapped_bytes;
-  collection->queue_wait = LatencyRecorder(config_.latency_window);
-  collection->latency = LatencyRecorder(config_.latency_window);
-  collection->done_ring_capacity = config_.latency_window;
-  collection->done_ring.reserve(
-      std::min<size_t>(config_.latency_window, 4096));
+  collection->queue_wait = LatencyRecorder();
+  collection->latency = LatencyRecorder();
+  collection->done_ring.reserve(LatencyRecorder::kDefaultWindow);
   collection->slowlog =
       std::make_unique<SlowQueryLog>(config_.slowlog_capacity);
   ResolveCollectionMetrics(*collection);
@@ -992,12 +986,12 @@ void SearchService::DispatcherMain(size_t dispatcher) {
       // Ring of (end, duration) samples: Stats() sums the ones ending
       // inside qps_window for the windowed busy_fraction.
       Dispatcher::BusySample sample{end, end - begin};
-      if (self.busy_ring.size() < self.busy_ring_capacity) {
+      if (self.busy_ring.size() < LatencyRecorder::kDefaultWindow) {
         self.busy_ring.push_back(sample);
       } else {
         self.busy_ring[self.busy_next] = sample;
       }
-      self.busy_next = (self.busy_next + 1) % self.busy_ring_capacity;
+      self.busy_next = (self.busy_next + 1) % LatencyRecorder::kDefaultWindow;
       continue;
     }
     // Nothing dispatchable: sleep until new work arrives — or, when a

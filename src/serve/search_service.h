@@ -47,9 +47,6 @@ struct ServiceConfig {
   /// collection — execute in parallel over the shared pool. 1 restores
   /// the strictly serial dispatch order. Clamped to [1, kMaxPoolThreads].
   size_t dispatchers = 2;
-  /// Sliding-window size of the per-collection latency recorders (also the
-  /// capacity of the completion-timestamp ring behind the QPS gauge).
-  size_t latency_window = LatencyRecorder::kDefaultWindow;
   /// Horizon of the per-collection QPS gauge: Stats() computes QPS over
   /// the completions inside this window, so an idle gap drops the gauge to
   /// zero instead of diluting a lifetime average. Also the horizon of
@@ -401,7 +398,6 @@ class SearchService {
       std::chrono::steady_clock::duration busy{};
     };
     std::vector<BusySample> busy_ring;
-    size_t busy_ring_capacity = 1;
     size_t busy_next = 0;
     /// Batches dispatched; bumped under mutex_ together with the
     /// collection's pdx_dispatches_total. Resolved at construction.

@@ -66,7 +66,7 @@ struct CollectionStats {
   bool is_mutable = false;
   size_t delta = 0;         ///< Rows in the append delta region right now.
   size_t delta_blocks = 0;  ///< PDX blocks in the delta region.
-  size_t base_blocks = 0;   ///< PDX blocks in the immutable base store.
+  size_t base_blocks = 0;   ///< Blocks of the immutable base, all shards.
   size_t tombstones = 0;    ///< Dead slots awaiting compaction.
   uint64_t added = 0;       ///< Vectors ingested via AddVectors.
   uint64_t deleted = 0;     ///< Vectors removed via DeleteVectors.

@@ -1,57 +1,16 @@
 #include "storage/block_stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
-
-#include "storage/pdx_block.h"
 
 namespace pdx {
 
-namespace {
-
-DimensionStats AllocateStats(size_t dim) {
+DimensionStats ComputeStats(const float* data, size_t count, size_t dim) {
   DimensionStats stats;
   stats.means.assign(dim, 0.0f);
   stats.variances.assign(dim, 0.0f);
   stats.minimums.assign(dim, std::numeric_limits<float>::infinity());
   stats.maximums.assign(dim, -std::numeric_limits<float>::infinity());
-  return stats;
-}
-
-}  // namespace
-
-DimensionStats ComputeBlockStats(const PdxBlock& block) {
-  const size_t dim = block.dim();
-  const size_t n = block.count();
-  DimensionStats stats = AllocateStats(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    const float* values = block.Dimension(d);
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    float lo = std::numeric_limits<float>::infinity();
-    float hi = -std::numeric_limits<float>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      const float v = values[i];
-      sum += v;
-      sum_sq += double(v) * double(v);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    const double mean = (n > 0) ? sum / double(n) : 0.0;
-    stats.means[d] = static_cast<float>(mean);
-    stats.variances[d] =
-        (n > 0) ? static_cast<float>(std::max(0.0, sum_sq / double(n) -
-                                                       mean * mean))
-                : 0.0f;
-    stats.minimums[d] = lo;
-    stats.maximums[d] = hi;
-  }
-  return stats;
-}
-
-DimensionStats ComputeStats(const float* data, size_t count, size_t dim) {
-  DimensionStats stats = AllocateStats(dim);
   std::vector<double> sum(dim, 0.0);
   std::vector<double> sum_sq(dim, 0.0);
   for (size_t i = 0; i < count; ++i) {
@@ -73,37 +32,6 @@ DimensionStats ComputeStats(const float* data, size_t count, size_t dim) {
     }
   }
   return stats;
-}
-
-DimensionStats MergeStats(const DimensionStats& a, size_t count_a,
-                          const DimensionStats& b, size_t count_b) {
-  assert(a.dim() == b.dim());
-  const size_t dim = a.dim();
-  if (count_a == 0) {
-    DimensionStats out = b;
-    return out;
-  }
-  if (count_b == 0) {
-    DimensionStats out = a;
-    return out;
-  }
-  DimensionStats out = AllocateStats(dim);
-  const double na = static_cast<double>(count_a);
-  const double nb = static_cast<double>(count_b);
-  const double n = na + nb;
-  for (size_t d = 0; d < dim; ++d) {
-    const double delta = double(b.means[d]) - double(a.means[d]);
-    const double mean = a.means[d] + delta * nb / n;
-    // Chan et al. parallel variance merge.
-    const double m2 = double(a.variances[d]) * na +
-                      double(b.variances[d]) * nb +
-                      delta * delta * na * nb / n;
-    out.means[d] = static_cast<float>(mean);
-    out.variances[d] = static_cast<float>(m2 / n);
-    out.minimums[d] = std::min(a.minimums[d], b.minimums[d]);
-    out.maximums[d] = std::max(a.maximums[d], b.maximums[d]);
-  }
-  return out;
 }
 
 }  // namespace pdx

@@ -6,15 +6,13 @@
 
 namespace pdx {
 
-class PdxBlock;
-
-/// Per-dimension summary statistics of one PDX block (or of a whole
-/// collection).
+/// Per-dimension summary statistics of a collection.
 ///
-/// The paper's "metadata per block" (Section 3): like DuckDB's per-rowgroup
-/// zone maps, blocks carry statistics that search algorithms exploit —
-/// PDX-BOND ranks dimensions by the distance between the query value and
-/// the collection mean; BSA can watch variances for distribution shift.
+/// Computed once at build, from the horizontal rows, by the two consumers
+/// that need them: PDX-BOND ranks dimensions by the distance between the
+/// query value and the collection mean (Section 5; it keeps and persists
+/// the means alone), and the u8 tier derives its per-dimension offsets and
+/// scales from the minimums and maximums.
 struct DimensionStats {
   std::vector<float> means;
   std::vector<float> variances;
@@ -24,17 +22,8 @@ struct DimensionStats {
   size_t dim() const { return means.size(); }
 };
 
-/// Computes stats over one block. Cheap in PDX layout: each dimension's
-/// values are contiguous.
-DimensionStats ComputeBlockStats(const PdxBlock& block);
-
 /// Computes stats over `count` horizontal row-major vectors.
 DimensionStats ComputeStats(const float* data, size_t count, size_t dim);
-
-/// Merges partial stats weighted by the observation counts (parallel-merge
-/// formula for mean/variance; min/max by comparison).
-DimensionStats MergeStats(const DimensionStats& a, size_t count_a,
-                          const DimensionStats& b, size_t count_b);
 
 }  // namespace pdx
 

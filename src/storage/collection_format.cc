@@ -14,13 +14,6 @@ namespace pdx {
 
 namespace {
 
-// Mirrors pdx_store.cc: blocks start on 16-float (64-byte) boundaries
-// within the arena, so the arena size is recoverable from block counts.
-size_t AlignedBlockFloats(size_t dim, size_t n) {
-  const size_t floats = dim * n;
-  return (floats + 15) / 16 * 16;
-}
-
 // The five primes of the xxHash64 spec.
 constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
 constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
@@ -136,43 +129,17 @@ struct PendingSection {
   uint64_t size() const { return external != nullptr ? external_size : owned.size(); }
 };
 
-void AppendStoreSections(const SavedStore& store, uint32_t unit,
-                         std::vector<PendingSection>& sections) {
-  PendingSection meta;
-  meta.kind = SectionKind::kStoreMeta;
-  meta.unit = unit;
-  AppendPod(meta.owned, store.dim);
-  AppendPod(meta.owned, store.count);
-  AppendPod(meta.owned, static_cast<uint64_t>(store.block_counts.size()));
-  AppendPod(meta.owned,
-            static_cast<uint64_t>(store.group_block_start.size() - 1));
-  AppendPod(meta.owned, store.arena_floats);
-  AppendBytes(meta.owned, store.block_counts.data(),
-              store.block_counts.size() * sizeof(uint32_t));
-  AppendBytes(meta.owned, store.group_block_start.data(),
-              store.group_block_start.size() * sizeof(uint64_t));
-  sections.push_back(std::move(meta));
-
-  PendingSection ids;
-  ids.kind = SectionKind::kStoreIds;
-  ids.unit = unit;
-  AppendBytes(ids.owned, store.ids.data(), store.ids.size() * sizeof(uint32_t));
-  sections.push_back(std::move(ids));
-
-  PendingSection stats;
-  stats.kind = SectionKind::kStoreStats;
-  stats.unit = unit;
-  AppendBytes(stats.owned, store.stats.data(),
-              store.stats.size() * sizeof(float));
-  sections.push_back(std::move(stats));
-
-  PendingSection arena;
-  arena.kind = SectionKind::kStoreArena;
-  arena.unit = unit;
-  arena.external = reinterpret_cast<const uint8_t*>(store.arena);
-  arena.external_size = store.arena_floats * sizeof(float);
-  arena.align64 = true;
-  sections.push_back(std::move(arena));
+/// A payload borrowed from the exporting searcher and served by mmap at
+/// load, so it starts on a 64-byte file offset.
+PendingSection Borrowed(SectionKind kind, uint32_t unit, const void* data,
+                        uint64_t size) {
+  PendingSection section;
+  section.kind = kind;
+  section.unit = unit;
+  section.external = static_cast<const uint8_t*>(data);
+  section.external_size = size;
+  section.align64 = true;
+  return section;
 }
 
 /// Creates the file the next snapshot of `path` is written to, in the same
@@ -202,16 +169,6 @@ bool SyncParentDirectory(const std::string& path) {
   const bool synced = ::fsync(fd) == 0;
   ::close(fd);
   return synced;
-}
-
-Status ReadStats(ByteReader& reader, size_t dim, DimensionStats* out) {
-  if (!reader.ReadFloatVector(dim, &out->means) ||
-      !reader.ReadFloatVector(dim, &out->variances) ||
-      !reader.ReadFloatVector(dim, &out->minimums) ||
-      !reader.ReadFloatVector(dim, &out->maximums)) {
-    return Status::Corruption("collection file: truncated stats section");
-  }
-  return Status::OK();
 }
 
 // Unaligned little-endian word reads go through memcpy, which compiles to
@@ -295,39 +252,6 @@ uint64_t XxHash64(const uint8_t* data, size_t size, uint64_t seed) {
   return hash;
 }
 
-SavedStore ExportStore(const PdxStore& store) {
-  SavedStore out;
-  out.dim = store.dim();
-  out.count = store.count();
-  out.block_counts.reserve(store.num_blocks());
-  for (size_t b = 0; b < store.num_blocks(); ++b) {
-    const PdxBlock& block = store.block(b);
-    out.block_counts.push_back(static_cast<uint32_t>(block.count()));
-    out.ids.insert(out.ids.end(), block.ids().begin(), block.ids().end());
-  }
-  out.group_block_start.reserve(store.num_groups() + 1);
-  out.group_block_start.push_back(0);
-  for (size_t g = 0; g < store.num_groups(); ++g) {
-    out.group_block_start.push_back(store.GroupBlockRange(g).second);
-  }
-  const auto append_stats = [&out](const DimensionStats& stats) {
-    out.stats.insert(out.stats.end(), stats.means.begin(), stats.means.end());
-    out.stats.insert(out.stats.end(), stats.variances.begin(),
-                     stats.variances.end());
-    out.stats.insert(out.stats.end(), stats.minimums.begin(),
-                     stats.minimums.end());
-    out.stats.insert(out.stats.end(), stats.maximums.begin(),
-                     stats.maximums.end());
-  };
-  append_stats(store.stats());
-  for (const DimensionStats& stats : store.block_stats()) {
-    append_stats(stats);
-  }
-  out.arena = store.arena_data();
-  out.arena_floats = store.arena_floats();
-  return out;
-}
-
 Status WriteCollectionFile(const std::string& path,
                            const SavedCollection& saved) {
   std::vector<PendingSection> sections;
@@ -359,26 +283,23 @@ Status WriteCollectionFile(const std::string& path,
                   shard.quant_scales.size() * sizeof(float));
       sections.push_back(std::move(params));
 
-      PendingSection codes;
-      codes.kind = SectionKind::kQuantCodes;
-      codes.unit = shard_unit;
-      codes.external = shard.quant_codes;
-      codes.external_size = shard.quant_codes_bytes;
-      codes.align64 = true;
-      sections.push_back(std::move(codes));
-
-      PendingSection qrows;
-      qrows.kind = SectionKind::kQuantRows;
-      qrows.unit = shard_unit;
-      qrows.external = reinterpret_cast<const uint8_t*>(shard.quant_rows);
-      qrows.external_size = qcount * qdim * sizeof(float);
-      qrows.align64 = true;
-      sections.push_back(std::move(qrows));
+      sections.push_back(Borrowed(SectionKind::kQuantCodes, shard_unit,
+                                  shard.quant_codes,
+                                  shard.quant_codes_bytes));
+      sections.push_back(Borrowed(SectionKind::kQuantRows, shard_unit,
+                                  shard.quant_rows,
+                                  qcount * qdim * sizeof(float)));
     } else {
-      AppendStoreSections(shard.store, 2 * shard_unit, sections);
+      // A float store is its arena alone: the loader derives its blocks
+      // and lane ids (collection_format.h).
+      sections.push_back(Borrowed(SectionKind::kStoreArena, shard_unit,
+                                  shard.arena,
+                                  shard.arena_floats * sizeof(float)));
     }
     if (shard.has_ivf) {
-      AppendStoreSections(shard.centroids, 2 * shard_unit + 1, sections);
+      sections.push_back(Borrowed(SectionKind::kIvfCentroids, shard_unit,
+                                  shard.centroid_arena,
+                                  shard.centroid_arena_floats * sizeof(float)));
 
       PendingSection buckets;
       buckets.kind = SectionKind::kIvfBuckets;
@@ -391,13 +312,6 @@ Status WriteCollectionFile(const std::string& path,
       AppendBytes(buckets.owned, shard.bucket_ids.data(),
                   shard.bucket_ids.size() * sizeof(uint32_t));
       sections.push_back(std::move(buckets));
-
-      PendingSection rows;
-      rows.kind = SectionKind::kIvfCentroidRows;
-      rows.unit = shard_unit;
-      AppendBytes(rows.owned, shard.centroid_rows.data(),
-                  shard.centroid_rows.size() * sizeof(float));
-      sections.push_back(std::move(rows));
     }
     if (shard.ads_rotation.rows() > 0) {
       PendingSection rot;
@@ -426,17 +340,20 @@ Status WriteCollectionFile(const std::string& path,
                       sizeof(float));
       sections.push_back(std::move(pca));
     }
+    if (!shard.bond_means.empty()) {
+      PendingSection means;
+      means.kind = SectionKind::kPrunerMeans;
+      means.unit = shard_unit;
+      AppendBytes(means.owned, shard.bond_means.data(),
+                  shard.bond_means.size() * sizeof(float));
+      sections.push_back(std::move(means));
+    }
   }
 
   if (saved.meta.mutable_snapshot != 0) {
-    PendingSection raw;
-    raw.kind = SectionKind::kRawRows;
-    raw.unit = 0;
-    raw.external = reinterpret_cast<const uint8_t*>(saved.raw_rows);
-    raw.external_size =
-        saved.raw_row_count * saved.meta.dim * sizeof(float);
-    raw.align64 = true;
-    sections.push_back(std::move(raw));
+    sections.push_back(
+        Borrowed(SectionKind::kRawRows, 0, saved.raw_rows,
+                 saved.raw_row_count * saved.meta.dim * sizeof(float)));
 
     PendingSection delta;
     delta.kind = SectionKind::kDeltaRows;
@@ -608,8 +525,9 @@ Result<std::shared_ptr<CollectionImage>> CollectionImage::Load(
                               ": invalid format version 0");
   }
   if (version < kCollectionFormatVersion) {
-    // Only the current checksum is implemented, so an older file is refused
-    // here, before any checksum runs, rather than as a checksum mismatch.
+    // Only the current layout and checksum are read, so an older file is
+    // refused here, before any checksum runs, rather than as a checksum
+    // mismatch or a missing section.
     return Status::InvalidArgument(
         "collection file " + path + ": format version " +
         std::to_string(version) + " is no longer supported (this build " +
@@ -659,6 +577,7 @@ Result<std::shared_ptr<CollectionImage>> CollectionImage::Load(
                                 " extends past end of file");
     }
     if ((static_cast<SectionKind>(e.kind) == SectionKind::kStoreArena ||
+         static_cast<SectionKind>(e.kind) == SectionKind::kIvfCentroids ||
          static_cast<SectionKind>(e.kind) == SectionKind::kRawRows ||
          static_cast<SectionKind>(e.kind) == SectionKind::kQuantCodes ||
          static_cast<SectionKind>(e.kind) == SectionKind::kQuantRows) &&
@@ -719,119 +638,37 @@ Result<SectionView> CollectionImage::Section(SectionKind kind,
                             "/" + std::to_string(unit));
 }
 
-Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit) {
-  Result<SectionView> meta = image.Section(SectionKind::kStoreMeta, unit);
-  if (!meta.ok()) return meta.status();
-  const Status malformed =
-      Status::Corruption("collection file " + image.path() +
-                         ": malformed store meta (unit " +
-                         std::to_string(unit) + ")");
-
-  StoreImage out;
-  ByteReader reader(meta.value());
-  uint64_t dim = 0, count = 0, num_blocks = 0, num_groups = 0,
-           arena_floats = 0;
-  // The arena holds count x dim floats, so count and dim are bounded by the
-  // file before any product of them is formed.
-  if (!reader.ReadU64(&dim) || !reader.ReadU64(&count) ||
-      !reader.ReadU64(&num_blocks) || !reader.ReadU64(&num_groups) ||
-      !reader.ReadU64(&arena_floats) || dim != image.meta().dim ||
-      count == 0 || count > image.file_bytes() / sizeof(float) / dim) {
-    return malformed;
-  }
-  std::vector<uint32_t> block_counts;
-  std::vector<uint64_t> group_starts;
-  if (!reader.ReadU32Array(num_blocks, &block_counts) ||
-      num_groups + 1 < num_groups ||
-      !reader.ReadU64Array(num_groups + 1, &group_starts) ||
-      !reader.AtEnd()) {
-    return malformed;
-  }
-  uint64_t total = 0;
-  uint64_t expected_arena = 0;
-  for (uint32_t bc : block_counts) {
-    if (bc == 0 || bc > count - total) return malformed;
-    total += bc;
-    expected_arena += AlignedBlockFloats(dim, bc);
-  }
-  if (total != count || expected_arena != arena_floats) return malformed;
-  if (group_starts.front() != 0 || group_starts.back() != num_blocks) {
-    return malformed;
-  }
-  for (size_t g = 1; g < group_starts.size(); ++g) {
-    if (group_starts[g] < group_starts[g - 1]) return malformed;
-  }
-  out.dim = dim;
-  out.count = count;
-  out.block_counts = std::move(block_counts);
-  out.group_block_start.assign(group_starts.begin(), group_starts.end());
-
-  Result<SectionView> ids = image.Section(SectionKind::kStoreIds, unit);
-  if (!ids.ok()) return ids.status();
-  ByteReader ids_reader(ids.value());
-  {
-    std::vector<uint32_t> raw_ids;
-    if (!ids_reader.ReadU32Array(count, &raw_ids) || !ids_reader.AtEnd()) {
-      return Status::Corruption("collection file " + image.path() +
-                                ": malformed store ids (unit " +
-                                std::to_string(unit) + ")");
-    }
-    // Lane ids index per-vector tables (id remaps, tombstones, rerank
-    // rows) with no further check, so each must name one of the store's
-    // own vectors.
-    for (const uint32_t id : raw_ids) {
-      if (id >= count) {
-        return Status::Corruption("collection file " + image.path() +
-                                  ": store lane id " + std::to_string(id) +
-                                  " out of range (unit " +
-                                  std::to_string(unit) + ", " +
-                                  std::to_string(count) + " vectors)");
-      }
-    }
-    out.ids.assign(raw_ids.begin(), raw_ids.end());
-  }
-
-  Result<SectionView> stats = image.Section(SectionKind::kStoreStats, unit);
-  if (!stats.ok()) return stats.status();
-  ByteReader stats_reader(stats.value());
-  PDX_RETURN_IF_ERROR(ReadStats(stats_reader, dim, &out.stats));
-  out.block_stats.resize(out.block_counts.size());
-  for (DimensionStats& bs : out.block_stats) {
-    PDX_RETURN_IF_ERROR(ReadStats(stats_reader, dim, &bs));
-  }
-  if (!stats_reader.AtEnd()) {
-    return Status::Corruption("collection file " + image.path() +
-                              ": oversized stats section (unit " +
-                              std::to_string(unit) + ")");
-  }
-
-  Result<SectionView> arena = image.Section(SectionKind::kStoreArena, unit);
+Result<const float*> DecodeArena(const CollectionImage& image,
+                                 SectionKind kind, uint32_t unit,
+                                 size_t floats) {
+  Result<SectionView> arena = image.Section(kind, unit);
   if (!arena.ok()) return arena.status();
-  if (arena.value().size != arena_floats * sizeof(float)) {
-    return Status::Corruption("collection file " + image.path() +
-                              ": arena size mismatch (unit " +
-                              std::to_string(unit) + ")");
+  if (arena.value().size % sizeof(float) != 0 ||
+      arena.value().size / sizeof(float) != floats) {
+    return Status::Corruption(
+        "collection file " + image.path() + ": arena " +
+        std::to_string(static_cast<uint32_t>(kind)) + "/" +
+        std::to_string(unit) + " holds " +
+        std::to_string(arena.value().size) + " bytes, its derived layout " +
+        std::to_string(floats * sizeof(float)));
   }
   if (reinterpret_cast<uintptr_t>(arena.value().data) % kPdxAlignment != 0) {
     return Status::Internal("collection file " + image.path() +
                             ": arena view not 64-byte aligned");
   }
-  out.arena = reinterpret_cast<const float*>(arena.value().data);
-  out.arena_floats = arena_floats;
-  return out;
+  return reinterpret_cast<const float*>(arena.value().data);
 }
 
-Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit,
-                           size_t count) {
-  Result<SectionView> buckets = image.Section(SectionKind::kIvfBuckets, unit);
-  if (!buckets.ok()) return buckets.status();
+Result<std::vector<std::vector<VectorId>>> DecodeBuckets(
+    const CollectionImage& image, uint32_t unit, size_t count) {
+  Result<SectionView> section = image.Section(SectionKind::kIvfBuckets, unit);
+  if (!section.ok()) return section.status();
   const Status malformed =
       Status::Corruption("collection file " + image.path() +
                          ": malformed IVF buckets (shard " +
                          std::to_string(unit) + ")");
 
-  IvfImage out;
-  ByteReader reader(buckets.value());
+  ByteReader reader(section.value());
   uint64_t num_buckets = 0, total = 0;
   if (!reader.ReadU64(&num_buckets) || !reader.ReadU64(&total)) {
     return malformed;
@@ -843,35 +680,39 @@ Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit,
       !reader.ReadU32Array(total, &members) || !reader.AtEnd()) {
     return malformed;
   }
-  // The buckets partition the shard: every vector sits in exactly one.
+  // The buckets partition the shard: every vector sits in exactly one, so
+  // each lane id derived from them names a distinct vector of the shard.
   if (offsets.front() != 0 || offsets.back() != total || total != count) {
     return malformed;
   }
+  std::vector<bool> seen(count, false);
   for (const uint32_t id : members) {
-    if (id >= count) return malformed;
+    if (id >= count || seen[id]) return malformed;
+    seen[id] = true;
   }
-  out.num_buckets = num_buckets;
-  out.buckets.resize(num_buckets);
+  std::vector<std::vector<VectorId>> buckets(num_buckets);
   for (size_t b = 0; b < num_buckets; ++b) {
     if (offsets[b + 1] < offsets[b] || offsets[b + 1] > total) {
       return malformed;
     }
-    out.buckets[b].assign(members.begin() + offsets[b],
-                          members.begin() + offsets[b + 1]);
+    buckets[b].assign(members.begin() + offsets[b],
+                      members.begin() + offsets[b + 1]);
   }
+  return buckets;
+}
 
-  Result<SectionView> rows =
-      image.Section(SectionKind::kIvfCentroidRows, unit);
-  if (!rows.ok()) return rows.status();
-  const uint64_t row_bytes = image.meta().dim * sizeof(float);
-  if (rows.value().size % row_bytes != 0 ||
-      rows.value().size / row_bytes != num_buckets) {
+Result<std::vector<float>> DecodeMeans(const CollectionImage& image,
+                                       uint32_t unit) {
+  Result<SectionView> section = image.Section(SectionKind::kPrunerMeans, unit);
+  if (!section.ok()) return section.status();
+  ByteReader reader(section.value());
+  std::vector<float> means;
+  if (!reader.ReadFloatVector(image.meta().dim, &means) || !reader.AtEnd()) {
     return Status::Corruption("collection file " + image.path() +
-                              ": centroid rows size mismatch (shard " +
-                              std::to_string(unit) + ")");
+                              ": BOND means are not " +
+                              std::to_string(image.meta().dim) + " floats");
   }
-  out.centroid_rows = reinterpret_cast<const float*>(rows.value().data);
-  return out;
+  return means;
 }
 
 Result<Matrix> DecodeRotation(const CollectionImage& image, uint32_t unit) {
@@ -921,7 +762,8 @@ Result<PcaImage> DecodePca(const CollectionImage& image, uint32_t unit) {
   return out;
 }
 
-Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit) {
+Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit,
+                               size_t count) {
   Result<SectionView> params = image.Section(SectionKind::kQuantParams, unit);
   if (!params.ok()) return params.status();
   const Status malformed = Status::Corruption(
@@ -929,9 +771,9 @@ Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit) {
       std::to_string(unit) + ")");
   ByteReader reader(params.value());
   QuantImage out;
-  uint64_t dim = 0, count = 0;
-  if (!reader.ReadU64(&dim) || !reader.ReadU64(&count) ||
-      dim != image.meta().dim || count == 0 ||
+  uint64_t dim = 0, stored_count = 0;
+  if (!reader.ReadU64(&dim) || !reader.ReadU64(&stored_count) ||
+      dim != image.meta().dim || stored_count != count ||
       !reader.ReadFloatVector(dim, &out.offsets) ||
       !reader.ReadFloatVector(dim, &out.scales) || !reader.AtEnd()) {
     return malformed;

@@ -11,9 +11,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "linalg/matrix.h"
-#include "storage/block_stats.h"
 #include "storage/mmap_file.h"
-#include "storage/pdx_store.h"
 
 namespace pdx {
 
@@ -30,39 +28,48 @@ namespace pdx {
 ///        {u32 kind, u32 unit, u64 offset, u64 size, u64 payload checksum}
 ///   ...  payload sections
 ///
-/// Sections carrying raw float payload meant to be served directly from a
-/// memory mapping (kStoreArena, kRawRows) start on 64-byte-aligned file
-/// offsets, so a page-aligned mmap of the file yields kPdxAlignment-aligned
-/// arena pointers — PDX blocks become zero-copy views over the mapping.
-/// Everything else (ids, stats, bucket lists, transform matrices) is small
-/// relative to the payload and is decoded into owned structures at load.
+/// A file holds each vector once and only what cannot be derived. A float
+/// PDX store is its arena alone: the loader derives the store's blocks
+/// from the shard's vector count and the meta's block_capacity
+/// (SplitIntoBlocks), and its lane ids from row order on the flat layout
+/// or from the shard's bucket lists on IVF — the same split the u8 tier's
+/// code arena uses. The IVF centroids are one PDX arena laid out with
+/// kPdxBlockSize (transposed back to rows at load), and PDX-BOND's
+/// collection means are the pruner's own section, as ADSampling's rotation
+/// and BSA's basis are.
 ///
-/// The `unit` field namespaces repeated kinds: shard s's main PDX store
-/// uses unit 2*s, its IVF-centroid store unit 2*s + 1; per-shard sections
-/// (buckets, pruner transforms) use unit s. Collection-wide sections use
-/// unit 0.
+/// Sections carrying payload meant to be served directly from a memory
+/// mapping (kStoreArena, kIvfCentroids, kRawRows, kQuantCodes, kQuantRows)
+/// start on 64-byte-aligned file offsets, so a page-aligned mmap of the
+/// file yields kPdxAlignment-aligned arena pointers — PDX blocks become
+/// zero-copy views over the mapping. Everything else (bucket lists,
+/// transform matrices, means) is small relative to the payload and is
+/// decoded into owned structures at load.
 ///
-/// Version 2 checksums with xxHash64; version 1 used FNV-1a 64 with the same
-/// layout. The loader rejects every version but the current one.
+/// The `unit` field is the shard: every per-shard section uses unit s.
+/// Collection-wide sections use unit 0.
+///
+/// The loader rejects every version but the current one by its version,
+/// before any checksum runs: version 1 checksummed with FNV-1a 64, and
+/// version 2 also stored each float store's block counts, lane ids and
+/// per-block statistics, and a second copy of the centroids.
 inline constexpr char kCollectionMagic[4] = {'P', 'D', 'X', 'C'};
-inline constexpr uint32_t kCollectionFormatVersion = 2;
+inline constexpr uint32_t kCollectionFormatVersion = 3;
 
 enum class SectionKind : uint32_t {
-  kCollectionMeta = 1,   ///< One SavedMeta (unit 0).
-  kStoreMeta = 2,        ///< Shape of one PDX store (per store unit).
-  kStoreIds = 3,         ///< Lane -> global id, block order (per store unit).
-  kStoreStats = 4,       ///< Collection + per-block DimensionStats.
-  kStoreArena = 5,       ///< The dimension-major float arena (mmap-able).
-  kIvfBuckets = 6,       ///< Bucket membership lists (per shard).
-  kIvfCentroidRows = 7,  ///< Horizontal centroids (per shard).
-  kPrunerRotation = 8,   ///< ADSampling rotation matrix (per shard).
-  kPrunerPca = 9,        ///< BSA PCA basis (per shard).
-  kRawRows = 10,         ///< Mutable base rows, horizontal (mmap-able).
-  kDeltaRows = 11,       ///< Mutable delta rows + slots.
-  kTombstones = 12,      ///< Mutable slot ids + tombstone bitmap.
-  kQuantParams = 13,     ///< u8 tier per-dimension offsets + scales.
-  kQuantCodes = 14,      ///< u8 tier code arena, block order (mmap-able).
-  kQuantRows = 15,       ///< u8 tier rerank rows, horizontal (mmap-able).
+  kCollectionMeta = 1,  ///< One SavedMeta (unit 0).
+  kStoreArena = 5,      ///< The float store's dimension-major arena.
+  kIvfBuckets = 6,      ///< Bucket membership lists.
+  kPrunerRotation = 8,  ///< ADSampling rotation matrix.
+  kPrunerPca = 9,       ///< BSA PCA basis.
+  kRawRows = 10,        ///< Mutable base rows, horizontal (unit 0).
+  kDeltaRows = 11,      ///< Mutable delta rows + slots (unit 0).
+  kTombstones = 12,     ///< Mutable slot ids + tombstone bitmap (unit 0).
+  kQuantParams = 13,    ///< u8 tier per-dimension offsets + scales.
+  kQuantCodes = 14,     ///< u8 tier code arena, block order.
+  kQuantRows = 15,      ///< u8 tier rerank rows, horizontal.
+  kIvfCentroids = 16,   ///< Centroid PDX arena, one group of kPdxBlockSize.
+  kPrunerMeans = 17,    ///< PDX-BOND per-dimension collection means.
 };
 
 /// Fixed-layout collection metadata — the serialized form of the
@@ -108,38 +115,24 @@ struct SavedMeta {
 };
 static_assert(sizeof(SavedMeta) == 184, "SavedMeta layout is pinned on disk");
 
-/// One PDX store, described for serialization. The arena pointer borrows
-/// from the live store: a SavedCollection is valid only while the searcher
-/// it was exported from is alive and unchanged.
-struct SavedStore {
-  uint64_t dim = 0;
-  uint64_t count = 0;
-  std::vector<uint32_t> block_counts;      ///< Lanes per block, block order.
-  std::vector<uint64_t> group_block_start; ///< num_groups + 1 boundaries.
-  std::vector<uint32_t> ids;               ///< Lane ids, block order.
-  std::vector<float> stats;  ///< (1 + num_blocks) x 4 x dim floats.
-  const float* arena = nullptr;
-  uint64_t arena_floats = 0;
-};
-
-/// Flattens `store` into its serializable description (arena borrowed).
-SavedStore ExportStore(const PdxStore& store);
-
-/// One shard's worth of searcher state.
+/// One shard's worth of searcher state. Pointer members borrow from the
+/// exporting searcher: a SavedShard is valid only while that searcher is
+/// alive and unchanged.
 struct SavedShard {
-  SavedStore store;
+  const float* arena = nullptr;  ///< Float store arena (empty under u8).
+  uint64_t arena_floats = 0;
   bool has_ivf = false;
-  SavedStore centroids;              ///< Centroid PDX store (has_ivf).
-  std::vector<float> centroid_rows;  ///< nb x dim horizontal (has_ivf).
+  const float* centroid_arena = nullptr;  ///< Centroid PDX arena (has_ivf).
+  uint64_t centroid_arena_floats = 0;
   std::vector<uint64_t> bucket_offsets;  ///< nb + 1 (has_ivf).
   std::vector<uint32_t> bucket_ids;      ///< Flat members (has_ivf).
   Matrix ads_rotation;               ///< rows() > 0 for ADSampling.
   std::vector<float> pca_mean;       ///< BSA only.
   std::vector<float> pca_variance;   ///< BSA only.
   Matrix pca_components;             ///< rows() > 0 for BSA.
+  std::vector<float> bond_means;     ///< PDX-BOND only (dim floats).
   /// u8 quantized tier (has_quant): the shard persists kQuantParams /
-  /// kQuantCodes / kQuantRows *instead of* a float PDX store (`store` stays
-  /// empty). Codes and rows borrow from the exporting searcher.
+  /// kQuantCodes / kQuantRows *instead of* a float store arena.
   bool has_quant = false;
   std::vector<float> quant_offsets;  ///< Per-dimension offsets (dim).
   std::vector<float> quant_scales;   ///< Per-dimension scales (dim).
@@ -225,33 +218,22 @@ class CollectionImage {
   std::vector<Entry> sections_;
 };
 
-/// One PDX store decoded from an image: small structures owned, the arena
-/// a borrowed 64-byte-aligned pointer into the image.
-struct StoreImage {
-  size_t dim = 0;
-  size_t count = 0;
-  std::vector<uint32_t> block_counts;
-  std::vector<size_t> group_block_start;
-  std::vector<VectorId> ids;
-  DimensionStats stats;
-  std::vector<DimensionStats> block_stats;
-  const float* arena = nullptr;
-  size_t arena_floats = 0;
-};
+/// The float arena of section (`kind`, shard `unit`): a borrowed
+/// 64-byte-aligned view into the image, which must hold exactly `floats`
+/// floats — the size of the layout the loader derived for it.
+Result<const float*> DecodeArena(const CollectionImage& image,
+                                 SectionKind kind, uint32_t unit,
+                                 size_t floats);
 
-/// Decodes store unit `unit` (meta + ids + stats + arena view). Every lane
-/// id is below the store's count.
-Result<StoreImage> DecodeStore(const CollectionImage& image, uint32_t unit);
+/// Bucket lists of shard `unit`, which hold `count` vectors. The lists are
+/// the only record of which vector sits in which lane, so they must
+/// partition the shard: every id below `count`, each exactly once.
+Result<std::vector<std::vector<VectorId>>> DecodeBuckets(
+    const CollectionImage& image, uint32_t unit, size_t count);
 
-/// IVF structures of shard `unit`, whose `count` vectors the buckets must
-/// partition: every member is below `count` and the lists hold `count` ids.
-struct IvfImage {
-  std::vector<std::vector<VectorId>> buckets;
-  const float* centroid_rows = nullptr;  ///< nb x dim floats.
-  size_t num_buckets = 0;
-};
-Result<IvfImage> DecodeIvf(const CollectionImage& image, uint32_t unit,
-                           size_t count);
+/// PDX-BOND collection means of shard `unit`: exactly meta dim floats.
+Result<std::vector<float>> DecodeMeans(const CollectionImage& image,
+                                       uint32_t unit);
 
 /// ADSampling rotation of shard `unit`.
 Result<Matrix> DecodeRotation(const CollectionImage& image, uint32_t unit);
@@ -264,9 +246,9 @@ struct PcaImage {
 };
 Result<PcaImage> DecodePca(const CollectionImage& image, uint32_t unit);
 
-/// u8 quantized tier of shard `unit`: parameters owned, codes (count x dim
-/// bytes) and rerank rows (count x dim floats) borrowed 64-byte-aligned
-/// views into the image.
+/// u8 quantized tier of shard `unit`, which holds `count` vectors:
+/// parameters owned, codes (count x dim bytes) and rerank rows (count x dim
+/// floats) borrowed 64-byte-aligned views into the image.
 struct QuantImage {
   size_t dim = 0;
   size_t count = 0;
@@ -276,7 +258,8 @@ struct QuantImage {
   uint64_t codes_bytes = 0;
   const float* rows = nullptr;  ///< count x dim, global-id order.
 };
-Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit);
+Result<QuantImage> DecodeQuant(const CollectionImage& image, uint32_t unit,
+                               size_t count);
 
 /// Mutable-snapshot overlay (raw base rows, delta, tombstones).
 struct MutableImage {

@@ -15,6 +15,16 @@ size_t AlignedBlockFloats(size_t dim, size_t n) {
   return (floats + 15) / 16 * 16;
 }
 
+std::vector<size_t> GroupSizes(
+    const std::vector<std::vector<VectorId>>& groups) {
+  std::vector<size_t> sizes;
+  sizes.reserve(groups.size());
+  for (const std::vector<VectorId>& group : groups) {
+    sizes.push_back(group.size());
+  }
+  return sizes;
+}
+
 std::atomic<uint64_t> g_pack_count{0};
 
 }  // namespace
@@ -23,28 +33,62 @@ uint64_t PdxStorePackCount() {
   return g_pack_count.load(std::memory_order_relaxed);
 }
 
-void PdxStore::AppendGroup(const VectorSet& vectors,
-                           const std::vector<VectorId>& ids,
-                           size_t block_capacity, size_t& arena_offset,
-                           PdxStore& store) {
-  size_t offset = 0;
-  while (offset < ids.size()) {
-    const size_t n = std::min(block_capacity, ids.size() - offset);
-    PdxBlock block(vectors.dim(), n, store.arena_.data() + arena_offset);
-    arena_offset += AlignedBlockFloats(vectors.dim(), n);
-    for (size_t i = 0; i < n; ++i) {
-      const VectorId id = ids[offset + i];
-      block.FillLane(i, vectors.Vector(id), id);
+BlockLayout SplitIntoBlocks(const std::vector<size_t>& group_sizes,
+                            size_t block_capacity) {
+  assert(block_capacity > 0);
+  BlockLayout layout;
+  layout.group_block_start.reserve(group_sizes.size() + 1);
+  layout.group_block_start.push_back(0);
+  for (const size_t size : group_sizes) {
+    size_t remaining = size;
+    while (remaining > 0) {
+      const size_t n = std::min(block_capacity, remaining);
+      layout.block_counts.push_back(n);
+      remaining -= n;
     }
-    store.block_stats_.push_back(ComputeBlockStats(block));
-    store.blocks_.push_back(std::move(block));
-    offset += n;
+    layout.group_block_start.push_back(layout.block_counts.size());
   }
+  return layout;
+}
+
+size_t PdxStore::ArenaFloats(size_t dim,
+                             const std::vector<std::vector<VectorId>>& groups,
+                             size_t block_capacity) {
+  size_t total = 0;
+  for (const size_t n :
+       SplitIntoBlocks(GroupSizes(groups), block_capacity).block_counts) {
+    total += AlignedBlockFloats(dim, n);
+  }
+  return total;
+}
+
+PdxStore PdxStore::Lay(size_t dim,
+                       const std::vector<std::vector<VectorId>>& groups,
+                       size_t block_capacity, float* arena) {
+  BlockLayout layout = SplitIntoBlocks(GroupSizes(groups), block_capacity);
+  PdxStore store;
+  store.dim_ = dim;
+  store.blocks_.reserve(layout.block_counts.size());
+  size_t arena_offset = 0;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    auto lane = groups[g].begin();
+    for (size_t b = layout.group_block_start[g];
+         b < layout.group_block_start[g + 1]; ++b) {
+      const size_t n = layout.block_counts[b];
+      PdxBlock block(dim, n, arena + arena_offset);
+      block.AssignIds(std::vector<VectorId>(lane, lane + n));
+      store.blocks_.push_back(std::move(block));
+      arena_offset += AlignedBlockFloats(dim, n);
+      lane += n;
+    }
+    store.count_ += groups[g].size();
+  }
+  store.group_block_start_ = std::move(layout.group_block_start);
+  return store;
 }
 
 PdxStore PdxStore::FromVectorSet(const VectorSet& vectors,
                                  size_t block_capacity) {
-  assert(block_capacity > 0);
   std::vector<VectorId> all(vectors.count());
   std::iota(all.begin(), all.end(), 0);
   return FromGroups(vectors, {all}, block_capacity);
@@ -53,75 +97,25 @@ PdxStore PdxStore::FromVectorSet(const VectorSet& vectors,
 PdxStore PdxStore::FromGroups(const VectorSet& vectors,
                               const std::vector<std::vector<VectorId>>& groups,
                               size_t block_capacity) {
-  assert(block_capacity > 0);
   g_pack_count.fetch_add(1, std::memory_order_relaxed);
-  PdxStore store;
-  store.dim_ = vectors.dim();
-
-  // Size the arena: every group contributes ceil(|g|/capacity) blocks.
-  size_t total_floats = 0;
-  for (const std::vector<VectorId>& group : groups) {
-    size_t remaining = group.size();
-    while (remaining > 0) {
-      const size_t n = std::min(block_capacity, remaining);
-      total_floats += AlignedBlockFloats(vectors.dim(), n);
-      remaining -= n;
+  AlignedBuffer arena(ArenaFloats(vectors.dim(), groups, block_capacity));
+  PdxStore store = Lay(vectors.dim(), groups, block_capacity, arena.data());
+  store.arena_ = std::move(arena);
+  for (PdxBlock& block : store.blocks_) {
+    for (size_t i = 0; i < block.count(); ++i) {
+      block.FillLane(i, vectors.Vector(block.id(i)), block.id(i));
     }
-  }
-  store.arena_.Reset(total_floats);
-
-  size_t arena_offset = 0;
-  store.group_block_start_.push_back(0);
-  for (const std::vector<VectorId>& group : groups) {
-    AppendGroup(vectors, group, block_capacity, arena_offset, store);
-    store.group_block_start_.push_back(store.blocks_.size());
-    store.count_ += group.size();
-  }
-  // Collection-level stats: merge the per-block stats.
-  if (!store.blocks_.empty()) {
-    DimensionStats merged = store.block_stats_[0];
-    size_t merged_count = store.blocks_[0].count();
-    for (size_t b = 1; b < store.blocks_.size(); ++b) {
-      merged = MergeStats(merged, merged_count, store.block_stats_[b],
-                          store.blocks_[b].count());
-      merged_count += store.blocks_[b].count();
-    }
-    store.stats_ = std::move(merged);
   }
   return store;
 }
 
-PdxStore PdxStore::FromView(size_t dim, size_t count,
-                            const std::vector<uint32_t>& block_counts,
-                            std::vector<size_t> group_block_start,
-                            const std::vector<VectorId>& ids,
-                            DimensionStats stats,
-                            std::vector<DimensionStats> block_stats,
-                            const float* arena) {
-  assert(block_stats.size() == block_counts.size());
-  PdxStore store;
-  store.dim_ = dim;
-  store.count_ = count;
-  store.group_block_start_ = std::move(group_block_start);
-  store.block_stats_ = std::move(block_stats);
-  store.stats_ = std::move(stats);
-  store.blocks_.reserve(block_counts.size());
+PdxStore PdxStore::FromView(size_t dim,
+                            const std::vector<std::vector<VectorId>>& groups,
+                            size_t block_capacity, const float* arena) {
   // arena_ stays empty: the blocks view the caller's region at the exact
   // offsets FromGroups lays out, so arena_data()/arena_floats() and every
   // scan path behave identically to an owned store.
-  size_t arena_offset = 0;
-  size_t id_offset = 0;
-  for (const uint32_t n : block_counts) {
-    PdxBlock block(dim, n, const_cast<float*>(arena) + arena_offset);
-    block.AssignIds(
-        std::vector<VectorId>(ids.begin() + id_offset,
-                              ids.begin() + id_offset + n));
-    store.blocks_.push_back(std::move(block));
-    arena_offset += AlignedBlockFloats(dim, n);
-    id_offset += n;
-  }
-  assert(id_offset == count);
-  return store;
+  return Lay(dim, groups, block_capacity, const_cast<float*>(arena));
 }
 
 size_t PdxStore::arena_floats() const {

@@ -14,6 +14,7 @@
 #include "pruning/adsampling.h"
 #include "pruning/bsa.h"
 #include "pruning/pdx_bond.h"
+#include "storage/block_stats.h"
 
 namespace pdx {
 namespace {
@@ -112,7 +113,7 @@ std::vector<std::pair<PrunerKind, DirectSearch>> DirectRoster(
                                                std::move(bsa), index, nprobe));
   PdxStore bond_store = pack(
       data, index != nullptr ? kPdxBlockSize : kExactSearchBlockCapacity);
-  PdxBondPruner bond(bond_store.stats().means,
+  PdxBondPruner bond(ComputeStats(data.data(), data.count(), data.dim()).means,
                      index != nullptr ? DimensionOrder::kDimensionZones
                                       : DimensionOrder::kDistanceToMeans,
                      16);
@@ -174,7 +175,7 @@ TEST(AnySearcherTest, FlatDefaultsMatchPaperBondSetup) {
   // partitions: 2000 vectors -> one block.
   EXPECT_EQ(made.value()->options().block_capacity,
             kExactSearchBlockCapacity);
-  EXPECT_EQ(made.value()->store().num_blocks(), 1u);
+  EXPECT_EQ(made.value()->num_blocks(), 1u);
 }
 
 TEST(AnySearcherTest, OwnedIndexPathReachesFullRecall) {

@@ -531,5 +531,26 @@ TEST(MutableSearcherTest, HugeDeltaBlockCapacityServesTheSameResults) {
   }
 }
 
+TEST(MutableSearcherTest, ShardedBaseBlocksSumOverShards) {
+  // base_blocks (GET /stats) counts every shard of the base, on the float
+  // tier and the u8 tier alike: 300 rows over 3 contiguous shards of 100
+  // in 16-lane blocks are 3 x 7 blocks.
+  VectorSet base = RandomVectors(300, 8, 29);
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  for (const QuantizationKind quantization :
+       {QuantizationKind::kNone, QuantizationKind::kU8}) {
+    SearcherConfig config = Config(SearcherLayout::kFlat, PrunerKind::kLinear);
+    config.block_capacity = 16;
+    config.quantization = quantization;
+    auto made = MutableSearcher::Make(base, config, MutationConfig{},
+                                      sharding);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    EXPECT_EQ(made.value()->num_shards(), 3u);
+    EXPECT_EQ(made.value()->num_blocks(), 21u);
+    EXPECT_EQ(made.value()->mutation_stats().base_blocks, 21u);
+  }
+}
+
 }  // namespace
 }  // namespace pdx

@@ -10,6 +10,7 @@
 #include "core/any_searcher.h"
 #include "index/flat.h"
 #include "pruning/pdx_bond.h"
+#include "storage/block_stats.h"
 
 namespace pdx {
 namespace {
@@ -139,7 +140,10 @@ TEST(PdxearchTest, SingleVectorBlocksNeverEnterPrune) {
   Dataset dataset = MakeDataset(16, 20, /*count=*/120);
   PdxStore store = PdxStore::FromVectorSet(dataset.data, /*block_capacity=*/1);
   ASSERT_EQ(store.num_blocks(), dataset.data.count());
-  PdxBondPruner pruner(store.stats().means, DimensionOrder::kSequential);
+  PdxBondPruner pruner(ComputeStats(dataset.data.data(), dataset.data.count(),
+                                    dataset.data.dim())
+                           .means,
+                       DimensionOrder::kSequential);
   PdxearchEngine<PdxBondPruner> engine(&store, &pruner);
   for (size_t q = 0; q < dataset.queries.count(); ++q) {
     const float* query = dataset.queries.Vector(q);
@@ -197,7 +201,10 @@ TEST(PdxearchTest, PhaseTimesZeroWhenDisabled) {
 TEST(PdxearchTest, StepObserverSeesBlockLifecycle) {
   Dataset dataset = MakeDataset(16, 15, /*count=*/600);
   PdxStore store = PdxStore::FromVectorSet(dataset.data, 128);
-  PdxBondPruner pruner(store.stats().means, DimensionOrder::kSequential);
+  PdxBondPruner pruner(ComputeStats(dataset.data.data(), dataset.data.count(),
+                                    dataset.data.dim())
+                           .means,
+                       DimensionOrder::kSequential);
   PdxearchOptions options;
   std::vector<std::tuple<size_t, size_t, size_t>> events;
   options.step_observer = [&](size_t dims, size_t alive, size_t n) {
@@ -260,7 +267,10 @@ TEST(PdxearchTest, SingleVectorCollection) {
 TEST(PdxearchTest, InitialStepRespected) {
   Dataset dataset = MakeDataset(64, 18, /*count=*/500);
   PdxStore store = PdxStore::FromVectorSet(dataset.data);
-  PdxBondPruner pruner(store.stats().means, DimensionOrder::kSequential);
+  PdxBondPruner pruner(ComputeStats(dataset.data.data(), dataset.data.count(),
+                                    dataset.data.dim())
+                           .means,
+                       DimensionOrder::kSequential);
   PdxearchOptions options;
   options.initial_step = 4;
   std::vector<size_t> depths;

@@ -107,6 +107,7 @@ struct Region {
 bool IsArena(uint32_t kind) {
   switch (static_cast<SectionKind>(kind)) {
     case SectionKind::kStoreArena:
+    case SectionKind::kIvfCentroids:
     case SectionKind::kRawRows:
     case SectionKind::kQuantCodes:
     case SectionKind::kQuantRows:
@@ -387,33 +388,38 @@ size_t EntryOf(const std::vector<uint8_t>& bytes, SectionKind kind,
 }
 
 TEST(PersistMutationTest, OutOfRangeLaneIdsAreCorruption) {
-  // A checksum-valid live collection whose store lane ids point past the
-  // store. A search remaps every lane id through per-slot tables without a
-  // check, so before the loader checked them such a file loaded fine and
-  // the first query died with SIGSEGV. Two ways to get there: the ids
-  // rewritten in place, and the ids entry of the table pointed at the
-  // arena, whose float bits read as huge ids.
+  // The bucket lists are the only record of which vector sits in which
+  // lane of an IVF store, and a search remaps every lane id through
+  // per-slot tables without a check (before the loader checked lane ids, a
+  // file with ids past the store loaded fine and the first query died with
+  // SIGSEGV). Two ways to get there on a checksum-valid live IVF
+  // collection: the bucket members rewritten past the count, and the
+  // buckets entry of the table pointed at the arena, whose float bits read
+  // as huge counts and ids.
   const VectorSet vectors = RandomVectors(2000, 16, 9);
   auto made = MutableSearcher::Make(
-      vectors, BaseConfig(SearcherLayout::kFlat, PrunerKind::kBond),
+      vectors, BaseConfig(SearcherLayout::kIvf, PrunerKind::kBond),
       MutationConfig{}, ShardingOptions{});
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   const std::string path = TempPath("lane_ids.pdxc");
   ASSERT_TRUE(made.value()->Save(path).ok());
   const std::vector<uint8_t> pristine = ReadFile(path);
-  const size_t ids_entry = EntryOf(pristine, SectionKind::kStoreIds, 0);
+  const size_t buckets_entry = EntryOf(pristine, SectionKind::kIvfBuckets, 0);
   const size_t arena_entry = EntryOf(pristine, SectionKind::kStoreArena, 0);
-  const uint64_t ids_offset = Get<uint64_t>(pristine, ids_entry + 8);
-  const uint64_t ids_size = Get<uint64_t>(pristine, ids_entry + 16);
-  ASSERT_EQ(ids_size, vectors.count() * sizeof(uint32_t));
+  const uint64_t buckets_offset = Get<uint64_t>(pristine, buckets_entry + 8);
+  // {u64 num_buckets, u64 total, (num_buckets + 1) x u64 offsets,
+  //  total x u32 members}.
+  const uint64_t num_buckets = Get<uint64_t>(pristine, buckets_offset);
+  ASSERT_EQ(Get<uint64_t>(pristine, buckets_offset + 8), vectors.count());
+  const uint64_t members_offset = buckets_offset + 16 + (num_buckets + 1) * 8;
 
   std::vector<uint8_t> rewritten = pristine;
   for (uint64_t i = 0; i < vectors.count(); ++i) {
-    Put(rewritten, ids_offset + i * sizeof(uint32_t),
+    Put(rewritten, members_offset + i * sizeof(uint32_t),
         static_cast<uint32_t>(0x80000000u + i));
   }
   std::vector<uint8_t> redirected = pristine;
-  Put(redirected, ids_entry + 8, Get<uint64_t>(pristine, arena_entry + 8));
+  Put(redirected, buckets_entry + 8, Get<uint64_t>(pristine, arena_entry + 8));
 
   const std::string crafted = TempPath("lane_ids_crafted.pdxc");
   for (std::vector<uint8_t>* bytes : {&rewritten, &redirected}) {
@@ -422,7 +428,8 @@ TEST(PersistMutationTest, OutOfRangeLaneIdsAreCorruption) {
     auto loaded = LoadCollection(crafted);
     ASSERT_FALSE(loaded.ok());
     EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
-    EXPECT_NE(loaded.status().message().find("lane id"), std::string::npos)
+    EXPECT_NE(loaded.status().message().find("IVF buckets"),
+              std::string::npos)
         << loaded.status().ToString();
     // The route behind PUT /collections/<name>/load refuses it too.
     SearchService service;
@@ -430,12 +437,35 @@ TEST(PersistMutationTest, OutOfRangeLaneIdsAreCorruption) {
   }
 }
 
+TEST(PersistMutationTest, DuplicateBucketMembersAreCorruption) {
+  // Bucket lists that keep the total and the id range but name one vector
+  // twice and drop another: the lane ids derived from them would serve
+  // that vector twice (the u8 tier answered with it twice before the
+  // loader required each id exactly once).
+  for (const char* tier : {"ivf-u8", "ivf-ads"}) {
+    SCOPED_TRACE(tier);
+    const std::string path = TempPath(std::string("dup_") + tier);
+    ASSERT_TRUE(TierNamed(tier).save(path).ok());
+    std::vector<uint8_t> bytes = ReadFile(path);
+    const size_t entry = EntryOf(bytes, SectionKind::kIvfBuckets, 0);
+    const uint64_t offset = Get<uint64_t>(bytes, entry + 8);
+    const uint64_t num_buckets = Get<uint64_t>(bytes, offset);
+    const uint64_t members = offset + 16 + (num_buckets + 1) * 8;
+    Put(bytes, members + sizeof(uint32_t), Get<uint32_t>(bytes, members));
+    Reseal(bytes);
+    WriteFile(path, bytes);
+    auto loaded = LoadCollection(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+}
+
 TEST(PersistMutationTest, SwappedShardsAreCorruption) {
-  // The loader recomputes each shard's id map from (count, shards,
-  // assignment) instead of reading it. A table that swaps the stores of two
-  // shards of different sizes keeps every checksum and the total count,
-  // but the larger store's local ids would then index past the smaller
-  // shard's map, so each shard must hold exactly the vectors its map names.
+  // The loader recomputes each shard's id map, and with it the shard's
+  // vector count, from (count, shards, assignment) instead of reading it. A
+  // table that swaps the arenas of two shards of different sizes keeps
+  // every checksum and the total count, but the larger arena cannot hold
+  // the smaller shard's derived layout, nor the other way round.
   const VectorSet vectors = RandomVectors(241, 12, 13);  // 81 + 80 + 80.
   ShardingOptions sharding;
   sharding.num_shards = 3;
@@ -450,17 +480,15 @@ TEST(PersistMutationTest, SwappedShardsAreCorruption) {
   std::vector<uint8_t> bytes = ReadFile(path);
   ASSERT_TRUE(LoadCollection(path).ok());
 
-  // Store units 0 and 2 are the main stores of shards 0 and 1.
   const uint32_t sections = Get<uint32_t>(bytes, kOffSectionCount);
   for (uint32_t s = 0; s < sections; ++s) {
     const size_t entry = kHeaderBytes + s * kEntryBytes;
-    const auto kind = static_cast<SectionKind>(Get<uint32_t>(bytes, entry));
-    if (kind != SectionKind::kStoreMeta && kind != SectionKind::kStoreIds &&
-        kind != SectionKind::kStoreStats && kind != SectionKind::kStoreArena) {
+    if (static_cast<SectionKind>(Get<uint32_t>(bytes, entry)) !=
+        SectionKind::kStoreArena) {
       continue;
     }
     const uint32_t unit = Get<uint32_t>(bytes, entry + 4);
-    if (unit == 0 || unit == 2) Put<uint32_t>(bytes, entry + 4, 2 - unit);
+    if (unit <= 1) Put<uint32_t>(bytes, entry + 4, 1 - unit);
   }
   Reseal(bytes);
   WriteFile(path, bytes);
@@ -518,24 +546,61 @@ TEST(PersistMutationTest, ResizedShapesAreCorruption) {
     EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   }
 
-  // An IVF store whose first two groups are merged into one: the engine
-  // scans bucket b as group b, so the last bucket would read past the
-  // group table.
+  // Bucket lists with their first two buckets merged into one: the IVF
+  // store's groups and the centroid arena are derived from the lists, so
+  // the engine would scan bucket b as group b of a layout the arenas do
+  // not hold.
   {
     const std::string path = TempPath("resized_ivf.pdxc");
     ASSERT_TRUE(TierNamed("ivf-ads").save(path).ok());
     std::vector<uint8_t> bytes = ReadFile(path);
-    const size_t entry = EntryOf(bytes, SectionKind::kStoreMeta, 0);
-    std::vector<uint8_t> meta = Payload(bytes, entry);
-    // {u64 dim, count, num_blocks, num_groups, arena_floats,
-    //  num_blocks x u32 block counts, (num_groups + 1) x u64 group starts}.
-    const uint64_t num_blocks = Get<uint64_t>(meta, 16);
-    const uint64_t num_groups = Get<uint64_t>(meta, 24);
-    ASSERT_GE(num_groups, 2u);
-    Put<uint64_t>(meta, 24, num_groups - 1);
-    const size_t second_start = 40 + num_blocks * sizeof(uint32_t) + 8;
-    meta.erase(meta.begin() + second_start, meta.begin() + second_start + 8);
-    ReplacePayload(bytes, entry, meta);
+    const size_t entry = EntryOf(bytes, SectionKind::kIvfBuckets, 0);
+    std::vector<uint8_t> buckets = Payload(bytes, entry);
+    // {u64 num_buckets, u64 total, (num_buckets + 1) x u64 offsets,
+    //  total x u32 members}: dropping offset 1 merges buckets 0 and 1.
+    const uint64_t num_buckets = Get<uint64_t>(buckets, 0);
+    ASSERT_GE(num_buckets, 2u);
+    Put<uint64_t>(buckets, 0, num_buckets - 1);
+    buckets.erase(buckets.begin() + 24, buckets.begin() + 32);
+    ReplacePayload(bytes, entry, buckets);
+    Reseal(bytes);
+    WriteFile(crafted, bytes);
+    auto loaded = LoadCollection(crafted);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+
+  // An arena one block shorter than the layout derived from the count and
+  // block_capacity: 240 vectors in 64-lane blocks end with a 48-lane block.
+  {
+    const std::string path = TempPath("resized_arena.pdxc");
+    SearcherConfig config =
+        BaseConfig(SearcherLayout::kFlat, PrunerKind::kLinear);
+    config.block_capacity = 64;
+    ASSERT_TRUE(SaveMade(MakeSearcher(TierVectors(), config), path).ok());
+    std::vector<uint8_t> bytes = ReadFile(path);
+    const size_t entry = EntryOf(bytes, SectionKind::kStoreArena, 0);
+    ASSERT_EQ(Get<uint64_t>(bytes, entry + 16),
+              TierVectors().count() * dim * sizeof(float));
+    Put<uint64_t>(bytes, entry + 16,
+                  Get<uint64_t>(bytes, entry + 16) - 48 * dim * sizeof(float));
+    Reseal(bytes);
+    WriteFile(crafted, bytes);
+    auto loaded = LoadCollection(crafted);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+
+  // PDX-BOND means one float short of, then one float past, the dim.
+  for (const size_t floats : {dim - 1, dim + 1}) {
+    const std::string path = TempPath("resized_means.pdxc");
+    ASSERT_TRUE(TierNamed("flat-bond").save(path).ok());
+    std::vector<uint8_t> bytes = ReadFile(path);
+    const size_t entry = EntryOf(bytes, SectionKind::kPrunerMeans, 0);
+    std::vector<uint8_t> means = Payload(bytes, entry);
+    ASSERT_EQ(means.size(), dim * sizeof(float));
+    means.resize(floats * sizeof(float), 0);
+    ReplacePayload(bytes, entry, means);
     Reseal(bytes);
     WriteFile(crafted, bytes);
     auto loaded = LoadCollection(crafted);

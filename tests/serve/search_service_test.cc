@@ -1029,7 +1029,9 @@ class SlowSearcher : public Searcher {
     return inner_->SearchWith(slot, knobs, query, profile);
   }
   void ReserveScratch(size_t slots) override { inner_->ReserveScratch(slots); }
-  const PdxStore& store() const override { return inner_->store(); }
+  size_t num_blocks() const override { return inner_->num_blocks(); }
+  size_t count() const override { return inner_->count(); }
+  size_t dim() const override { return inner_->dim(); }
   const IvfIndex* index() const override { return inner_->index(); }
 
  private:
@@ -1100,7 +1102,9 @@ class ThrowingSearcher : public Searcher {
     return inner_->SearchWith(slot, knobs, query, profile);
   }
   void ReserveScratch(size_t slots) override { inner_->ReserveScratch(slots); }
-  const PdxStore& store() const override { return inner_->store(); }
+  size_t num_blocks() const override { return inner_->num_blocks(); }
+  size_t count() const override { return inner_->count(); }
+  size_t dim() const override { return inner_->dim(); }
   const IvfIndex* index() const override { return inner_->index(); }
 
  private:

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
-
-#include "common/random.h"
-#include "storage/pdx_block.h"
 
 namespace pdx {
 namespace {
@@ -22,63 +18,6 @@ TEST(BlockStatsTest, ComputeStatsKnownValues) {
   EXPECT_NEAR(stats.variances[0], 2.0f / 3.0f, 1e-5);
   EXPECT_FLOAT_EQ(stats.minimums[0], 1.0f);
   EXPECT_FLOAT_EQ(stats.maximums[1], 30.0f);
-}
-
-TEST(BlockStatsTest, BlockStatsMatchHorizontalStats) {
-  Rng rng(1);
-  const size_t dim = 7;
-  const size_t n = 33;
-  std::vector<float> data(n * dim);
-  for (float& v : data) v = static_cast<float>(rng.Gaussian());
-
-  PdxBlock block(dim, n);
-  for (size_t i = 0; i < n; ++i) {
-    block.FillLane(i, data.data() + i * dim, static_cast<VectorId>(i));
-  }
-  const DimensionStats from_block = ComputeBlockStats(block);
-  const DimensionStats direct = ComputeStats(data.data(), n, dim);
-  for (size_t d = 0; d < dim; ++d) {
-    ASSERT_NEAR(from_block.means[d], direct.means[d], 1e-5);
-    ASSERT_NEAR(from_block.variances[d], direct.variances[d], 1e-4);
-    ASSERT_EQ(from_block.minimums[d], direct.minimums[d]);
-    ASSERT_EQ(from_block.maximums[d], direct.maximums[d]);
-  }
-}
-
-TEST(BlockStatsTest, MergeEqualsWholeComputation) {
-  Rng rng(2);
-  const size_t dim = 5;
-  std::vector<float> part_a(40 * dim);
-  std::vector<float> part_b(25 * dim);
-  for (float& v : part_a) v = static_cast<float>(rng.Gaussian(1.0, 2.0));
-  for (float& v : part_b) v = static_cast<float>(rng.Gaussian(-3.0, 0.5));
-
-  DimensionStats stats_a = ComputeStats(part_a.data(), 40, dim);
-  DimensionStats stats_b = ComputeStats(part_b.data(), 25, dim);
-  DimensionStats merged = MergeStats(stats_a, 40, stats_b, 25);
-
-  std::vector<float> all;
-  all.insert(all.end(), part_a.begin(), part_a.end());
-  all.insert(all.end(), part_b.begin(), part_b.end());
-  DimensionStats whole = ComputeStats(all.data(), 65, dim);
-
-  for (size_t d = 0; d < dim; ++d) {
-    ASSERT_NEAR(merged.means[d], whole.means[d], 1e-4);
-    ASSERT_NEAR(merged.variances[d], whole.variances[d],
-                1e-3 * (1.0 + whole.variances[d]));
-    ASSERT_EQ(merged.minimums[d], whole.minimums[d]);
-    ASSERT_EQ(merged.maximums[d], whole.maximums[d]);
-  }
-}
-
-TEST(BlockStatsTest, MergeWithEmptySide) {
-  const std::vector<float> data = {1.0f, 2.0f, 3.0f};
-  DimensionStats stats = ComputeStats(data.data(), 3, 1);
-  DimensionStats empty = ComputeStats(data.data(), 0, 1);
-  DimensionStats merged_left = MergeStats(empty, 0, stats, 3);
-  DimensionStats merged_right = MergeStats(stats, 3, empty, 0);
-  EXPECT_FLOAT_EQ(merged_left.means[0], 2.0f);
-  EXPECT_FLOAT_EQ(merged_right.means[0], 2.0f);
 }
 
 TEST(BlockStatsTest, ConstantDimensionHasZeroVariance) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,9 +95,9 @@ TEST(CollectionFormatTest, GoldenHeaderAndSectionTableLayout) {
 
   // Header, field by field, at pinned offsets.
   EXPECT_EQ(std::memcmp(bytes.data() + kOffMagic, "PDXC", 4), 0);
-  EXPECT_EQ(ReadAt<uint32_t>(bytes, kOffVersion), kCollectionFormatVersion);
+  EXPECT_EQ(ReadAt<uint32_t>(bytes, kOffVersion), 3u);
+  EXPECT_EQ(kCollectionFormatVersion, 3u);
   const uint32_t sections = ReadAt<uint32_t>(bytes, kOffSectionCount);
-  EXPECT_GE(sections, 3u);  // At least meta + store meta/ids/stats/arena.
   EXPECT_EQ(ReadAt<uint32_t>(bytes, kOffReserved), 0u);
   EXPECT_EQ(ReadAt<uint64_t>(bytes, kOffFileSize), bytes.size());
   uint64_t expected = XxHash64(bytes.data(), kOffHeaderChecksum);
@@ -105,32 +106,41 @@ TEST(CollectionFormatTest, GoldenHeaderAndSectionTableLayout) {
   EXPECT_EQ(ReadAt<uint64_t>(bytes, kOffHeaderChecksum), expected);
 
   // Section table: 32-byte entries {u32 kind, u32 unit, u64 offset,
-  // u64 size, u64 checksum}, payloads in bounds and checksums true.
-  bool saw_meta = false;
-  bool saw_arena = false;
+  // u64 size, u64 checksum}. A flat PDX-BOND collection of 300 x 16 is
+  // three sections: the meta, the store's arena alone (one 10240-lane
+  // block of 300 x 16 floats, on a 64-byte file offset for the mmap
+  // zero-copy contract; its block counts and lane ids are derived) and
+  // BOND's 16 means. Kind numbers, order, offsets and sizes are pinned.
+  struct Entry {
+    uint32_t kind;
+    uint32_t unit;
+    uint64_t offset;
+    uint64_t size;
+  };
+  const Entry golden[] = {
+      {1, 0, 128, 184},             // kCollectionMeta: SavedMeta.
+      {5, 0, 320, 300 * 16 * 4},    // kStoreArena.
+      {17, 0, 19520, 16 * 4},       // kPrunerMeans.
+  };
+  EXPECT_EQ(static_cast<uint32_t>(SectionKind::kStoreArena), 5u);
+  EXPECT_EQ(static_cast<uint32_t>(SectionKind::kIvfCentroids), 16u);
+  EXPECT_EQ(static_cast<uint32_t>(SectionKind::kPrunerMeans), 17u);
+  EXPECT_EQ(sizeof(SavedMeta), 184u);
+  ASSERT_EQ(sections, std::size(golden));
   for (uint32_t s = 0; s < sections; ++s) {
     const size_t entry = kSectionTableStart + s * kSectionEntrySize;
-    const uint32_t kind = ReadAt<uint32_t>(bytes, entry);
     const uint64_t offset = ReadAt<uint64_t>(bytes, entry + 8);
     const uint64_t size = ReadAt<uint64_t>(bytes, entry + 16);
-    const uint64_t checksum = ReadAt<uint64_t>(bytes, entry + 24);
-    EXPECT_GE(kind, static_cast<uint32_t>(SectionKind::kCollectionMeta));
-    EXPECT_LE(kind, static_cast<uint32_t>(SectionKind::kTombstones));
+    EXPECT_EQ(ReadAt<uint32_t>(bytes, entry), golden[s].kind) << s;
+    EXPECT_EQ(ReadAt<uint32_t>(bytes, entry + 4), golden[s].unit) << s;
+    EXPECT_EQ(offset, golden[s].offset) << s;
+    EXPECT_EQ(size, golden[s].size) << s;
     ASSERT_LE(offset + size, bytes.size());
-    EXPECT_EQ(XxHash64(bytes.data() + offset, size), checksum);
-    if (kind == static_cast<uint32_t>(SectionKind::kCollectionMeta)) {
-      saw_meta = true;
-      EXPECT_EQ(size, sizeof(SavedMeta));
-      EXPECT_EQ(sizeof(SavedMeta), 184u);
-    }
-    if (kind == static_cast<uint32_t>(SectionKind::kStoreArena)) {
-      saw_arena = true;
-      // The mmap zero-copy contract: arenas start 64-byte-aligned.
-      EXPECT_EQ(offset % 64, 0u);
-    }
+    EXPECT_EQ(XxHash64(bytes.data() + offset, size),
+              ReadAt<uint64_t>(bytes, entry + 24))
+        << s;
   }
-  EXPECT_TRUE(saw_meta);
-  EXPECT_TRUE(saw_arena);
+  EXPECT_EQ(bytes.size(), 19584u);
 
   // And the file actually loads.
   auto image = CollectionImage::Load(path);
@@ -155,25 +165,30 @@ TEST(CollectionFormatTest, FutureVersionIsRejectedAsInvalidArgument) {
       << image.status().ToString();
 }
 
-TEST(CollectionFormatTest, V1FileIsRejectedNamingItsVersion) {
+TEST(CollectionFormatTest, OldVersionsAreRejectedNamingTheirVersion) {
   // Version 1 files carry FNV-1a checksums, which this build no longer
-  // computes: they must fail on the version, named in the message, not as
-  // a checksum mismatch further down.
-  const std::string path = TempPath("v1.pdxc");
-  std::vector<uint8_t> bytes = WriteSampleFile(path);
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + kOffVersion, &v1, sizeof(v1));
-  WriteBytes(path, bytes.data(), bytes.size());
-  for (const bool allow_mmap : {true, false}) {
-    auto image = CollectionImage::Load(path, allow_mmap);
-    ASSERT_FALSE(image.ok());
-    EXPECT_TRUE(image.status().IsInvalidArgument())
-        << image.status().ToString();
-    EXPECT_NE(image.status().message().find("format version 1"),
-              std::string::npos)
-        << image.status().ToString();
-    EXPECT_EQ(image.status().message().find("checksum"), std::string::npos)
-        << image.status().ToString();
+  // computes, and version 2 files carry store sections this build no
+  // longer reads. Both must fail on the version, named in the message, not
+  // as a checksum mismatch (the header checksum is left as written for
+  // version 3, so a checksum that ran would fail) or a missing section.
+  const std::string path = TempPath("old_version.pdxc");
+  const std::vector<uint8_t> pristine = WriteSampleFile(path);
+  for (const uint32_t version : {1u, 2u}) {
+    std::vector<uint8_t> bytes = pristine;
+    std::memcpy(bytes.data() + kOffVersion, &version, sizeof(version));
+    WriteBytes(path, bytes.data(), bytes.size());
+    for (const bool allow_mmap : {true, false}) {
+      auto image = CollectionImage::Load(path, allow_mmap);
+      ASSERT_FALSE(image.ok());
+      EXPECT_TRUE(image.status().IsInvalidArgument())
+          << image.status().ToString();
+      EXPECT_NE(image.status().message().find("format version " +
+                                              std::to_string(version)),
+                std::string::npos)
+          << image.status().ToString();
+      EXPECT_EQ(image.status().message().find("checksum"), std::string::npos)
+          << image.status().ToString();
+    }
   }
 }
 

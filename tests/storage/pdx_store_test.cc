@@ -105,27 +105,38 @@ TEST(PdxStoreTest, GroupsWithEmptyGroup) {
   EXPECT_EQ(l2 - f2, 3u);  // ceil(10/4).
 }
 
-TEST(PdxStoreTest, CollectionStatsMatchDirectComputation) {
-  VectorSet vectors = RandomVectors(300, 5, 4);
-  PdxStore store = PdxStore::FromVectorSet(vectors, 64);
-  const DimensionStats direct =
-      ComputeStats(vectors.data(), vectors.count(), vectors.dim());
-  for (size_t d = 0; d < 5; ++d) {
-    EXPECT_NEAR(store.stats().means[d], direct.means[d], 1e-4);
-    EXPECT_NEAR(store.stats().variances[d], direct.variances[d], 1e-3);
-    EXPECT_EQ(store.stats().minimums[d], direct.minimums[d]);
-    EXPECT_EQ(store.stats().maximums[d], direct.maximums[d]);
-  }
-}
+TEST(PdxStoreTest, ViewOverPackedArenaIsTheSameStore) {
+  // The loader derives a store's layout from its group sizes and capacity
+  // instead of reading it: SplitIntoBlocks must be the split FromGroups
+  // packed, and a view over the packed arena must reproduce every block,
+  // lane id and value.
+  VectorSet vectors = RandomVectors(150, 5, 5);
+  std::vector<std::vector<VectorId>> groups(4);
+  for (VectorId id = 0; id < 150; ++id) groups[(id * 7) % 3].push_back(id);
+  const PdxStore packed = PdxStore::FromGroups(vectors, groups, 16);
 
-TEST(PdxStoreTest, BlockStatsPerBlock) {
-  VectorSet vectors(1);
-  for (float v : {1.0f, 2.0f, 3.0f, 10.0f}) vectors.Append(&v);
-  PdxStore store = PdxStore::FromVectorSet(vectors, 2);
-  ASSERT_EQ(store.num_blocks(), 2u);
-  EXPECT_FLOAT_EQ(store.block_stats()[0].means[0], 1.5f);
-  EXPECT_FLOAT_EQ(store.block_stats()[1].means[0], 6.5f);
-  EXPECT_FLOAT_EQ(store.stats().means[0], 4.0f);
+  const BlockLayout layout = SplitIntoBlocks({50, 50, 50, 0}, 16);
+  ASSERT_EQ(layout.block_counts.size(), packed.num_blocks());
+  for (size_t b = 0; b < packed.num_blocks(); ++b) {
+    EXPECT_EQ(layout.block_counts[b], packed.block(b).count()) << b;
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(layout.group_block_start[g], packed.GroupBlockRange(g).first);
+    EXPECT_EQ(layout.group_block_start[g + 1],
+              packed.GroupBlockRange(g).second);
+  }
+  EXPECT_EQ(PdxStore::ArenaFloats(5, groups, 16), packed.arena_floats());
+
+  const PdxStore view =
+      PdxStore::FromView(5, groups, 16, packed.arena_data());
+  EXPECT_EQ(view.arena_data(), packed.arena_data());
+  EXPECT_EQ(view.count(), packed.count());
+  EXPECT_EQ(view.num_groups(), packed.num_groups());
+  ASSERT_EQ(view.num_blocks(), packed.num_blocks());
+  for (size_t b = 0; b < view.num_blocks(); ++b) {
+    EXPECT_EQ(view.block(b).data(), packed.block(b).data()) << b;
+    EXPECT_EQ(view.block(b).ids(), packed.block(b).ids()) << b;
+  }
 }
 
 TEST(PdxBlockTest, FillAndExtractLane) {

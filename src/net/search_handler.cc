@@ -1,7 +1,9 @@
 #include "net/search_handler.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -136,6 +138,31 @@ Status ReadSizeField(const JsonValue& object, const char* key, size_t* out) {
   }
   *out = static_cast<size_t>(value);
   return Status::OK();
+}
+
+/// Reads an optional enum field by its wire name, the text `name_of` gives
+/// the value (GET answers with the same text). Each enum read here numbers
+/// its values from 0, and its name function answers "unknown" past the
+/// last one. '_' reads as '-', so "round_robin" still selects round-robin
+/// shard assignment.
+template <typename Enum>
+Status ReadNameField(const JsonValue& object, const char* key,
+                     const char* (*name_of)(Enum), Enum* out) {
+  const JsonValue* field = object.Find(key);
+  if (field == nullptr) return Status::OK();
+  if (field->is_string()) {
+    std::string text = field->AsString();
+    std::replace(text.begin(), text.end(), '_', '-');
+    for (int v = 0; std::strcmp(name_of(static_cast<Enum>(v)), "unknown");
+         ++v) {
+      if (text == name_of(static_cast<Enum>(v))) {
+        *out = static_cast<Enum>(v);
+        return Status::OK();
+      }
+    }
+  }
+  return Status::InvalidArgument("unknown " + std::string(key) + ": " +
+                                 WriteJson(*field));
 }
 
 /// Converts one JSON array of numbers into `dim` floats appended to `out`.
@@ -316,6 +343,39 @@ Result<IngestRows> ParseIngestBody(const std::string& body) {
     return Status::InvalidArgument("ingest body carries no rows");
   }
   return rows;
+}
+
+/// Parses the body both persistence routes share: a JSON object whose
+/// "path" is a non-empty string.
+Result<JsonValue> ParsePathBody(const std::string& text) {
+  Result<JsonValue> parsed = ParseJson(text);
+  if (!parsed.ok()) return parsed.status();
+  const JsonValue& body = parsed.value();
+  if (!body.is_object()) {
+    return Status::InvalidArgument("body must be a JSON object");
+  }
+  const JsonValue* path = body.Find("path");
+  if (path == nullptr || !path->is_string() || path->AsString().empty()) {
+    return Status::InvalidArgument(
+        "\"path\" must be a non-empty file path string");
+  }
+  return parsed;
+}
+
+/// Answers a hosting route (PUT, load): `hosted`'s error, or 201 with the
+/// collection's new shape.
+void RespondHosted(const SearchService& service, const std::string& collection,
+                   const Status& hosted, const HttpResponder& respond) {
+  Result<CollectionInfo> info =
+      hosted.ok() ? service.GetCollectionInfo(collection)
+                  : Result<CollectionInfo>(hosted);
+  if (!info.ok()) {
+    // A concurrent DELETE can unhost the name in between; report what the
+    // service says now.
+    respond(MakeErrorResponse(info.status()));
+    return;
+  }
+  respond(JsonResponse(201, InfoJson(info.value())));
 }
 
 /// Completion state shared by the N callbacks of one batched search:
@@ -665,82 +725,25 @@ void SearchHandler::HandlePut(const std::string& collection,
   }
 
   SearcherConfig config;
-  if (const JsonValue* layout = body.Find("layout"); layout != nullptr) {
-    if (!layout->is_string()) {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("layout must be \"flat\" or \"ivf\"")));
-      return;
-    }
-    const std::string& value = layout->AsString();
-    if (value == "flat") {
-      config.layout = SearcherLayout::kFlat;
-    } else if (value == "ivf") {
-      config.layout = SearcherLayout::kIvf;
-    } else {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("unknown layout: " + value)));
-      return;
-    }
+  ShardingOptions sharding;
+  Status knob =
+      ReadNameField(body, "layout", SearcherLayoutName, &config.layout);
+  if (knob.ok()) {
+    knob = ReadNameField(body, "pruner", PrunerKindName, &config.pruner);
   }
-  if (const JsonValue* pruner = body.Find("pruner"); pruner != nullptr) {
-    if (!pruner->is_string()) {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("pruner must be a string")));
-      return;
-    }
-    const std::string& value = pruner->AsString();
-    if (value == "linear") {
-      config.pruner = PrunerKind::kLinear;
-    } else if (value == "adsampling") {
-      config.pruner = PrunerKind::kAdsampling;
-    } else if (value == "bsa") {
-      config.pruner = PrunerKind::kBsa;
-    } else if (value == "bond") {
-      config.pruner = PrunerKind::kBond;
-    } else {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("unknown pruner: " + value)));
-      return;
-    }
+  if (knob.ok()) {
+    knob = ReadNameField(body, "metric", MetricName, &config.metric);
   }
-  if (const JsonValue* metric = body.Find("metric"); metric != nullptr) {
-    if (!metric->is_string()) {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("metric must be a string")));
-      return;
-    }
-    const std::string& value = metric->AsString();
-    if (value == "l2") {
-      config.metric = Metric::kL2;
-    } else if (value == "ip") {
-      config.metric = Metric::kIp;
-    } else if (value == "l1") {
-      config.metric = Metric::kL1;
-    } else {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("unknown metric: " + value)));
-      return;
-    }
+  if (knob.ok()) {
+    knob = ReadNameField(body, "quantization", QuantizationKindName,
+                         &config.quantization);
   }
-  if (const JsonValue* quant = body.Find("quantization"); quant != nullptr) {
-    if (!quant->is_string()) {
-      respond(MakeErrorResponse(Status::InvalidArgument(
-          "quantization must be \"none\" or \"u8\"")));
-      return;
-    }
-    const std::string& value = quant->AsString();
-    if (value == "none") {
-      config.quantization = QuantizationKind::kNone;
-    } else if (value == "u8") {
-      config.quantization = QuantizationKind::kU8;
-    } else {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("unknown quantization: " + value)));
-      return;
-    }
+  if (knob.ok()) {
+    knob = ReadNameField(body, "assignment", ShardAssignmentName,
+                         &sharding.assignment);
   }
   size_t value = 0;
-  Status knob = ReadSizeField(body, "k", &value);
+  if (knob.ok()) knob = ReadSizeField(body, "k", &value);
   if (knob.ok() && value > 0) config.k = value;
   if (knob.ok()) knob = ReadSizeField(body, "rerank_factor", &value);
   if (knob.ok() && value > 0) config.rerank_factor = value;
@@ -748,51 +751,22 @@ void SearchHandler::HandlePut(const std::string& collection,
   if (knob.ok() && value > 0) config.nprobe = value;
   if (knob.ok()) knob = ReadSizeField(body, "block_capacity", &value);
   if (knob.ok() && value > 0) config.block_capacity = value;
-  ShardingOptions sharding;
   if (knob.ok()) knob = ReadSizeField(body, "shards", &value);
   if (knob.ok() && value > 0) sharding.num_shards = value;
   if (!knob.ok()) {
     respond(MakeErrorResponse(knob));
     return;
   }
-  if (const JsonValue* assignment = body.Find("assignment");
-      assignment != nullptr) {
-    if (!assignment->is_string()) {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("assignment must be a string")));
-      return;
-    }
-    const std::string& mode = assignment->AsString();
-    if (mode == "contiguous") {
-      sharding.assignment = ShardAssignment::kContiguous;
-    } else if (mode == "round-robin" || mode == "round_robin") {
-      sharding.assignment = ShardAssignment::kRoundRobin;
-    } else {
-      respond(MakeErrorResponse(
-          Status::InvalidArgument("unknown assignment: " + mode)));
-      return;
-    }
-  }
 
-  // PUT replaces: an existing collection under the name is unhosted first
-  // (its queued queries complete with kCancelled -> the client sees 503).
-  // Safe to run on the connection thread — searchers copy the payload into
-  // their own PDX stores, so the VectorSet below can die at scope exit.
-  (void)service_.RemoveCollection(collection);
+  // The service builds the new collection before it swaps it in: a body it
+  // rejects leaves the hosted one serving, and queries queued for the old
+  // collection finish on it. Safe to run on the connection thread —
+  // searchers copy the payload into their own PDX stores, so the VectorSet
+  // below can die at scope exit.
   const VectorSet payload = VectorSet::FromRowMajor(flat.data(), count, dim);
-  const Status added =
-      service_.AddCollection(collection, payload, config, sharding);
-  if (!added.ok()) {
-    respond(MakeErrorResponse(added));
-    return;
-  }
-  Result<CollectionInfo> info = service_.GetCollectionInfo(collection);
-  if (!info.ok()) {
-    // Raced with a concurrent DELETE — report what the service says now.
-    respond(MakeErrorResponse(info.status()));
-    return;
-  }
-  respond(JsonResponse(201, InfoJson(info.value())));
+  RespondHosted(service_, collection,
+                service_.AddCollection(collection, payload, config, sharding),
+                respond);
 }
 
 void SearchHandler::HandleAddVectors(const std::string& collection,
@@ -858,44 +832,25 @@ void SearchHandler::HandleDeleteVector(const std::string& collection,
   respond(JsonResponse(200, body));
 }
 
-namespace {
-
-/// Reads the required {"path": "..."} field both persistence routes share.
-Result<std::string> ReadPathField(const std::string& body_text) {
-  Result<JsonValue> parsed = ParseJson(body_text);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& body = parsed.value();
-  if (!body.is_object()) {
-    return Status::InvalidArgument("body must be a JSON object");
-  }
-  const JsonValue* path = body.Find("path");
-  if (path == nullptr || !path->is_string() || path->AsString().empty()) {
-    return Status::InvalidArgument(
-        "\"path\" must be a non-empty file path string");
-  }
-  return path->AsString();
-}
-
-}  // namespace
-
 void SearchHandler::HandleSave(const std::string& collection,
                                const HttpRequest& request,
                                HttpResponder respond) {
-  Result<std::string> path = ReadPathField(request.body);
-  if (!path.ok()) {
-    respond(MakeErrorResponse(path.status()));
+  Result<JsonValue> parsed = ParsePathBody(request.body);
+  if (!parsed.ok()) {
+    respond(MakeErrorResponse(parsed.status()));
     return;
   }
+  const std::string& path = parsed.value().Find("path")->AsString();
   // Synchronous on the connection thread, like PUT: the write holds no
   // service lock, so concurrent searches keep flowing while it runs.
-  const Status saved = service_.SaveCollection(collection, path.value());
+  const Status saved = service_.SaveCollection(collection, path);
   if (!saved.ok()) {
     respond(MakeErrorResponse(saved));
     return;
   }
   JsonValue body = JsonValue::Object();
   body.Set("collection", collection);
-  body.Set("path", path.value());
+  body.Set("path", path);
   body.Set("saved", true);
   respond(JsonResponse(200, body));
 }
@@ -903,13 +858,12 @@ void SearchHandler::HandleSave(const std::string& collection,
 void SearchHandler::HandleLoad(const std::string& collection,
                                const HttpRequest& request,
                                HttpResponder respond) {
-  Result<std::string> path = ReadPathField(request.body);
-  if (!path.ok()) {
-    respond(MakeErrorResponse(path.status()));
+  Result<JsonValue> parsed = ParsePathBody(request.body);
+  if (!parsed.ok()) {
+    respond(MakeErrorResponse(parsed.status()));
     return;
   }
   bool allow_mmap = true;
-  Result<JsonValue> parsed = ParseJson(request.body);
   if (const JsonValue* mmap = parsed.value().Find("mmap"); mmap != nullptr) {
     if (!mmap->is_bool()) {
       respond(MakeErrorResponse(
@@ -918,28 +872,13 @@ void SearchHandler::HandleLoad(const std::string& collection,
     }
     allow_mmap = mmap->AsBool();
   }
-  // Validate + map + reconstruct BEFORE unhosting anything: a bad file
-  // must leave the currently hosted collection serving. The service's
-  // LoadCollection does exactly that ordering internally only for the
-  // adopt step, so the replace here removes only after the file parsed —
-  // the load is retried once if a racing PUT re-created the name between
-  // the remove and the adopt.
-  Status loaded = service_.LoadCollection(collection, path.value(), allow_mmap);
-  if (loaded.IsInvalidArgument() &&
-      loaded.message().find("already hosted") != std::string::npos) {
-    (void)service_.RemoveCollection(collection);
-    loaded = service_.LoadCollection(collection, path.value(), allow_mmap);
-  }
-  if (!loaded.ok()) {
-    respond(MakeErrorResponse(loaded));
-    return;
-  }
-  Result<CollectionInfo> info = service_.GetCollectionInfo(collection);
-  if (!info.ok()) {
-    respond(MakeErrorResponse(info.status()));
-    return;
-  }
-  respond(JsonResponse(201, InfoJson(info.value())));
+  // Replaces like PUT: the file is validated, mapped and rebuilt before
+  // the swap, so a bad file leaves the hosted collection serving.
+  RespondHosted(service_, collection,
+                service_.LoadCollection(
+                    collection, parsed.value().Find("path")->AsString(),
+                    allow_mmap),
+                respond);
 }
 
 void SearchHandler::HandleDelete(const std::string& collection,

@@ -60,10 +60,13 @@ namespace pdx {
 /// "pruner": "linear"|"adsampling"|"bsa"|"bond", "metric": "l2"|"ip"|"l1",
 /// "k": n, "nprobe": n, "shards": n, "assignment":
 /// "contiguous"|"round-robin", "block_capacity": n}. Everything but
-/// "vectors" is optional. PUT to an existing name replaces it (queries
-/// queued for the old collection complete with 503). Replacement resets
-/// the per-collection slowlog (it describes the hosted searcher, which is
-/// new) while the Prometheus counters keep their cumulative series.
+/// "vectors" is optional. PUT to an existing name replaces it in one step:
+/// the new collection is built before the swap, so a rejected PUT leaves
+/// the old one serving, and queries queued for the old collection finish
+/// on it — a replace never answers a search with 404 or 503. Replacement
+/// resets the per-collection slowlog (it describes the hosted searcher,
+/// which is new) while the Prometheus counters keep their cumulative
+/// series.
 ///
 /// Ingest body (POST /collections/<name>/vectors) — two formats:
 ///   - NDJSON (newline-delimited, one row per line — streams past the
@@ -84,7 +87,8 @@ namespace pdx {
 /// "mmap": true}). Save writes the hosted collection to one self-contained
 /// file and marks the collection persistent — the background compactor
 /// re-saves to the same path after every fold. Load restores the file and
-/// hosts it under <name>, replacing any existing collection like PUT does;
+/// hosts it under <name>, replacing any existing collection like PUT does
+/// (a file that fails to load leaves that collection serving);
 /// "mmap" (default true) serves the packed stores straight off a memory
 /// mapping instead of heap copies. The restored shape answers as 201 with
 /// the same body as PUT, including "source" ("mmap" or "loaded").

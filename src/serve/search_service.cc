@@ -68,19 +68,20 @@ struct SearchService::Collection {
   /// True while queued for (or running) a background compaction, so the
   /// compact queue holds each collection at most once. Guarded by mutex_.
   bool compacting = false;
-  /// "built", "mmap", or "loaded" (see CollectionInfo::source). Fixed at
-  /// adoption.
+  /// "built", "mmap", or "loaded" (see CollectionInfo::source). Fixed
+  /// before install.
   std::string source = "built";
   /// Bytes of collection file currently memory-mapped (mmap source only).
   uint64_t mapped_bytes = 0;
-  /// Where SaveCollection last wrote this collection; the compactor
-  /// re-saves there after every fold so the on-disk snapshot tracks the
-  /// live state. Empty = never saved. Guarded by mutex_.
+  /// The file this incarnation was loaded from or SaveCollection last wrote
+  /// it to; the compactor re-saves there after every fold so the on-disk
+  /// snapshot tracks the live state. Empty = never persisted. Guarded by
+  /// mutex_ once installed.
   std::string persist_path;
 
   // Windowed views with no registry equivalent (exact percentiles over the
   // last LatencyRecorder::kDefaultWindow samples; the recent-completion
-  // ring). Reset when the name is re-added. Guarded by mutex_.
+  // ring). Each incarnation starts its own. Guarded by mutex_.
   LatencyRecorder queue_wait;
   LatencyRecorder latency;
   /// Ring of the most recent completion timestamps — the windowed QPS
@@ -98,10 +99,10 @@ struct SearchService::Collection {
     done_next = (done_next + 1) % LatencyRecorder::kDefaultWindow;
   }
 
-  /// Metric instruments, resolved ONCE at adoption (get-or-create on the
-  /// service's registry, so a name removed and re-added keeps its
-  /// cumulative series). The dispatch/completion paths then touch only
-  /// these lock-free pointers — never the registry's mutex.
+  /// Metric instruments, resolved ONCE per incarnation (get-or-create on
+  /// the service's registry, so a name replaced, or removed and re-added,
+  /// keeps its cumulative series). The dispatch/completion paths then touch
+  /// only these lock-free pointers — never the registry's mutex.
   struct Instruments {
     MetricCounter* admitted = nullptr;
     MetricCounter* completed = nullptr;
@@ -310,27 +311,14 @@ void SearchService::ResolveCollectionMetrics(Collection& collection) {
       "Collection-file bytes served from a live memory mapping", by_name);
 }
 
-Status SearchService::Adopt(const std::string& name,
-                            std::unique_ptr<Searcher>& searcher,
-                            MutableSearcher* live, const std::string& source,
-                            uint64_t mapped_bytes) {
-  if (searcher == nullptr) {
-    return Status::InvalidArgument("AddCollection: null searcher");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  // All failure checks precede the move: on error the caller keeps the
-  // (possibly expensive) searcher untouched and can retry.
-  if (stopping_) return Status::Cancelled("service shut down");
-  if (collections_.count(name) != 0) {
-    return Status::InvalidArgument("AddCollection: name already hosted: " +
-                                   name);
-  }
+std::shared_ptr<SearchService::Collection> SearchService::NewCollection(
+    const std::string& name, std::unique_ptr<Searcher> searcher,
+    MutableSearcher* live) {
   // Reserve every dispatcher's slot band up front: per-slot scratch growth
   // reallocates (not thread-safe), so the dispatch path must never grow
   // it. Dispatcher d then runs its batches on the disjoint band
   // [d * pool_threads, (d+1) * pool_threads).
   searcher->ReserveScratch(config_.dispatchers * pool_.num_threads());
-
   auto collection = std::make_shared<Collection>();
   collection->name = name;
   // count()/max_nprobe() see through sharding: the logical collection
@@ -338,22 +326,45 @@ Status SearchService::Adopt(const std::string& name,
   collection->count = searcher->count();
   collection->max_nprobe = std::max<size_t>(1, searcher->max_nprobe());
   collection->live = live;
-  collection->source = source;
-  collection->mapped_bytes = mapped_bytes;
-  collection->queue_wait = LatencyRecorder();
-  collection->latency = LatencyRecorder();
   collection->done_ring.reserve(LatencyRecorder::kDefaultWindow);
   collection->slowlog =
       std::make_unique<SlowQueryLog>(config_.slowlog_capacity);
   ResolveCollectionMetrics(*collection);
-  collection->metric.vectors->Set(static_cast<double>(collection->count));
-  collection->metric.mmap_bytes->Set(static_cast<double>(mapped_bytes));
-  collection->metric.quantized_bytes->Set(
-      static_cast<double>(searcher->quantized_bytes()));
   collection->searcher = std::move(searcher);
-  collections_.emplace(name, std::move(collection));
+  return collection;
+}
+
+Status SearchService::Install(const std::shared_ptr<Collection>& collection) {
+  // Declared before the lock, so the replaced incarnation — possibly a
+  // large searcher over a mapped file — is released after it, unless
+  // queued queries or an in-flight batch still hold it and finish on it.
+  std::shared_ptr<Collection> replaced;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_) return Status::Cancelled("service shut down");
+  replaced = std::exchange(collections_[collection->name], collection);
   collections_gauge_->Set(static_cast<double>(collections_.size()));
+  RefreshGaugesLocked(*collection);
   return Status::OK();
+}
+
+Result<std::shared_ptr<SearchService::Collection>> SearchService::FindLocked(
+    const std::string& name, bool want_live) const {
+  auto it = collections_.find(name);
+  if (it == collections_.end()) {
+    return Status::NotFound("no collection named " + name);
+  }
+  if (want_live && it->second->live == nullptr) {
+    return Status::Unsupported(
+        "collection " + name +
+        " is immutable (adopted or index-backed); PUT a rebuilt "
+        "collection instead");
+  }
+  return it->second;
+}
+
+bool SearchService::IsHostedLocked(const Collection& host) const {
+  auto it = collections_.find(host.name);
+  return it != collections_.end() && it->second.get() == &host;
 }
 
 Status SearchService::AddCollection(const std::string& name,
@@ -361,22 +372,20 @@ Status SearchService::AddCollection(const std::string& name,
                                     SearcherConfig config,
                                     ShardingOptions sharding) {
   // The u8 tier has no streaming-ingest path: build it through the plain
-  // (sharded) facade, which routes to the quantized searcher, and adopt it
+  // (sharded) facade, which routes to the quantized searcher, and host it
   // with live = nullptr, so AddVectors/DeleteVectors/Upsert answer
   // kUnsupported instead of corrupting the code blocks.
   if (config.quantization != QuantizationKind::kNone) {
     auto made = MakeShardedSearcher(vectors, std::move(config), sharding);
     if (!made.ok()) return made.status();
-    std::unique_ptr<Searcher> searcher = std::move(made).value();
-    return Adopt(name, searcher);
+    return Install(NewCollection(name, std::move(made).value()));
   }
   auto made = MutableSearcher::Make(vectors, std::move(config),
                                     config_.mutation, sharding);
   if (!made.ok()) return made.status();
   std::unique_ptr<MutableSearcher> typed = std::move(made).value();
   MutableSearcher* live = typed.get();
-  std::unique_ptr<Searcher> searcher = std::move(typed);
-  return Adopt(name, searcher, live);
+  return Install(NewCollection(name, std::move(typed), live));
 }
 
 Status SearchService::AddCollection(const std::string& name,
@@ -385,26 +394,33 @@ Status SearchService::AddCollection(const std::string& name,
                                     SearcherConfig config) {
   auto made = MakeSearcher(vectors, index, std::move(config));
   if (!made.ok()) return made.status();
-  std::unique_ptr<Searcher> searcher = std::move(made).value();
-  return Adopt(name, searcher);
+  return Install(NewCollection(name, std::move(made).value()));
 }
 
 Status SearchService::AddCollection(const std::string& name,
                                     std::unique_ptr<Searcher>& searcher) {
-  return Adopt(name, searcher);
+  if (searcher == nullptr) {
+    return Status::InvalidArgument("AddCollection: null searcher");
+  }
+  const std::shared_ptr<Collection> collection =
+      NewCollection(name, std::move(searcher));
+  const Status installed = Install(collection);
+  // A refused install hands the (possibly expensive) searcher back: the
+  // caller keeps it untouched and can retry.
+  if (!installed.ok()) searcher = std::move(collection->searcher);
+  return installed;
 }
 
 Status SearchService::SaveCollection(const std::string& name,
                                      const std::string& path) {
+  std::lock_guard<std::mutex> persist(persist_mutex_);
   std::shared_ptr<Collection> host;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return Status::Cancelled("service shut down");
-    auto it = collections_.find(name);
-    if (it == collections_.end()) {
-      return Status::NotFound("no collection named " + name);
-    }
-    host = it->second;
+    Result<std::shared_ptr<Collection>> found = FindLocked(name);
+    if (!found.ok()) return found.status();
+    host = std::move(found).value();
   }
   // The write runs outside the service mutex: a mutable collection
   // snapshots under its own reader lock (searches flow; mutations wait),
@@ -416,10 +432,7 @@ Status SearchService::SaveCollection(const std::string& name,
     // Re-saved by the compactor after each fold — but only while this
     // exact incarnation is still hosted (a replace-under-same-name must
     // not inherit the path).
-    auto it = collections_.find(name);
-    if (it != collections_.end() && it->second == host) {
-      host->persist_path = path;
-    }
+    if (IsHostedLocked(*host)) host->persist_path = path;
   }
   return Status::OK();
 }
@@ -436,26 +449,32 @@ Status SearchService::LoadCollection(const std::string& name,
   if (!loaded.ok()) return loaded.status();
   LoadedCollection restored = std::move(loaded).value();
   const double wall_ms = MillisBetween(begin, Clock::now());
-  PDX_RETURN_IF_ERROR(Adopt(name, restored.searcher, restored.live,
-                            restored.source, restored.mapped_bytes));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = collections_.find(name);
-    if (it != collections_.end()) {
-      it->second->persist_path = path;
-      it->second->metric.load_ms->Observe(wall_ms);
-    }
-  }
-  return Status::OK();
+  const std::shared_ptr<Collection> collection =
+      NewCollection(name, std::move(restored.searcher), restored.live);
+  collection->source = restored.source;
+  collection->mapped_bytes = restored.mapped_bytes;
+  collection->persist_path = path;
+  collection->metric.load_ms->Observe(wall_ms);
+  return Install(collection);
 }
 
-void SearchService::RefreshMutationObs(
-    const std::shared_ptr<Collection>& host) {
-  if (host->live == nullptr) return;
-  const MutationStats stats = host->live->mutation_stats();
-  host->metric.vectors->Set(static_cast<double>(stats.live));
-  host->metric.delta_vectors->Set(static_cast<double>(stats.delta_rows));
-  host->metric.tombstones->Set(static_cast<double>(stats.tombstones));
+void SearchService::RefreshGaugesLocked(Collection& host) {
+  MutationStats stats;
+  stats.live = host.count;
+  if (host.live != nullptr) {
+    // mutation_stats() takes the searcher's shared lock under mutex_ — the
+    // service-then-searcher lock order every path here follows.
+    stats = host.live->mutation_stats();
+    host.count = stats.live;
+  }
+  if (!IsHostedLocked(host)) return;
+  Collection::Instruments& m = host.metric;
+  m.vectors->Set(static_cast<double>(stats.live));
+  m.delta_vectors->Set(static_cast<double>(stats.delta_rows));
+  m.tombstones->Set(static_cast<double>(stats.tombstones));
+  m.mmap_bytes->Set(static_cast<double>(host.mapped_bytes));
+  m.quantized_bytes->Set(
+      static_cast<double>(host.searcher->quantized_bytes()));
 }
 
 void SearchService::MaybeScheduleCompactionLocked(
@@ -477,37 +496,27 @@ Result<std::vector<uint64_t>> SearchService::AddVectors(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return Status::Cancelled("service shut down");
-    auto it = collections_.find(name);
-    if (it == collections_.end()) {
-      return Status::NotFound("no collection named " + name);
-    }
-    host = it->second;
-    if (host->live == nullptr) {
-      return Status::Unsupported(
-          "collection " + name +
-          " is immutable (adopted or index-backed); PUT a rebuilt "
-          "collection instead");
-    }
-    if (dim != host->searcher->dim()) {
-      return Status::InvalidArgument(
-          "rows have " + std::to_string(dim) + " dimensions, expected " +
-          std::to_string(host->searcher->dim()));
-    }
+    Result<std::shared_ptr<Collection>> found =
+        FindLocked(name, /*want_live=*/true);
+    if (!found.ok()) return found.status();
+    host = std::move(found).value();
+  }
+  if (dim != host->searcher->dim()) {
+    return Status::InvalidArgument(
+        "rows have " + std::to_string(dim) + " dimensions, expected " +
+        std::to_string(host->searcher->dim()));
   }
   // The append itself runs OUTSIDE mutex_: MutableSearcher serializes
   // against in-flight SearchBatchWith with its own reader-writer lock, and
   // holding the service mutex across it would stall admission and Stats.
-  // (The shared_ptr keeps the collection alive across a concurrent
-  // RemoveCollection; mutating a just-removed collection is harmless.)
+  // (The shared_ptr keeps the collection alive across a concurrent remove
+  // or replace; mutating an unhosted incarnation is harmless.)
   auto added = host->live->Add(rows, count, ids);
   if (!added.ok()) return added;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    host->metric.ingested->Inc(count);
-    host->count = host->live->count();
-    MaybeScheduleCompactionLocked(host);
-  }
-  RefreshMutationObs(host);
+  std::lock_guard<std::mutex> lock(mutex_);
+  host->metric.ingested->Inc(count);
+  RefreshGaugesLocked(*host);
+  MaybeScheduleCompactionLocked(host);
   return added;
 }
 
@@ -518,26 +527,16 @@ Result<size_t> SearchService::DeleteVectors(const std::string& name,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return Status::Cancelled("service shut down");
-    auto it = collections_.find(name);
-    if (it == collections_.end()) {
-      return Status::NotFound("no collection named " + name);
-    }
-    host = it->second;
-    if (host->live == nullptr) {
-      return Status::Unsupported(
-          "collection " + name +
-          " is immutable (adopted or index-backed); PUT a rebuilt "
-          "collection instead");
-    }
+    Result<std::shared_ptr<Collection>> found =
+        FindLocked(name, /*want_live=*/true);
+    if (!found.ok()) return found.status();
+    host = std::move(found).value();
   }
   const size_t deleted = host->live->DeleteBatch(ids, count, missing);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    host->metric.removed->Inc(deleted);
-    host->count = host->live->count();
-    MaybeScheduleCompactionLocked(host);
-  }
-  RefreshMutationObs(host);
+  std::lock_guard<std::mutex> lock(mutex_);
+  host->metric.removed->Inc(deleted);
+  RefreshGaugesLocked(*host);
+  MaybeScheduleCompactionLocked(host);
   return deleted;
 }
 
@@ -561,8 +560,7 @@ void SearchService::CompactorMain() {
     compact_queue_.pop_front();
     // The collection may have been removed or replaced while queued; its
     // delta dies with it, so there is nothing to fold.
-    auto it = collections_.find(host->name);
-    if (it == collections_.end() || it->second != host) {
+    if (!IsHostedLocked(*host)) {
       host->compacting = false;
       continue;
     }
@@ -574,37 +572,36 @@ void SearchService::CompactorMain() {
     const Status done = host->live->Compact();
     const double wall_ms = MillisBetween(begin, Clock::now());
     if (done.ok()) host->metric.compaction_ms->Observe(wall_ms);
-    RefreshMutationObs(host);
+    // Taken before mutex_, as SaveCollection does, and held from the
+    // incarnation check below through the re-save.
+    std::unique_lock<std::mutex> persist(persist_mutex_);
     lock.lock();
     host->compacting = false;
-    std::string persist_to;
-    if (done.ok()) {
-      host->metric.compactions->Inc();
-      host->count = host->live->count();
-      // An IVF base rebuilt over more vectors may cluster into more
-      // buckets; the admission clamp must follow the new ceiling.
-      host->max_nprobe = std::max<size_t>(1, host->live->max_nprobe());
-      // Appends that landed during the rebuild may already exceed the
-      // threshold again (only when still hosted — a removed collection's
-      // pop-check above would just skip it anyway).
-      if (collections_.count(host->name) != 0) {
-        MaybeScheduleCompactionLocked(host);
-        // A persisted collection keeps its on-disk snapshot current: the
-        // fold just rewrote the base, so the saved file would otherwise
-        // replay an ever-longer delta on every restart.
-        persist_to = host->persist_path;
-      }
-    }
-    if (!persist_to.empty()) {
-      lock.unlock();
-      // Best effort: a full disk or yanked directory must not kill the
-      // compactor; the snapshot simply goes stale until the next save.
-      (void)host->live->Save(persist_to);
-      lock.lock();
-    }
     // A failed compaction (allocation pressure, searcher build error) is
     // NOT rescheduled from here: NeedsCompaction still holds, so the next
     // mutation retries — without it, an always-failing build would spin.
+    if (!done.ok()) continue;
+    host->metric.compactions->Inc();
+    // An IVF base rebuilt over more vectors may cluster into more
+    // buckets; the admission clamp must follow the new ceiling.
+    host->max_nprobe = std::max<size_t>(1, host->live->max_nprobe());
+    RefreshGaugesLocked(*host);
+    // The rest acts on the name: a removed or replaced incarnation must
+    // neither queue another fold nor overwrite its successor's snapshot.
+    if (!IsHostedLocked(*host)) continue;
+    // Appends that landed during the rebuild may already exceed the
+    // threshold again.
+    MaybeScheduleCompactionLocked(host);
+    // A persisted collection keeps its on-disk snapshot current: the fold
+    // just rewrote the base, so the saved file would otherwise replay an
+    // ever-longer delta on every restart.
+    const std::string persist_to = host->persist_path;
+    if (persist_to.empty()) continue;
+    lock.unlock();
+    // Best effort: a full disk or yanked directory must not kill the
+    // compactor; the snapshot simply goes stale until the next save.
+    (void)host->live->Save(persist_to);
+    lock.lock();
   }
 }
 
@@ -612,12 +609,10 @@ Status SearchService::RemoveCollection(const std::string& name) {
   std::vector<std::unique_ptr<Pending>> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = collections_.find(name);
-    if (it == collections_.end()) {
-      return Status::NotFound("no collection named " + name);
-    }
-    const std::shared_ptr<Collection> removed = it->second;
-    collections_.erase(it);
+    Result<std::shared_ptr<Collection>> found = FindLocked(name);
+    if (!found.ok()) return found.status();
+    const std::shared_ptr<Collection> removed = std::move(found).value();
+    collections_.erase(name);
     for (auto q = queue_.begin(); q != queue_.end();) {
       if ((*q)->collection == removed) {
         NoteDequeuedLocked(**q);
@@ -654,11 +649,9 @@ std::vector<std::string> SearchService::CollectionNames() const {
 Result<CollectionInfo> SearchService::GetCollectionInfo(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = collections_.find(name);
-  if (it == collections_.end()) {
-    return Status::NotFound("no collection named " + name);
-  }
-  const Collection& host = *it->second;
+  Result<std::shared_ptr<Collection>> found = FindLocked(name);
+  if (!found.ok()) return found.status();
+  const Collection& host = *found.value();
   const SearcherConfig& options = host.searcher->options();
   CollectionInfo info;
   info.name = name;
@@ -724,20 +717,19 @@ Status SearchService::Enqueue(const std::string& collection,
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopping_) return Status::Cancelled("service shut down");
-  auto it = collections_.find(collection);
-  if (it == collections_.end()) {
-    return Status::NotFound("no collection named " + collection);
-  }
+  Result<std::shared_ptr<Collection>> found = FindLocked(collection);
+  if (!found.ok()) return found.status();
   // Attributed before the admission check so a rejection is counted
-  // against the collection it targeted.
-  pending->collection = it->second;
+  // against the collection it targeted. The query stays bound to this
+  // incarnation: a replace after admission does not move or cancel it.
+  pending->collection = std::move(found).value();
   // The length check lives HERE, under mutex_, because dim is only stable
   // under mutex_: a wire handler validates the payload against a
   // CollectionInfo snapshot, and a concurrent PUT can swap the name to a
   // different-dim collection between that snapshot and this Submit. The
   // copy below reads dim() floats, so a stated length that no longer
   // matches must be a kInvalidArgument, never an out-of-bounds read.
-  Collection& host = *it->second;
+  Collection& host = *pending->collection;
   const size_t d = host.searcher->dim();
   if (options.query_len != 0 && options.query_len != d) {
     return Status::InvalidArgument(
@@ -835,11 +827,9 @@ Result<std::vector<SlowQueryEntry>> SearchService::SlowLog(
   std::shared_ptr<Collection> host;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = collections_.find(name);
-    if (it == collections_.end()) {
-      return Status::NotFound("no collection named " + name);
-    }
-    host = it->second;
+    Result<std::shared_ptr<Collection>> found = FindLocked(name);
+    if (!found.ok()) return found.status();
+    host = std::move(found).value();
   }
   // Snapshot outside the service mutex: the log has its own (briefly held)
   // lock, and the shared_ptr keeps the collection alive across a

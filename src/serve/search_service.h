@@ -145,8 +145,15 @@ class SearchService {
   /// Hosts `vectors` under `name` as a LIVE collection: the service builds
   /// a MutableSearcher (and runs it on the shared pool), so the
   /// collection accepts AddVectors/DeleteVectors/Upsert while serving.
-  /// `vectors` is copied — it need not outlive the collection. Fails with
-  /// InvalidArgument on a duplicate name or whatever MakeSearcher rejects.
+  /// `vectors` is copied — it need not outlive the collection.
+  ///
+  /// Every hosting call (the three AddCollection overloads and
+  /// LoadCollection) REPLACES a collection already hosted under `name`, in
+  /// one step: the new collection is built with no lock held and swapped
+  /// in only once it is ready, so the name never reads as unhosted, a
+  /// failed build leaves the old collection serving, and queries already
+  /// queued for the old one finish on it. Fails with kCancelled after
+  /// Shutdown, or with whatever MakeSearcher rejects.
   ///
   /// With config.quantization != kNone the collection is built on the
   /// quantized serving tier instead (MakeSearcher routes to the u8
@@ -174,7 +181,7 @@ class SearchService {
   /// batches run on the shared pool whatever its threads setting. A
   /// custom searcher needs only SearchWith over per-slot scratch: the base
   /// SearchBatchWith fans its batches out over the dispatcher's band on
-  /// that pool. On failure (duplicate name, shut down) the caller
+  /// that pool. On failure (null searcher, shut down) the caller
   /// keeps the searcher untouched — an expensively built index is never
   /// silently destroyed. Adopted collections are immutable through the
   /// service (AddVectors/DeleteVectors fail with kUnsupported).
@@ -187,8 +194,10 @@ class SearchService {
   /// queries keep flowing during the write. On success the path is
   /// remembered as the collection's persist path — after every background
   /// compaction the compactor re-saves there, keeping the on-disk snapshot
-  /// current. kNotFound for an unknown name; kUnsupported for adopted
-  /// custom searchers with no serializable form.
+  /// current. Saves and those re-saves run one at a time, so an older
+  /// snapshot never lands over a newer save to the same path. kNotFound for
+  /// an unknown name; kUnsupported for adopted custom searchers with no
+  /// serializable form.
   Status SaveCollection(const std::string& name, const std::string& path);
 
   /// Hosts the collection file at `path` under `name` — the instant-
@@ -197,10 +206,12 @@ class SearchService {
   /// zero-copy views over the mapping with no k-means and no packing, and
   /// a mutable snapshot resumes exactly where Save left it (delta,
   /// tombstones, id allocation). Loading runs OFF the dispatch path;
-  /// already-hosted collections keep serving while the file validates.
-  /// Fails with kInvalidArgument on a duplicate name, or whatever the
-  /// format loader rejects (truncation, checksum mismatch, future
-  /// version).
+  /// hosted collections, `name` included, keep serving while the file
+  /// validates, and `path` becomes the new collection's persist path.
+  /// Replaces like AddCollection. Fails with kCancelled after Shutdown, or
+  /// whatever the format loader rejects (truncation, checksum mismatch,
+  /// future version) — leaving any collection hosted under `name` as it
+  /// was.
   Status LoadCollection(const std::string& name, const std::string& path,
                         bool allow_mmap = true);
 
@@ -314,21 +325,35 @@ class SearchService {
   struct Collection;
   struct Pending;
 
-  /// Validates + registers a built searcher under `name`; moves from
-  /// `searcher` only on success. `live` is the searcher downcast when the
-  /// service built it as a MutableSearcher (the mutation surface routes
-  /// through it); nullptr marks the collection immutable.
-  Status Adopt(const std::string& name, std::unique_ptr<Searcher>& searcher,
-               MutableSearcher* live = nullptr,
-               const std::string& source = "built",
-               uint64_t mapped_bytes = 0);
+  /// The record of a collection about to be hosted as `name`: reserves
+  /// every dispatcher's scratch band on `searcher` and resolves the name's
+  /// instruments. Takes no service lock. `live` is the searcher downcast
+  /// when the service built it as a MutableSearcher (the mutation surface
+  /// routes through it); nullptr marks the collection immutable.
+  std::shared_ptr<Collection> NewCollection(const std::string& name,
+                                            std::unique_ptr<Searcher> searcher,
+                                            MutableSearcher* live = nullptr);
+  /// The one install step every hosting path ends in: under mutex_, hosts
+  /// `collection` under its name, replacing any incarnation hosted there,
+  /// and stamps the name's gauges. kCancelled after Shutdown.
+  Status Install(const std::shared_ptr<Collection>& collection);
+  /// The incarnation hosted as `name`: kNotFound when there is none and,
+  /// with `want_live`, kUnsupported when it has no mutation surface.
+  /// Caller holds mutex_.
+  Result<std::shared_ptr<Collection>> FindLocked(const std::string& name,
+                                                 bool want_live = false) const;
+  /// True while `host` is the incarnation hosted under its name. Anything
+  /// that can outlive a replace checks this before it acts on the name.
+  /// Caller holds mutex_.
+  bool IsHostedLocked(const Collection& host) const;
   /// Queues `host` for background compaction when its delta/tombstones
   /// crossed the threshold and it is not already queued. Caller holds
   /// mutex_.
   void MaybeScheduleCompactionLocked(const std::shared_ptr<Collection>& host);
-  /// Re-stamps the live/delta/tombstone gauges from the collection's
-  /// current MutationStats. Lock-free instruments; called OUTSIDE mutex_.
-  void RefreshMutationObs(const std::shared_ptr<Collection>& host);
+  /// Re-reads a live collection's count, then stamps the name's size
+  /// gauges from `host` — only while it is the hosted incarnation, since
+  /// every incarnation of a name shares them. Caller holds mutex_.
+  void RefreshGaugesLocked(Collection& host);
   /// The dedicated compaction thread: drains compact_queue_, runs
   /// MutableSearcher::Compact() (expensive build off every lock, brief
   /// swap), then refreshes the collection's ceilings and re-checks the
@@ -368,8 +393,9 @@ class SearchService {
   /// of every critical section that mutates queue_. Caller holds mutex_.
   void SetQueueDepthLocked();
   /// Resolves collection `name`'s metric instruments (get-or-create, so a
-  /// re-added name keeps its cumulative series). Called from Adopt. These
-  /// are the collection's only serving counters: Stats() reads them too.
+  /// re-added name keeps its cumulative series). Called from NewCollection.
+  /// These are the collection's only serving counters: Stats() reads them
+  /// too.
   void ResolveCollectionMetrics(Collection& collection);
   void DispatchBatch(size_t dispatcher,
                      std::vector<std::unique_ptr<Pending>> batch);
@@ -382,7 +408,7 @@ class SearchService {
   /// buffer, and its busy ring. Dispatcher d runs
   /// every batch through slot band
   /// [d * pool_threads, (d+1) * pool_threads) of the hosted searchers'
-  /// per-slot scratch (reserved at Adopt time), so two dispatchers never
+  /// per-slot scratch (reserved by NewCollection), so two dispatchers never
   /// share engine state even on the same collection.
   struct Dispatcher {
     std::thread thread;
@@ -437,6 +463,12 @@ class SearchService {
   /// compactor thread waits on compact_cv_.
   std::deque<std::shared_ptr<Collection>> compact_queue_;
   std::condition_variable compact_cv_;
+
+  /// Held by SaveCollection and by the compactor's re-save from the
+  /// incarnation check through the write to the persist_path update, so a
+  /// stale snapshot cannot land after a newer save to the same path.
+  /// Taken before mutex_, never while holding it.
+  std::mutex persist_mutex_;
 
   std::atomic<uint64_t> next_id_{1};
   std::mutex shutdown_mutex_;  ///< Serializes concurrent Shutdown callers.

@@ -1,6 +1,7 @@
 // Wire concurrency stress: M client threads x pipelined requests against a
-// hot (unsharded) and a sharded collection, with a collection-churn thread
-// adding/removing a third name the whole time. Every response must be
+// hot (unsharded), a sharded and a swapped collection, with one churn
+// thread adding/removing a fourth name and another replacing the swapped
+// one (PUT and load, alternating) the whole time. Every response must be
 // accounted for, every search answer must be byte-exact against the
 // in-process reference, and the final /stats snapshot must balance. Runs
 // in the TSan and ASan CI jobs next to serve_dispatch_stress_test — the
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +54,13 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
   ShardingOptions sharding;
   sharding.num_shards = 3;
   ASSERT_TRUE(service.AddCollection("sharded", data.data, hot, sharding).ok());
+  // "swap" is replaced over and over by rebuilds and reloads of the same
+  // rows, so every incarnation answers exactly like the first.
+  const VectorSet swap_rows =
+      VectorSet::FromRowMajor(data.data.Vector(0), 300, data.data.dim());
+  const std::string swap_path = testing::TempDir() + "/http_stress_swap.pdxc";
+  ASSERT_TRUE(service.AddCollection("swap", swap_rows, hot).ok());
+  ASSERT_TRUE(service.SaveCollection("swap", swap_path).ok());
 
   SearchHandler handler(service);
   HttpServer server;
@@ -62,15 +71,20 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
   // (different block boundaries per shard slice).
   auto reference_hot = MakeSearcher(data.data, hot);
   auto reference_sharded = MakeShardedSearcher(data.data, hot, sharding);
+  auto reference_swap = MakeSearcher(swap_rows, hot);
   ASSERT_TRUE(reference_hot.ok());
   ASSERT_TRUE(reference_sharded.ok());
+  ASSERT_TRUE(reference_swap.ok());
   const size_t nq = data.queries.count();
-  std::vector<std::vector<Neighbor>> expected_hot(nq), expected_sharded(nq);
+  std::vector<std::vector<Neighbor>> expected_hot(nq), expected_sharded(nq),
+      expected_swap(nq);
   std::vector<std::string> bodies(nq);
   for (size_t q = 0; q < nq; ++q) {
     expected_hot[q] = reference_hot.value()->Search(
         data.queries.Vector(static_cast<VectorId>(q)));
     expected_sharded[q] = reference_sharded.value()->Search(
+        data.queries.Vector(static_cast<VectorId>(q)));
+    expected_swap[q] = reference_swap.value()->Search(
         data.queries.Vector(static_cast<VectorId>(q)));
     JsonValue request = JsonValue::Object();
     request.Set("query",
@@ -79,9 +93,10 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
     bodies[q] = WriteJson(request);
   }
 
-  constexpr size_t kClients = 4;
+  constexpr size_t kClients = 6;
   constexpr size_t kRounds = 4;
   constexpr size_t kPipeline = 16;
+  std::atomic<size_t> requests{0};
   std::atomic<size_t> responses{0};
   std::atomic<size_t> mismatches{0};
   std::atomic<size_t> non_200{0};
@@ -110,6 +125,41 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
     }
   });
 
+  // The replacer: a replace is one step, so the clients searching "swap"
+  // meanwhile must never see it unhosted (404) or their queued queries
+  // cancelled (503). They keep searching until every replace is done.
+  constexpr size_t kReplaces = 16;
+  std::atomic<bool> replaced_all{false};
+  std::atomic<size_t> replace_failures{0};
+  std::thread replacer([&] {
+    JsonValue rows = JsonValue::Array();
+    for (size_t i = 0; i < swap_rows.count(); ++i) {
+      rows.Append(QueryJson(swap_rows.Vector(static_cast<VectorId>(i)),
+                            swap_rows.dim()));
+    }
+    JsonValue put = JsonValue::Object();
+    put.Set("vectors", std::move(rows));
+    JsonValue load = JsonValue::Object();
+    load.Set("path", swap_path);
+    HttpClient client;
+    if (client.Connect("127.0.0.1", server.port()).ok()) {
+      for (size_t i = 0; i < kReplaces; ++i) {
+        Result<HttpResponse> done =
+            i % 2 == 0
+                ? client.Roundtrip("PUT", "/collections/swap", WriteJson(put))
+                : client.Roundtrip("PUT", "/collections/swap/load",
+                                   WriteJson(load));
+        if (!done.ok() || done.value().status != 201) {
+          replace_failures.fetch_add(1);
+          break;
+        }
+      }
+    } else {
+      replace_failures.fetch_add(1);
+    }
+    replaced_all.store(true);
+  });
+
   std::vector<std::thread> clients;
   for (size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
@@ -118,11 +168,16 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
         mismatches.fetch_add(1);
         return;
       }
-      const std::string target = t % 2 == 0 ? "/collections/hot/search"
-                                            : "/collections/sharded/search";
-      const std::vector<std::vector<Neighbor>>& expected =
-          t % 2 == 0 ? expected_hot : expected_sharded;
-      for (size_t round = 0; round < kRounds; ++round) {
+      const char* const targets[] = {"/collections/hot/search",
+                                     "/collections/sharded/search",
+                                     "/collections/swap/search"};
+      const std::vector<std::vector<Neighbor>>* const references[] = {
+          &expected_hot, &expected_sharded, &expected_swap};
+      const std::string target = targets[t % 3];
+      const std::vector<std::vector<Neighbor>>& expected = *references[t % 3];
+      const bool swap = t % 3 == 2;
+      for (size_t round = 0; round < kRounds || (swap && !replaced_all.load());
+           ++round) {
         // Fill the pipeline, then drain it: every request gets exactly one
         // response, in order.
         std::vector<size_t> sent;
@@ -132,6 +187,7 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
             mismatches.fetch_add(1);
             return;
           }
+          requests.fetch_add(1);
           sent.push_back(q);
         }
         for (const size_t q : sent) {
@@ -171,13 +227,17 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
     });
   }
   for (std::thread& client : clients) client.join();
+  replacer.join();
   stop_churn.store(true);
   churn.join();
 
-  // Every pipelined request came back, every answer exact, none failed.
-  EXPECT_EQ(responses.load(), kClients * kRounds * kPipeline);
+  // Every pipelined request came back, every answer exact, none failed —
+  // the ones racing the replaces included.
+  EXPECT_GE(requests.load(), kClients * kRounds * kPipeline);
+  EXPECT_EQ(responses.load(), requests.load());
   EXPECT_EQ(non_200.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(replace_failures.load(), 0u);
 
   // Final wire snapshot balances: dispatcher counts sum to collection
   // dispatches, and completions cover every search served.
@@ -200,12 +260,12 @@ TEST(HttpStressTest, PipelinedClientsAgainstHotAndShardedCollections) {
     completed_total += entry.Find("completed")->AsNumber();
   }
   EXPECT_EQ(dispatcher_total, collection_total) << stats.value().body;
-  // hot + sharded searches; the churn collection served none.
-  EXPECT_GE(completed_total,
-            static_cast<double>(kClients * kRounds * kPipeline));
+  // Every search served; the churn collection served none.
+  EXPECT_GE(completed_total, static_cast<double>(responses.load()));
 
   server.Stop();
   service.Shutdown();
+  std::remove(swap_path.c_str());
 }
 
 /// Many short-lived connections racing the acceptor's reaping: no leak,

@@ -2,7 +2,8 @@
 // both wire formats (NDJSON rows and a single JSON object), upsert via
 // ids, DELETE /collections/<name>/vectors/<id>, the /stats and /metrics
 // ingest surfaces, and the PUT-replace contract (slowlog resets, the
-// Prometheus counters stay cumulative).
+// Prometheus counters stay cumulative, a rejected PUT leaves the old
+// collection serving).
 
 #include <gtest/gtest.h>
 
@@ -359,6 +360,11 @@ TEST(IngestWireTest, PutReplaceResetsSlowlogKeepsCounters) {
           scrape.value().body,
           "pdx_queries_total{collection=\"live\",outcome=\"completed\"}"),
       2.0);
+  // One delta row on the incarnation about to be replaced.
+  Result<HttpResponse> appended = client.Roundtrip(
+      "POST", "/collections/live/vectors", "[6,0,0,0]\n");
+  ASSERT_TRUE(appended.ok());
+  ASSERT_EQ(appended.value().status, 200) << appended.value().body;
 
   // Replace the collection under the same name. The slowlog describes the
   // hosted searcher — which is new — so it resets; the Prometheus counters
@@ -368,6 +374,16 @@ TEST(IngestWireTest, PutReplaceResetsSlowlogKeepsCounters) {
   ASSERT_TRUE(slowlog.ok());
   EXPECT_EQ(MustParseBody(slowlog.value()).Find("slowlog")->size(), 0u)
       << slowlog.value().body;
+  // The size gauges describe the new incarnation: install stamps every
+  // one of them, so the old delta row is gone from pdx_delta_vectors.
+  scrape = client.Roundtrip("GET", "/metrics");
+  ASSERT_TRUE(scrape.ok());
+  EXPECT_DOUBLE_EQ(SeriesValue(scrape.value().body,
+                               "pdx_delta_vectors{collection=\"live\"}"),
+                   0.0);
+  EXPECT_DOUBLE_EQ(SeriesValue(scrape.value().body,
+                               "pdx_collection_vectors{collection=\"live\"}"),
+                   7.0);
 
   (void)Search(client, "live", 1.0, dim);
   scrape = client.Roundtrip("GET", "/metrics");
@@ -394,6 +410,36 @@ TEST(IngestWireTest, PutReplaceResetsSlowlogKeepsCounters) {
       "POST", "/collections/live/vectors", "[5,0,0,0]\n");
   ASSERT_TRUE(posted.ok());
   EXPECT_EQ(posted.value().status, 200) << posted.value().body;
+}
+
+TEST(IngestWireTest, RejectedPutLeavesCollectionServing) {
+  WireStack stack;
+  HttpClient client = stack.NewClient();
+  const size_t dim = 4;
+  PutAxisCollection(client, "live", 4, dim);
+
+  // ADSampling has no inner-product form, so the build is refused (501)
+  // after the body parsed — the replace must never unhost the old one.
+  JsonValue put = JsonValue::Object();
+  JsonValue rows = JsonValue::Array();
+  for (size_t i = 0; i < 3; ++i) {
+    JsonValue row = JsonValue::Array();
+    for (size_t d = 0; d < dim; ++d) row.Append(1.0);
+    rows.Append(std::move(row));
+  }
+  put.Set("vectors", std::move(rows));
+  put.Set("pruner", "adsampling");
+  put.Set("metric", "ip");
+  Result<HttpResponse> rejected =
+      client.Roundtrip("PUT", "/collections/live", WriteJson(put));
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected.value().status, 501) << rejected.value().body;
+
+  Result<HttpResponse> info = client.Roundtrip("GET", "/collections/live");
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info.value().status, 200) << info.value().body;
+  EXPECT_EQ(MustParseBody(info.value()).Find("count")->AsNumber(), 4.0);
+  EXPECT_EQ(TopIds(Search(client, "live", 2.0, dim)).front(), 1u);
 }
 
 }  // namespace

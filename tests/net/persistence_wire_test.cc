@@ -278,6 +278,22 @@ TEST(PersistenceWireTest, ErrorMapping) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().status, 404);
 
+  // The same load onto a hosted name fails the same way and leaves the
+  // old collection serving.
+  JsonValue put = JsonValue::Object();
+  put.Set("vectors", VectorsJson(MakeData(4, 7, 20).data));
+  Result<HttpResponse> created =
+      client.Roundtrip("PUT", "/collections/demo", WriteJson(put));
+  ASSERT_TRUE(created.ok());
+  ASSERT_EQ(created.value().status, 201) << created.value().body;
+  bad = client.Roundtrip("PUT", "/collections/demo/load", WriteJson(load));
+  ASSERT_TRUE(bad.ok());
+  EXPECT_GE(bad.value().status, 400);
+  info = client.Roundtrip("GET", "/collections/demo", "");
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info.value().status, 200) << info.value().body;
+  EXPECT_EQ(MustParseBody(info.value()).Find("count")->AsNumber(), 20.0);
+
   // Missing "path" -> 400.
   Result<HttpResponse> nopath =
       client.Roundtrip("PUT", "/collections/demo/load", "{}");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -156,6 +157,59 @@ TEST(ServicePersistenceTest, CompactorKeepsSnapshotCurrent) {
   }
   EXPECT_TRUE(resaved) << "compactor never re-saved a loadable snapshot";
   service.Shutdown();
+  std::remove(path.c_str());
+}
+
+// A fold that outlives its collection must not re-save it. Each round
+// saves a live collection to P and pushes it past the compaction
+// threshold, then removes it and hosts and saves a small collection under
+// the same name and path while that fold may still run. Shutdown() joins
+// the compactor, so nothing writes P after it returns: P must load as the
+// small collection, and the name's size gauge must describe it. The search
+// between the append and the remove lets the compactor start the fold
+// first — without it the remove usually wins, and the fold is skipped.
+TEST(ServicePersistenceTest, StaleFoldNeverOverwritesNewerSave) {
+  const Dataset big = MakeData(16, 4000, 29);
+  const Dataset small = MakeData(16, 40, 37);
+  const size_t dim = big.data.dim();
+  const std::string path = TempPath("svc_stale_fold.pdxc");
+  SearcherConfig config;
+  config.k = 5;
+  std::vector<float> rows(256 * dim);
+  for (size_t i = 0; i < 256; ++i) {
+    const float* src = big.data.Vector(static_cast<VectorId>(i));
+    std::copy(src, src + dim, rows.begin() + static_cast<long>(i * dim));
+  }
+  constexpr size_t kRounds = 8;
+  size_t stale_files = 0;
+  size_t stale_gauges = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    ServiceConfig sc;
+    sc.mutation.compact_threshold = 128;
+    SearchService service(sc);
+    ASSERT_TRUE(service.AddCollection("c", big.data, config).ok());
+    ASSERT_TRUE(service.SaveCollection("c", path).ok());
+    ASSERT_TRUE(service.AddVectors("c", rows.data(), 256, dim).ok());
+    EXPECT_FALSE(SearchOne(service, "c", big.queries.Vector(0)).empty());
+    ASSERT_TRUE(service.RemoveCollection("c").ok());
+    ASSERT_TRUE(service.AddCollection("c", small.data, config).ok());
+    ASSERT_TRUE(service.SaveCollection("c", path).ok());
+    service.Shutdown();
+
+    const double gauge =
+        service.metrics()
+            .GetGauge("pdx_collection_vectors",
+                      "Vectors hosted, per collection", {{"collection", "c"}})
+            ->value();
+    if (gauge != static_cast<double>(small.data.count())) ++stale_gauges;
+    SearchService fresh(ServiceConfig{});
+    ASSERT_TRUE(fresh.LoadCollection("c", path).ok());
+    if (fresh.GetCollectionInfo("c").value().count != small.data.count()) {
+      ++stale_files;
+    }
+  }
+  EXPECT_EQ(stale_files, 0u) << "of " << kRounds << " rounds";
+  EXPECT_EQ(stale_gauges, 0u) << "of " << kRounds << " rounds";
   std::remove(path.c_str());
 }
 

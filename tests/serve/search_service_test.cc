@@ -349,10 +349,26 @@ TEST(SearchServiceTest, RemoveCollectionCancelsItsQueuedQueries) {
   QueryTicket fine = service.Submit("b", fx.dataset.queries.Vector(1));
   ASSERT_TRUE(service.RemoveCollection("a").ok());
   EXPECT_TRUE(service.RemoveCollection("a").IsNotFound());
+  // A replace, unlike a remove, cancels nothing: the query queued for "b"
+  // finishes on the collection it was admitted to, later ones on the new.
+  const Fixture next = MakeFixture(24, 97);
+  const SearcherConfig linear =
+      Config(SearcherLayout::kFlat, PrunerKind::kLinear);
+  ASSERT_TRUE(service.AddCollection("b", next.dataset.data, linear).ok());
   service.Resume();
 
   EXPECT_TRUE(doomed.result.get().status.IsCancelled());
-  EXPECT_TRUE(fine.result.get().status.ok());
+  const QueryResult queued = fine.result.get();
+  ASSERT_TRUE(queued.status.ok()) << queued.status.ToString();
+  const float* query = fx.dataset.queries.Vector(1);
+  auto before = MakeSearcher(fx.dataset.data, linear);
+  auto after = MakeSearcher(next.dataset.data, linear);
+  ASSERT_TRUE(before.ok() && after.ok());
+  ExpectSameNeighbors(queued.neighbors, before.value()->Search(query),
+                      "queued before the replace");
+  ExpectSameNeighbors(service.Submit("b", query).result.get().neighbors,
+                      after.value()->Search(query),
+                      "submitted after the replace");
   EXPECT_EQ(service.CollectionNames(), std::vector<std::string>{"b"});
   // Submitting to the removed name now fails fast.
   EXPECT_TRUE(service.Submit("a", fx.dataset.queries.Vector(0))
@@ -438,10 +454,15 @@ TEST(SearchServiceTest, RejectsBadCollections) {
                   .AddCollection("dup", fx.dataset.data,
                                  Config(SearcherLayout::kFlat, PrunerKind::kBond))
                   .ok());
-  EXPECT_TRUE(service
+  // A hosted name is replaced, not rejected: it now serves the new pruner.
+  ASSERT_TRUE(service
                   .AddCollection("dup", fx.dataset.data,
                                  Config(SearcherLayout::kFlat, PrunerKind::kLinear))
-                  .IsInvalidArgument());
+                  .ok());
+  Result<CollectionInfo> replaced = service.GetCollectionInfo("dup");
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ(replaced.value().pruner, PrunerKind::kLinear);
+  EXPECT_EQ(service.CollectionNames(), std::vector<std::string>{"dup"});
   SearcherConfig bad = Config(SearcherLayout::kFlat, PrunerKind::kBond);
   bad.k = 0;
   EXPECT_TRUE(
@@ -517,16 +538,21 @@ TEST(SearchServiceTest, AdoptedSearcherIsServed) {
                   .result.get()
                   .status.ok());
 
-  // A failed adoption (duplicate name) must NOT consume the caller's
-  // searcher — it stays usable and can be hosted under another name.
+  // A failed adoption (the service is shut down) must NOT consume the
+  // caller's searcher — it stays usable and can be hosted elsewhere.
   auto again = MakeSearcher(fx.dataset.data,
                             Config(SearcherLayout::kFlat, PrunerKind::kBond));
   ASSERT_TRUE(again.ok());
   std::unique_ptr<Searcher> survivor = std::move(again).value();
-  EXPECT_TRUE(service.AddCollection("adopted", survivor).IsInvalidArgument());
+  service.Shutdown();
+  EXPECT_TRUE(service.AddCollection("adopted", survivor).IsCancelled());
   ASSERT_NE(survivor, nullptr);
   EXPECT_EQ(survivor->Search(fx.dataset.queries.Vector(0)).size(), 10u);
-  EXPECT_TRUE(service.AddCollection("adopted-2", survivor).ok());
+  SearchService other;
+  EXPECT_TRUE(other.AddCollection("adopted", survivor).ok());
+  EXPECT_TRUE(other.Submit("adopted", fx.dataset.queries.Vector(0))
+                  .result.get()
+                  .status.ok());
 }
 
 TEST(SearchServiceTest, AbsurdPerQueryOverridesAreClamped) {

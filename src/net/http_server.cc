@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <limits>
+#include <system_error>
 #include <utility>
 
 #include "net/wire_util.h"
@@ -176,6 +179,10 @@ HttpServer::~HttpServer() { Stop(); }
 Status HttpServer::Start(HttpHandler handler) {
   if (running_.load()) return Status::InvalidArgument("server already running");
   if (!handler) return Status::InvalidArgument("null handler");
+  if (config_.max_pipelined == 0) {
+    // The reader waits for slots.size() < max_pipelined before each request.
+    return Status::InvalidArgument("max_pipelined must be at least 1");
+  }
   handler_ = std::move(handler);
   stopping_.store(false);
 
@@ -298,6 +305,11 @@ void HttpServer::AcceptLoop() {
       ::close(fd);
       return;
     }
+    // Nagle off: each response leaves in one SendAll, so Nagle would merge
+    // nothing and only hold a response for the client's ACK (see the class
+    // comment).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (config_.send_timeout.count() > 0) {
       // Bounds how long a response flush can block on a client that
       // stopped reading: past the timeout the send fails and the
@@ -405,14 +417,20 @@ RequestHead ParseRequestHead(const std::string& head) {
     return out;
   }
   if (auto it = headers.find("content-length"); it != headers.end()) {
-    char* end = nullptr;
-    const unsigned long long length = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
+    // 1*DIGIT (RFC 9110): no sign, no base prefix. An all-digit value too
+    // large for size_t is well formed, and the body guard answers it 413.
+    const std::string& value = it->second;
+    const char* last = value.data() + value.size();
+    const auto [end, error] =
+        std::from_chars(value.data(), last, out.content_length);
+    if (error == std::errc::invalid_argument || end != last) {
       out.error_status = 400;
       out.error = "malformed Content-Length";
       return out;
     }
-    out.content_length = static_cast<size_t>(length);
+    if (error == std::errc::result_out_of_range) {
+      out.content_length = std::numeric_limits<size_t>::max();
+    }
   }
   if (auto it = headers.find("connection"); it != headers.end()) {
     const std::string value = ToLower(it->second);

@@ -75,7 +75,8 @@ struct HttpServerConfig {
   size_t max_header_bytes = 16u << 10;
   /// Unanswered pipelined requests per connection before the reader stops
   /// reading until responses drain — bounds per-connection memory under a
-  /// client that pipelines faster than searches complete.
+  /// client that pipelines faster than searches complete. At least 1:
+  /// Start rejects 0, which would park the reader before every request.
   size_t max_pipelined = 64;
   /// SO_SNDTIMEO on every accepted socket: a client that stops reading its
   /// responses can stall a blocking send for at most this long before the
@@ -90,6 +91,12 @@ struct HttpServerConfig {
 /// thread, one thread per live connection (bounded by max_connections),
 /// keep-alive and pipelining supported, responses completed asynchronously
 /// through HttpResponder and written strictly in request order.
+///
+/// Accepted sockets run with Nagle's algorithm off (TCP_NODELAY). Each
+/// response is written by one send, so Nagle has nothing to merge; left
+/// on, a response that follows an unacknowledged one waits for the ACK
+/// riding on the client's next request, or for the client's delayed-ACK
+/// timer (about 40 ms) when no request follows.
 ///
 /// Protocol subset — deliberately: GET/POST/PUT/DELETE with
 /// Content-Length bodies. Transfer-Encoding (chunked) is answered 501.
@@ -111,9 +118,10 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds, listens, and starts the accept thread. Fails with IoError when
-  /// the socket/bind/listen fails (e.g. port in use). `handler` is invoked
-  /// for every well-formed request; protocol violations are answered by
-  /// the server itself (400/413/431/501/503).
+  /// the socket/bind/listen fails (e.g. port in use), and with
+  /// InvalidArgument on a null handler or a zero max_pipelined. `handler`
+  /// is invoked for every well-formed request; protocol violations are
+  /// answered by the server itself (400/413/431/501/503).
   Status Start(HttpHandler handler);
 
   /// Stops accepting, shuts every connection socket, joins every thread.

@@ -5,16 +5,27 @@
 // Status -> HTTP error mapping (404 unknown collection, 400 bad JSON,
 // 413 oversized body, 429 queue full, 504 expired deadline).
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchlib/datagen.h"
+#include "common/random.h"
 #include "core/sharded_searcher.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -518,6 +529,23 @@ TEST(HttpServiceTest, MalformedHttpIsAnswered400AndClosed) {
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response.value().status, 400);
   }
+  for (const char* length : {"+2", "-1"}) {
+    // Content-Length is 1*DIGIT: a sign makes the framing malformed.
+    HttpClient client = stack.NewClient();
+    ASSERT_TRUE(client
+                    .SendRaw(std::string("GET /healthz HTTP/1.1\r\n"
+                                         "Content-Length: ") +
+                             length + "\r\n\r\n{}")
+                    .ok());
+    Result<HttpResponse> response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << length << ": "
+                               << response.status().ToString();
+    ASSERT_EQ(response.value().status, 400) << length;
+    EXPECT_EQ(MustParseBody(response.value()).Find("error")->AsString(),
+              "malformed Content-Length")
+        << length;
+    EXPECT_FALSE(client.ReadResponse().ok()) << length;
+  }
   {
     // Chunked bodies are out of the supported subset: 501, explicitly.
     HttpClient client = stack.NewClient();
@@ -555,6 +583,186 @@ TEST(HttpServiceTest, DuplicateContentLengthMapsTo400) {
   EXPECT_FALSE(after.ok());
 }
 
+// --- Request-parser mutation loop --------------------------------------------
+
+/// Splits a server's whole output into responses and returns their status
+/// codes, or an error naming what is malformed. Each response must have a
+/// status line "HTTP/1.1 NNN Reason", header lines of the form name:value,
+/// and (from 200 up) exactly one digits-only Content-Length followed by
+/// that many body bytes; the last response must end the stream.
+Result<std::vector<int>> SplitResponses(const std::string& stream) {
+  static const std::regex kStatusLine("HTTP/1\\.1 ([0-9]{3}) [^\r\n]+");
+  static const std::regex kContentLength("Content-Length: ([0-9]+)");
+  static const std::regex kHeaderLine("[^:\r\n]+:[^\r\n]*");
+  std::vector<int> statuses;
+  size_t pos = 0;
+  while (pos < stream.size()) {
+    const size_t head_end = stream.find("\r\n\r\n", pos);
+    if (head_end == std::string::npos) {
+      return Status::InvalidArgument("unterminated head at byte " +
+                                     std::to_string(pos));
+    }
+    std::vector<std::string> lines;
+    for (size_t at = pos; at <= head_end;) {
+      const size_t eol = stream.find("\r\n", at);
+      lines.push_back(stream.substr(at, eol - at));
+      at = eol + 2;
+    }
+    std::smatch match;
+    if (!std::regex_match(lines[0], match, kStatusLine)) {
+      return Status::InvalidArgument("bad status line: " + lines[0]);
+    }
+    const int status = std::stoi(match[1].str());
+    std::vector<size_t> lengths;
+    for (size_t i = 1; i < lines.size(); ++i) {
+      if (std::regex_match(lines[i], match, kContentLength)) {
+        lengths.push_back(std::stoull(match[1].str()));
+      } else if (!std::regex_match(lines[i], kHeaderLine)) {
+        return Status::InvalidArgument("bad header line: " + lines[i]);
+      }
+    }
+    pos = head_end + 4;
+    if (status >= 200) {
+      if (lengths.size() != 1 || stream.size() - pos < lengths[0]) {
+        return Status::InvalidArgument("bad framing after: " + lines[0]);
+      }
+      pos += lengths[0];
+    }
+    statuses.push_back(status);
+  }
+  return statuses;
+}
+
+/// Sends `bytes` on a fresh loopback socket, shuts down its write side and
+/// reads until the server closes. Fails unless the close is a clean EOF.
+Result<std::string> SendAndDrain(uint16_t port, const std::string& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Status::IoError("socket failed");
+  // A hung connection fails the variant with its bytes named instead of
+  // parking the test until the ctest timeout.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string received;
+  Status status = Status::OK();
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(bytes.size()) ||
+      ::shutdown(fd, SHUT_WR) != 0) {
+    status = Status::IoError(std::string("connect or send: ") +
+                             std::strerror(errno));
+  }
+  char chunk[4096];
+  while (status.ok()) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      status = Status::IoError(std::string("recv: ") + std::strerror(errno));
+      break;
+    }
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
+  return received;
+}
+
+/// One random edit of a request stream: replace a byte, truncate, insert
+/// one of CR, LF, ':' or a digit, or repeat a whole header line.
+void MutateOnce(std::string& bytes, Rng& rng) {
+  static const std::string kInserts = "\r\n:0123456789";
+  switch (rng.UniformInt(9)) {
+    case 0:
+    case 1:
+    case 2:
+      if (!bytes.empty()) {
+        bytes[rng.UniformInt(bytes.size())] =
+            static_cast<char>(rng.UniformInt(256));
+      }
+      break;
+    case 3:
+      bytes.resize(rng.UniformInt(bytes.size() + 1));
+      break;
+    case 4:
+    case 5:
+    case 6:
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.UniformInt(bytes.size() + 1)),
+                   kInserts[rng.UniformInt(kInserts.size())]);
+      break;
+    default: {
+      std::vector<std::pair<size_t, size_t>> lines;  // [start, end incl. CRLF)
+      for (size_t start = bytes.find("\r\n"); start != std::string::npos;) {
+        start += 2;
+        const size_t end = bytes.find("\r\n", start);
+        if (end == std::string::npos) break;
+        if (end > start) lines.emplace_back(start, end + 2);
+        start = end;
+      }
+      if (lines.empty()) break;
+      const auto [start, end] = lines[rng.UniformInt(lines.size())];
+      bytes.insert(start, bytes.substr(start, end - start));
+      break;
+    }
+  }
+}
+
+TEST(HttpServiceTest, MutatedRequestsGetWellFormedAnswersAndACleanClose) {
+  WireStack stack;
+  SearcherConfig config;
+  config.k = 2;
+  ASSERT_TRUE(stack.service
+                  .AddCollection("c", MakeData(4, 83, 64, 1).data, config)
+                  .ok());
+  const std::string body = "{\"query\":[0.5,1,-2,3],\"k\":2}";
+  const std::string valid =
+      "POST /collections/c/search HTTP/1.1\r\nHost: pdx\r\n"
+      "Content-Type: application/json\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body +
+      "GET /healthz HTTP/1.1\r\nHost: pdx\r\n\r\n";
+  {
+    Result<std::string> answered = SendAndDrain(stack.server.port(), valid);
+    ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+    Result<std::vector<int>> statuses = SplitResponses(answered.value());
+    ASSERT_TRUE(statuses.ok()) << statuses.status().ToString();
+    ASSERT_EQ(statuses.value(), (std::vector<int>{200, 200}));
+  }
+
+  Rng rng(85);
+  size_t with_200 = 0;
+  size_t with_400 = 0;
+  for (int variant = 0; variant < 1500; ++variant) {
+    std::string bytes = valid;
+    const uint64_t edits = 1 + rng.UniformInt(4);
+    for (uint64_t e = 0; e < edits; ++e) MutateOnce(bytes, rng);
+    Result<std::string> answered = SendAndDrain(stack.server.port(), bytes);
+    ASSERT_TRUE(answered.ok())
+        << "variant " << variant << " " << ::testing::PrintToString(bytes)
+        << ": " << answered.status().ToString();
+    Result<std::vector<int>> statuses = SplitResponses(answered.value());
+    ASSERT_TRUE(statuses.ok())
+        << "variant " << variant << " " << ::testing::PrintToString(bytes)
+        << " got " << ::testing::PrintToString(answered.value()) << ": "
+        << statuses.status().ToString();
+    const std::vector<int>& codes = statuses.value();
+    with_200 += std::count(codes.begin(), codes.end(), 200) > 0;
+    with_400 += std::count(codes.begin(), codes.end(), 400) > 0;
+  }
+  // The loop reached both the handler and the parser's error paths.
+  EXPECT_GT(with_200, 0u);
+  EXPECT_GT(with_400, 0u);
+
+  HttpClient client = stack.NewClient();
+  Result<HttpResponse> health = client.Roundtrip("GET", "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().status, 200);
+}
+
 // --- Pipelining -------------------------------------------------------------
 
 TEST(HttpServiceTest, PipelinedResponsesArriveInRequestOrder) {
@@ -588,6 +796,36 @@ TEST(HttpServiceTest, PipelinedResponsesArriveInRequestOrder) {
     EXPECT_EQ(body.Find("neighbors")->size(), i + 1)
         << "pipelined response " << i << " out of order";
   }
+}
+
+TEST(HttpServiceTest, BackToBackResponsesAreNotHeldForTheClientsAck) {
+  // Three round trips put the client's kernel into delayed-ACK mode. Then
+  // two pipelined requests arrive in one segment: with Nagle on, the
+  // second answer waits for the ACK of the first, which the client delays
+  // by about 40 ms because it has nothing to send.
+  WireStack stack;
+  const std::string request = "GET /healthz HTTP/1.1\r\nHost: pdx\r\n\r\n";
+  double best_ms = 1e9;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    HttpClient client = stack.NewClient();
+    for (int i = 0; i < 3; ++i) {
+      Result<HttpResponse> warm = client.Roundtrip("GET", "/healthz");
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      ASSERT_EQ(warm.value().status, 200);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.SendRaw(request + request).ok());
+    for (int i = 0; i < 2; ++i) {
+      Result<HttpResponse> answer = client.ReadResponse();
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      ASSERT_EQ(answer.value().status, 200);
+    }
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  EXPECT_LT(best_ms, 20.0);
 }
 
 // --- Regression: /stats is ONE consistent snapshot --------------------------
@@ -678,6 +916,20 @@ TEST(HttpServiceTest, ServerStopResolvesCleanly) {
   // The client now sees a closed connection.
   Result<HttpResponse> gone = client.Roundtrip("GET", "/healthz");
   EXPECT_FALSE(gone.ok());
+}
+
+TEST(HttpServiceTest, ZeroMaxPipelinedIsRejectedAtStart) {
+  // With 0 the reader would wait for slots.size() < 0 before every request,
+  // so no request would ever be answered.
+  HttpServerConfig config;
+  config.max_pipelined = 0;
+  HttpServer server(config);
+  const Status started = server.Start(
+      [](HttpRequest, HttpResponder respond) { respond(HttpResponse{}); });
+  EXPECT_TRUE(started.IsInvalidArgument()) << started.ToString();
+  EXPECT_NE(started.message().find("max_pipelined"), std::string::npos)
+      << started.ToString();
+  EXPECT_FALSE(server.running());
 }
 
 TEST(HttpServiceTest, PortZeroPicksAnEphemeralPortAndRebindsFail) {

@@ -38,10 +38,12 @@ int main() {
     return 1;
   }
   auto searcher = std::move(made).value();
-  std::printf("searcher: %s layout, %s pruner, %zu PDX blocks\n",
+  const pdx::SearcherShape shape = searcher->shape();
+  std::printf("searcher: %s layout, %s pruner, %zu vectors in %zu PDX "
+              "blocks\n",
               pdx::SearcherLayoutName(searcher->options().layout),
-              pdx::PrunerKindName(searcher->options().pruner),
-              searcher->num_blocks());
+              pdx::PrunerKindName(searcher->options().pruner), shape.count,
+              shape.num_blocks);
 
   // 3. Query. Results are exact (identical to brute force), but most
   //    dimension values are never touched thanks to pruning.

@@ -132,9 +132,8 @@ int main() {
         100.0 * t.counters.pruning_power());
   }
 
-  // 6. Stats snapshot: per-collection QPS, latency percentiles, per-shard
-  //    fan-out counts for sharded collections, and how the replicated
-  //    dispatchers split the dispatch work.
+  // 6. Stats snapshot: per-collection QPS, latency percentiles, shard
+  //    counts, and how the replicated dispatchers split the dispatch work.
   const pdx::ServiceStats stats = service.Stats();
   std::printf("  simd tier: %s\n", stats.isa.c_str());
   for (size_t d = 0; d < stats.dispatchers.size(); ++d) {
@@ -147,10 +146,6 @@ int main() {
                 "latency{%s}\n",
                 name.c_str(), cs.admitted, cs.completed, cs.dispatches,
                 cs.shards, cs.latency.ToString().c_str());
-    for (size_t s = 0; s < cs.shard_dispatches.size(); ++s) {
-      std::printf("    shard %zu: %llu searches\n", s,
-                  static_cast<unsigned long long>(cs.shard_dispatches[s]));
-    }
   }
 
   // 7. The slow-query log: every collection retains its worst queries by

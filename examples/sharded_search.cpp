@@ -11,8 +11,10 @@
 // shard.
 
 #include <cstdio>
+#include <vector>
 
 #include "benchlib/datagen.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/pdx.h"
 
@@ -39,8 +41,10 @@ int main() {
     std::printf("construction failed\n");
     return 1;
   }
-  std::printf("hosting %zu vectors on %zu shards (%s assignment)\n",
-              sharded.value()->count(), sharded.value()->num_shards(),
+  const pdx::SearcherShape shape = sharded.value()->shape();
+  std::printf("hosting %zu vectors in %zu blocks on %zu shards (%s "
+              "assignment)\n",
+              shape.count, shape.num_blocks, shape.num_shards,
               pdx::ShardAssignmentName(sharding.assignment));
 
   // 3. Parity: every query returns the same global ids either way.
@@ -62,17 +66,21 @@ int main() {
   std::printf("parity over %zu queries: %zu mismatches\n",
               dataset.queries.count(), mismatches);
 
-  // 4. A batch tiles (shard x query) work over the pool; per-shard fan-out
-  //    counters show every shard pulled its weight.
+  // 4. A batch tiles (shard x query) work over the pool; each query's work
+  //    record shows it ran on every shard: a flat search visits every
+  //    block of every shard.
+  const size_t nq = dataset.queries.count();
+  std::vector<pdx::PdxearchProfile> work(nq);
+  pdx::ThreadPool pool(4);
   pdx::Timer wall;
-  sharded.value()->SearchBatch(dataset.queries.data(),
-                               dataset.queries.count());
-  std::printf("batched %zu queries across shards in %.2f ms\n",
-              dataset.queries.count(), wall.ElapsedMillis());
-  const auto dispatches = sharded.value()->ShardDispatchCounts();
-  for (size_t s = 0; s < dispatches.size(); ++s) {
-    std::printf("  shard %zu: %llu searches\n", s,
-                static_cast<unsigned long long>(dispatches[s]));
+  sharded.value()->SearchBatchWith(0, {}, dataset.queries.data(), nq, &pool,
+                                   work.data());
+  std::printf("batched %zu queries across shards in %.2f ms\n", nq,
+              wall.ElapsedMillis());
+  size_t partial = 0;
+  for (const pdx::PdxearchProfile& w : work) {
+    if (w.blocks_visited != shape.num_blocks) ++partial;
   }
-  return mismatches == 0 ? 0 : 1;
+  std::printf("queries that skipped a shard's blocks: %zu\n", partial);
+  return mismatches == 0 && partial == 0 ? 0 : 1;
 }

@@ -152,6 +152,10 @@ ThreadPool* Searcher::OwnedPool() {
   return owned_pool_.get();
 }
 
+uint64_t Searcher::PinnedMappedBytes() const {
+  return image_pin_ != nullptr ? image_pin_->mapped_bytes() : 0;
+}
+
 Status Searcher::Save(const std::string& path) const {
   SavedCollection saved;
   PDX_RETURN_IF_ERROR(ExportSaved(saved));
@@ -238,7 +242,7 @@ class AnySearcherImpl final : public Searcher {
   /// `index` is null on the flat layout.
   AnySearcherImpl(SearcherConfig config, std::unique_ptr<IvfIndex> owned_index,
                   const IvfIndex* index, PdxStore store, P pruner)
-      : Searcher(std::move(config)),
+      : Searcher(std::move(config), store.dim()),
         owned_index_(std::move(owned_index)),
         index_(index),
         store_(std::move(store)),
@@ -246,17 +250,20 @@ class AnySearcherImpl final : public Searcher {
     pruner_.BuildAux(store_);
   }
 
-  size_t num_blocks() const override { return store_.num_blocks(); }
-  size_t count() const override { return store_.count(); }
-  size_t dim() const override { return store_.dim(); }
-
-  const IvfIndex* index() const override { return index_; }
+  SearcherShape shape() const override {
+    SearcherShape shape;
+    shape.count = store_.count();
+    shape.num_blocks = store_.num_blocks();
+    if (index_ != nullptr) shape.max_nprobe = index_->num_buckets();
+    shape.mapped_bytes = PinnedMappedBytes();
+    return shape;
+  }
 
   Status ExportSaved(SavedCollection& out) const override {
     out = SavedCollection{};
     out.meta = MetaFromConfig(config_);
     out.meta.dim = dim();
-    out.meta.count = count();
+    out.meta.count = store_.count();
     SavedShard shard;
     shard.arena = store_.arena_data();
     shard.arena_floats = store_.arena_floats();

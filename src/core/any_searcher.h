@@ -21,6 +21,7 @@
 
 namespace pdx {
 
+class CollectionImage;   // storage/collection_format.h
 struct SavedCollection;  // storage/collection_format.h
 
 /// Exact-search partition size used by the paper (Section 6.5): the block
@@ -121,16 +122,40 @@ struct QueryKnobs {
   size_t nprobe = 0;
 };
 
+/// What a searcher serves, as Searcher::shape() reports it. Every field
+/// sees through sharding (summed over the shards, or their largest value
+/// where a query applies it per shard) and through a live collection's
+/// delta (which reports its live count and the rest from its base).
+struct SearcherShape {
+  /// Vectors searchable; a live collection's is base + delta - tombstones.
+  size_t count = 0;
+  /// Blocks scanned from: PDX blocks on the float tiers, code blocks on
+  /// the u8 tier; a live collection reports its base (not its delta).
+  size_t num_blocks = 0;
+  /// Shards fanned out to per query: 1 unless built by MakeShardedSearcher.
+  size_t num_shards = 1;
+  /// Ceiling for runtime nprobe overrides: the IVF index's bucket count,
+  /// the largest shard's (nprobe applies per shard); 1 on the flat layout.
+  size_t max_nprobe = 1;
+  /// Bytes of u8 codes served from: count x dim on the u8 tier, 0 on the
+  /// float tiers.
+  uint64_t quantized_bytes = 0;
+  /// Bytes of a collection file served from a live memory mapping: 0 for
+  /// a built or heap-loaded searcher, and for a live collection once a
+  /// fold has replaced the base it restored.
+  uint64_t mapped_bytes = 0;
+};
+
 /// Runtime-polymorphic facade over every layout x pruner x quantization
 /// combination: one type to hold, one factory to call, whichever the config
 /// picked. Obtain through MakeSearcher (or LoadCollection, core/persist.h).
 ///
-/// An implementation provides one query primitive, SearchWith: one query
-/// through one scratch slot. The base class fans batches out over slot
-/// bands (SearchBatchWith) on the pool the caller passes; a searcher holds
-/// no pool it does not own. Search/SearchBatch are thin band-0 wrappers
-/// that run on a pool the searcher lazily owns (sized by options().threads)
-/// and record last_profile().
+/// An implementation provides two methods: the query primitive SearchWith
+/// (one query through one scratch slot) and shape(). The base class fans
+/// batches out over slot bands (SearchBatchWith) on the pool the caller
+/// passes; a searcher holds no pool it does not own. Search/SearchBatch are
+/// thin band-0 wrappers that run on a pool the searcher lazily owns (sized
+/// by options().threads) and record last_profile().
 ///
 /// Thread safety: Search and SearchBatch use band 0, the owned pool and
 /// the last-profile member, so one querier at a time on that surface. A
@@ -163,38 +188,11 @@ class Searcher {
   /// Work record of the most recent Search.
   const PdxearchProfile& last_profile() const { return last_profile_; }
 
-  /// Blocks this searcher scans from: PDX blocks on the float tiers, code
-  /// blocks on the u8 tier; a sharded searcher sums its shards, and a live
-  /// collection reports its base (not its delta).
-  virtual size_t num_blocks() const = 0;
-
-  /// The IVF index queries are routed through; nullptr on the flat layout
-  /// and on sharded searchers (each shard routes through its own index).
-  virtual const IvfIndex* index() const = 0;
-
-  /// Vectors searchable through this facade; a sharded searcher reports
-  /// the sum over its shards.
-  virtual size_t count() const = 0;
-
-  /// Ceiling for runtime nprobe overrides: the IVF index's bucket count (1
-  /// on the flat layout, where nprobe is ignored). A sharded searcher
-  /// reports its largest shard's ceiling — nprobe applies per shard.
-  virtual size_t max_nprobe() const {
-    return index() != nullptr ? index()->num_buckets() : 1;
-  }
-
-  /// Shards fanned out to per query: 1 unless built by MakeShardedSearcher.
-  virtual size_t num_shards() const { return 1; }
-
-  /// Per-shard count of shard-level searches (how many times each shard ran
-  /// a query), empty when unsharded. Safe to call from any thread while
-  /// another thread queries the searcher — the counters are atomic.
-  virtual std::vector<uint64_t> ShardDispatchCounts() const { return {}; }
-
-  /// Bytes of quantized codes this searcher serves from (0 on the float
-  /// tiers; count x dim for the u8 tier; a sharded searcher sums its
-  /// shards). Feeds the pdx_quantized_bytes gauge in the serving layer.
-  virtual uint64_t quantized_bytes() const { return 0; }
+  /// What this searcher serves, in one read; see SearcherShape. Safe to
+  /// call while other threads query or mutate the searcher: the immutable
+  /// tiers read state fixed at build, a live collection reads under its
+  /// lock.
+  virtual SearcherShape shape() const = 0;
 
   /// Pre-sizes per-slot scratch (one search engine per slot), so
   /// SearchWith/SearchBatchWith calls on distinct slots in [0, slots) may
@@ -259,13 +257,14 @@ class Searcher {
   /// Pins the loaded collection image this searcher's stores view into.
   /// Lives on the base class: base members are destroyed after every
   /// derived member, so the mapping outlives all views during teardown.
-  void PinImage(std::shared_ptr<const void> image) {
+  void PinImage(std::shared_ptr<const CollectionImage> image) {
     image_pin_ = std::move(image);
   }
 
   const SearcherConfig& options() const { return config_; }
-  /// Vector dimensionality.
-  virtual size_t dim() const = 0;
+  /// Vector dimensionality, fixed at build (the ADSampling rotation and
+  /// the BSA basis are square, so a transformed store keeps it).
+  size_t dim() const { return dim_; }
 
   /// Sizes the pool Search/SearchBatch own. A count above kMaxPoolThreads
   /// is a programming error (asserted in debug builds) and clamped in
@@ -279,7 +278,13 @@ class Searcher {
   }
 
  protected:
-  explicit Searcher(SearcherConfig config) : config_(std::move(config)) {}
+  Searcher(SearcherConfig config, size_t dim)
+      : config_(std::move(config)), dim_(dim) {}
+
+  /// Bytes of the pinned image served from a live mapping (0 when nothing
+  /// is pinned or the image is a heap copy): a restored tier's
+  /// SearcherShape::mapped_bytes.
+  uint64_t PinnedMappedBytes() const;
 
   SearcherConfig config_;
 
@@ -288,8 +293,9 @@ class Searcher {
   /// 1, else a pool of that size, built on first use and reused.
   ThreadPool* OwnedPool();
 
+  const size_t dim_;                        ///< See dim().
   PdxearchProfile last_profile_;            ///< See last_profile().
-  std::shared_ptr<const void> image_pin_;   ///< See PinImage.
+  std::shared_ptr<const CollectionImage> image_pin_;  ///< See PinImage.
   std::unique_ptr<ThreadPool> owned_pool_;  ///< See OwnedPool.
 };
 

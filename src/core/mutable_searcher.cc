@@ -93,7 +93,9 @@ Result<std::unique_ptr<MutableSearcher>> MutableSearcher::Restore(
   }
   live->next_auto_id_ = meta.next_auto_id;
   live->compactions_ = meta.compactions;
-  live->PinImage(std::move(image));
+  // No pin on the image here: everything above was copied out of it, and
+  // the base pins what it views, so the fold that replaces the base
+  // releases the file.
   return live;
 }
 
@@ -102,14 +104,13 @@ MutableSearcher::MutableSearcher(SearcherConfig config,
                                  ShardingOptions sharding,
                                  std::unique_ptr<Searcher> inner,
                                  VectorSet base_rows)
-    : Searcher(std::move(config)),
+    : Searcher(std::move(config), base_rows.dim()),
       mutation_(mutation),
       sharding_(sharding),
       inner_(std::move(inner)),
       base_rows_(std::move(base_rows)) {
   base_count_ = base_rows_.count();
-  dim_ = base_rows_.dim();
-  delta_ = DeltaStore(dim_, mutation_.delta_block_capacity);
+  delta_ = DeltaStore(dim(), mutation_.delta_block_capacity);
   slot_ids_.resize(base_count_);
   dead_.assign(base_count_, 0);
   id_to_slot_.reserve(base_count_);
@@ -175,7 +176,7 @@ Result<std::vector<uint64_t>> MutableSearcher::Add(const float* rows,
       TombstoneLocked(it->second);
     }
     const size_t slot = slot_ids_.size();
-    delta_.Append(rows + r * dim_, static_cast<VectorId>(slot));
+    delta_.Append(rows + r * dim(), static_cast<VectorId>(slot));
     slot_ids_.push_back(id);
     dead_.push_back(0);
     id_to_slot_[id] = slot;
@@ -239,7 +240,7 @@ Status MutableSearcher::Compact() {
       return Status::OK();
     }
     snapshot_slots = slot_ids_.size();
-    survivors = VectorSet(dim_, live);
+    survivors = VectorSet(dim(), live);
     survivor_slots.reserve(live);
     for (size_t slot = 0; slot < snapshot_slots; ++slot) {
       if (dead_[slot]) continue;
@@ -276,7 +277,7 @@ Status MutableSearcher::Compact() {
       new_dead.push_back(dead_[old_slot]);
       if (dead_[old_slot]) ++new_base_dead;
     }
-    DeltaStore new_delta(dim_, delta_.block_capacity());
+    DeltaStore new_delta(dim(), delta_.block_capacity());
     size_t new_delta_dead = 0;
     for (size_t old_slot = snapshot_slots; old_slot < total_slots;
          ++old_slot) {
@@ -309,10 +310,8 @@ Status MutableSearcher::Compact() {
 MutationStats MutableSearcher::mutation_stats() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   MutationStats stats;
-  stats.live = LiveCountLocked();
   stats.base_rows = base_count_;
   stats.delta_rows = delta_.count();
-  stats.base_blocks = inner_->num_blocks();
   stats.delta_blocks = delta_.num_blocks();
   stats.tombstones = base_dead_ + delta_dead_;
   stats.compactions = compactions_;
@@ -391,18 +390,18 @@ std::vector<Neighbor> MutableSearcher::MergeLocked(
       // so a vector's distance is bit-identical on either side of the
       // base/delta boundary (the parity tests pin this).
       kernels.pdx_linear_scan(config_.metric, query, block.data(),
-                              block.count(), dim_, distances.data());
+                              block.count(), dim(), distances.data());
       for (size_t i = 0; i < block.count(); ++i) {
         const VectorId slot = block.id(i);
         if (!dead_[slot]) heap.Push(slot, distances[i]);
       }
       if (work != nullptr) {
         // A linear scan: every value of the block is scanned.
-        const uint64_t values = static_cast<uint64_t>(block.count()) * dim_;
+        const uint64_t values = static_cast<uint64_t>(block.count()) * dim();
         ++work->blocks_visited;
         work->values_scanned += values;
         work->values_total += values;
-        work->dims_scanned += dim_;
+        work->dims_scanned += dim();
       }
     }
   }
@@ -444,7 +443,7 @@ std::vector<std::vector<Neighbor>> MutableSearcher::SearchBatchWith(
       inner_->SearchBatchWith(slot, BaseKnobsLocked(k, knobs), queries,
                               num_queries, pool, per_query);
   for (size_t q = 0; q < num_queries; ++q) {
-    results[q] = MergeLocked(std::move(results[q]), queries + q * dim_, k,
+    results[q] = MergeLocked(std::move(results[q]), queries + q * dim(), k,
                              per_query != nullptr ? per_query + q : nullptr);
   }
   return results;
@@ -456,34 +455,11 @@ void MutableSearcher::ReserveScratch(size_t slots) {
   inner_->ReserveScratch(slots);
 }
 
-size_t MutableSearcher::num_blocks() const {
+SearcherShape MutableSearcher::shape() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return inner_->num_blocks();
-}
-
-const IvfIndex* MutableSearcher::index() const {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return inner_->index();
-}
-
-size_t MutableSearcher::count() const {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return LiveCountLocked();
-}
-
-size_t MutableSearcher::max_nprobe() const {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return inner_->max_nprobe();
-}
-
-size_t MutableSearcher::num_shards() const {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return inner_->num_shards();
-}
-
-std::vector<uint64_t> MutableSearcher::ShardDispatchCounts() const {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return inner_->ShardDispatchCounts();
+  SearcherShape shape = inner_->shape();
+  shape.count = LiveCountLocked();
+  return shape;
 }
 
 }  // namespace pdx

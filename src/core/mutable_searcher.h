@@ -35,12 +35,11 @@ struct MutationConfig {
   size_t delta_block_capacity = 0;
 };
 
-/// Point-in-time shape of a mutable collection.
+/// Point-in-time state of a mutable collection's delta and tombstones; the
+/// live count and the base's blocks are its SearcherShape.
 struct MutationStats {
-  size_t live = 0;         ///< Searchable vectors (appended minus deleted).
   size_t base_rows = 0;    ///< Rows in the immutable base searcher.
   size_t delta_rows = 0;   ///< Rows in the append delta region.
-  size_t base_blocks = 0;  ///< Blocks of the base, summed over its shards.
   size_t delta_blocks = 0;
   size_t tombstones = 0;   ///< Dead slots awaiting compaction (base + delta).
   uint64_t compactions = 0;  ///< Completed Compact() calls, lifetime.
@@ -163,16 +162,9 @@ class MutableSearcher final : public Searcher {
       ThreadPool* pool, PdxearchProfile* per_query) override;
   void ReserveScratch(size_t slots) override;
 
-  /// The current base searcher's blocks (every shard's); the delta's are
-  /// mutation_stats().delta_blocks.
-  size_t num_blocks() const override;
-  const IvfIndex* index() const override;
-  /// Live vectors (base + delta - tombstones).
-  size_t count() const override;
-  size_t max_nprobe() const override;
-  size_t num_shards() const override;
-  std::vector<uint64_t> ShardDispatchCounts() const override;
-  size_t dim() const override { return dim_; }
+  /// The current base searcher's shape with the live count (base + delta
+  /// - tombstones); the delta's blocks are mutation_stats().delta_blocks.
+  SearcherShape shape() const override;
 
  private:
   MutableSearcher(SearcherConfig config, MutationConfig mutation,
@@ -232,7 +224,6 @@ class MutableSearcher final : public Searcher {
   uint64_t next_auto_id_ = 0;
   uint64_t compactions_ = 0;
   size_t reserved_slots_ = 0;
-  size_t dim_ = 0;
 };
 
 }  // namespace pdx

@@ -167,7 +167,6 @@ Result<LoadedCollection> LoadCollectionFromImage(
   PDX_RETURN_IF_ERROR(
       ConfigFromMeta(meta, &out.config, &out.sharding, &out.mutation));
   out.source = image->source();
-  out.mapped_bytes = image->mapped_bytes();
   out.file_bytes = image->file_bytes();
 
   if (meta.mutable_snapshot != 0) {

@@ -84,7 +84,8 @@ struct LoadedCollection {
   ShardingOptions sharding;
   MutationConfig mutation;
   std::string source;       ///< "mmap" or "loaded" (heap fallback).
-  uint64_t mapped_bytes = 0;
+  /// The file's size; the bytes served from its mapping are the
+  /// searcher's shape().mapped_bytes.
   uint64_t file_bytes = 0;
 };
 

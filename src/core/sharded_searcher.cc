@@ -1,7 +1,6 @@
 #include "core/sharded_searcher.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -43,13 +42,10 @@ class ShardedSearcher final : public Searcher {
 
   ShardedSearcher(SearcherConfig config,
                   std::vector<std::unique_ptr<Searcher>> shards,
-                  std::vector<ShardMap> shard_maps, size_t total_count,
-                  ShardAssignment assignment)
-      : Searcher(std::move(config)),
+                  std::vector<ShardMap> shard_maps, ShardAssignment assignment)
+      : Searcher(std::move(config), shards.front()->dim()),
         shards_(std::move(shards)),
         shard_maps_(std::move(shard_maps)),
-        shard_dispatches_(shards_.size()),
-        total_count_(total_count),
         assignment_(assignment) {}
 
   void ReserveScratch(size_t slots) override {
@@ -60,7 +56,6 @@ class ShardedSearcher final : public Searcher {
   std::vector<Neighbor> SearchWith(size_t slot, QueryKnobs knobs,
                                    const float* query,
                                    PdxearchProfile* profile) override {
-    CountDispatches(1);
     knobs = Resolve(knobs);
     std::vector<std::vector<Neighbor>> partial(shards_.size());
     if (profile != nullptr) *profile = PdxearchProfile{};
@@ -88,7 +83,6 @@ class ShardedSearcher final : public Searcher {
     // no-op once bands are reserved) keeps the workers' lazy-growth path
     // out of the parallel region.
     knobs = Resolve(knobs);
-    CountDispatches(num_queries);
     const size_t num_shards = shards_.size();
     const size_t d = dim();
     ReserveScratch(slot + pool->num_threads());
@@ -124,39 +118,26 @@ class ShardedSearcher final : public Searcher {
     return results;
   }
 
-  size_t num_blocks() const override {
-    size_t total = 0;
-    for (const auto& shard : shards_) total += shard->num_blocks();
-    return total;
-  }
-
-  const IvfIndex* index() const override { return nullptr; }
-
-  size_t count() const override { return total_count_; }
-
-  size_t dim() const override { return shards_.front()->dim(); }
-
-  uint64_t quantized_bytes() const override {
-    uint64_t total = 0;
-    for (const auto& shard : shards_) total += shard->quantized_bytes();
-    return total;
-  }
-
-  size_t max_nprobe() const override {
-    size_t ceiling = 1;
+  SearcherShape shape() const override {
+    SearcherShape total;
+    total.num_shards = shards_.size();
     for (const auto& shard : shards_) {
-      ceiling = std::max(ceiling, shard->max_nprobe());
+      const SearcherShape part = shard->shape();
+      total.count += part.count;
+      total.num_blocks += part.num_blocks;
+      total.max_nprobe = std::max(total.max_nprobe, part.max_nprobe);
+      total.quantized_bytes += part.quantized_bytes;
+      // Every shard of a restored collection maps the same file.
+      total.mapped_bytes = std::max(total.mapped_bytes, part.mapped_bytes);
     }
-    return ceiling;
+    return total;
   }
-
-  size_t num_shards() const override { return shards_.size(); }
 
   Status ExportSaved(SavedCollection& out) const override {
     out = SavedCollection{};
     out.meta = MetaFromConfig(config_);
     out.meta.dim = dim();
-    out.meta.count = total_count_;
+    out.meta.count = shape().count;
     out.meta.num_shards = shards_.size();
     out.meta.assignment = static_cast<uint32_t>(assignment_);
     out.shards.reserve(shards_.size());
@@ -173,14 +154,6 @@ class ShardedSearcher final : public Searcher {
       out.shards.push_back(std::move(piece.shards[0]));
     }
     return Status::OK();
-  }
-
-  std::vector<uint64_t> ShardDispatchCounts() const override {
-    std::vector<uint64_t> counts(shard_dispatches_.size());
-    for (size_t s = 0; s < counts.size(); ++s) {
-      counts[s] = shard_dispatches_[s].load(std::memory_order_relaxed);
-    }
-    return counts;
   }
 
  private:
@@ -217,16 +190,8 @@ class ShardedSearcher final : public Searcher {
     return all;
   }
 
-  void CountDispatches(size_t queries) {
-    for (auto& counter : shard_dispatches_) {
-      counter.fetch_add(queries, std::memory_order_relaxed);
-    }
-  }
-
   std::vector<std::unique_ptr<Searcher>> shards_;
   std::vector<ShardMap> shard_maps_;
-  std::vector<std::atomic<uint64_t>> shard_dispatches_;
-  size_t total_count_ = 0;
   ShardAssignment assignment_ = ShardAssignment::kContiguous;
 };
 
@@ -317,9 +282,9 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcher(
   }
   std::vector<ShardedSearcher::ShardMap> shard_maps =
       MapsFromShardIds(sharding.assignment, std::move(shard_ids));
-  return std::unique_ptr<Searcher>(new ShardedSearcher(
-      std::move(config), std::move(shards), std::move(shard_maps), count,
-      sharding.assignment));
+  return std::unique_ptr<Searcher>(
+      new ShardedSearcher(std::move(config), std::move(shards),
+                          std::move(shard_maps), sharding.assignment));
 }
 
 Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
@@ -358,11 +323,11 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
   }
   std::vector<ShardedSearcher::ShardMap> shard_maps =
       MapsFromShardIds(sharding.assignment, std::move(shard_ids));
-  std::unique_ptr<Searcher> searcher(new ShardedSearcher(
-      std::move(config), std::move(shards), std::move(shard_maps), count,
-      sharding.assignment));
-  searcher->PinImage(std::move(image));
-  return searcher;
+  // Each shard pins the image its stores view; the facade itself views
+  // nothing of it (the maps were recomputed above).
+  return std::unique_ptr<Searcher>(
+      new ShardedSearcher(std::move(config), std::move(shards),
+                          std::move(shard_maps), sharding.assignment));
 }
 
 }  // namespace pdx

@@ -58,8 +58,7 @@ struct ShardingOptions {
 /// through SearchWith, so no shard ever runs a pool of its own.
 ///
 /// Thread safety matches the facade contract: one querier at a time on
-/// the Search/SearchBatch surface (ShardDispatchCounts() alone may be
-/// read concurrently), while SearchWith/SearchBatchWith support
+/// the Search/SearchBatch surface, while SearchWith/SearchBatchWith support
 /// concurrent callers on disjoint, pre-reserved slot bands — k/nprobe
 /// ride on each call, so no shared knob is mutated (the serving layer's
 /// replicated dispatchers rely on this).

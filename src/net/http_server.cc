@@ -397,6 +397,14 @@ RequestHead ParseRequestHead(const std::string& head) {
       out.error = "malformed header line";
       return out;
     }
+    // A field name is a token (RFC 9112 §5.1): `Content-Length : 38` must
+    // not frame a body, nor an obsolete folded line (leading whitespace)
+    // land under a name of its own.
+    if (colon == 0 || line.find_first_of(" \t") < colon) {
+      out.error_status = 400;
+      out.error = "malformed header name";
+      return out;
+    }
     const std::string name = ToLower(line.substr(0, colon));
     if (name == "content-length" && out.request.headers.count(name) != 0) {
       // Repeated framing headers must be a hard error, not last-one-wins:

@@ -99,7 +99,9 @@ struct HttpServerConfig {
 /// timer (about 40 ms) when no request follows.
 ///
 /// Protocol subset — deliberately: GET/POST/PUT/DELETE with
-/// Content-Length bodies. Transfer-Encoding (chunked) is answered 501.
+/// Content-Length bodies. Transfer-Encoding (chunked) is answered 501; a
+/// header name that is empty or holds whitespace (including an obsolete
+/// folded line) is answered 400 and the connection closed.
 /// Expect: 100-continue gets an interim "100 Continue" only when the
 /// connection is quiescent (no pipelined responses outstanding — an
 /// interim line must not interleave with an in-flight response write);

@@ -947,11 +947,6 @@ void SearchHandler::HandleStats(HttpResponder respond) {
     entry.Set("failed", cs.failed);
     entry.Set("dispatches", cs.dispatches);
     entry.Set("shards", cs.shards);
-    JsonValue shard_dispatches = JsonValue::Array();
-    for (const uint64_t per_shard : cs.shard_dispatches) {
-      shard_dispatches.Append(static_cast<size_t>(per_shard));
-    }
-    entry.Set("shard_dispatches", std::move(shard_dispatches));
     entry.Set("qps", cs.qps);
     entry.Set("queue_wait", LatencyJson(cs.queue_wait));
     entry.Set("latency", LatencyJson(cs.latency));

@@ -24,7 +24,7 @@ class QuantizedSearcher final : public Searcher {
                     VectorSet owned_rows, const float* rows,
                     std::unique_ptr<IvfIndex> owned_index,
                     const IvfIndex* index)
-      : Searcher(std::move(config)),
+      : Searcher(std::move(config), qstore.dim()),
         owned_index_(std::move(owned_index)),
         index_(index),
         qstore_(std::move(qstore)),
@@ -36,14 +36,15 @@ class QuantizedSearcher final : public Searcher {
     }
   }
 
-  size_t num_blocks() const override { return qstore_.num_blocks(); }
-
-  const IvfIndex* index() const override { return index_; }
-
-  size_t dim() const override { return qstore_.dim(); }
-  size_t count() const override { return qstore_.count(); }
-
-  uint64_t quantized_bytes() const override { return qstore_.codes_bytes(); }
+  SearcherShape shape() const override {
+    SearcherShape shape;
+    shape.count = qstore_.count();
+    shape.num_blocks = qstore_.num_blocks();
+    if (index_ != nullptr) shape.max_nprobe = index_->num_buckets();
+    shape.quantized_bytes = qstore_.codes_bytes();
+    shape.mapped_bytes = PinnedMappedBytes();
+    return shape;
+  }
 
   void ReserveScratch(size_t slots) override { GrowSlots(slots); }
 
@@ -134,7 +135,7 @@ class QuantizedSearcher final : public Searcher {
     out = SavedCollection{};
     out.meta = MetaFromConfig(config_);
     out.meta.dim = dim();
-    out.meta.count = count();
+    out.meta.count = qstore_.count();
     SavedShard shard;
     shard.has_quant = true;
     shard.quant_offsets = qstore_.offsets();

@@ -15,10 +15,9 @@ namespace pdx {
 /// = kU8): a dimension-major u8 code scan (quant/quantized_store.h) selects
 /// k * rerank_factor candidates, whose exact distances are recomputed on the
 /// retained full-precision rows. Products implement the full Searcher
-/// facade — per-slot SearchWith bands, ExportSaved to the
-/// PDXC quant sections, quantized_bytes(), num_blocks() over the code
-/// blocks — so they compose with MakeShardedSearcher and the serving layer
-/// unchanged.
+/// facade — per-slot SearchWith bands, ExportSaved to the PDXC quant
+/// sections, a shape() with the code bytes and the code blocks — so they
+/// compose with MakeShardedSearcher and the serving layer unchanged.
 ///
 /// Both are internal to the facade: MakeSearcher and MakeSearcherFromImage
 /// validate and resolve `config`, then route here when config.quantization

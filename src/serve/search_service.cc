@@ -59,7 +59,7 @@ struct SearchService::Collection {
   /// meaningful, and an absurd k must not reach the top-k heap's reserve().
   size_t count = 0;
   /// Ceiling for per-query nprobe overrides: the IVF bucket count, which a
-  /// compaction may change (so cached here, refreshed by the compactor).
+  /// compaction may change (so cached here, refreshed with `count`).
   size_t max_nprobe = 1;
   /// The searcher downcast, set iff the service built it mutable (from
   /// vectors): the AddVectors/DeleteVectors surface and the compactor
@@ -71,8 +71,6 @@ struct SearchService::Collection {
   /// "built", "mmap", or "loaded" (see CollectionInfo::source). Fixed
   /// before install.
   std::string source = "built";
-  /// Bytes of collection file currently memory-mapped (mmap source only).
-  uint64_t mapped_bytes = 0;
   /// The file this incarnation was loaded from or SaveCollection last wrote
   /// it to; the compactor re-saves there after every fold so the on-disk
   /// snapshot tracks the live state. Empty = never persisted. Guarded by
@@ -321,10 +319,11 @@ std::shared_ptr<SearchService::Collection> SearchService::NewCollection(
   searcher->ReserveScratch(config_.dispatchers * pool_.num_threads());
   auto collection = std::make_shared<Collection>();
   collection->name = name;
-  // count()/max_nprobe() see through sharding: the logical collection
-  // size, and the largest shard's bucket count (nprobe applies per shard).
-  collection->count = searcher->count();
-  collection->max_nprobe = std::max<size_t>(1, searcher->max_nprobe());
+  // The shape sees through sharding: the logical collection size, and the
+  // largest shard's bucket count (nprobe applies per shard).
+  const SearcherShape shape = searcher->shape();
+  collection->count = shape.count;
+  collection->max_nprobe = std::max<size_t>(1, shape.max_nprobe);
   collection->live = live;
   collection->done_ring.reserve(LatencyRecorder::kDefaultWindow);
   collection->slowlog =
@@ -452,29 +451,26 @@ Status SearchService::LoadCollection(const std::string& name,
   const std::shared_ptr<Collection> collection =
       NewCollection(name, std::move(restored.searcher), restored.live);
   collection->source = restored.source;
-  collection->mapped_bytes = restored.mapped_bytes;
   collection->persist_path = path;
   collection->metric.load_ms->Observe(wall_ms);
   return Install(collection);
 }
 
 void SearchService::RefreshGaugesLocked(Collection& host) {
+  // shape() and mutation_stats() take a live searcher's shared lock under
+  // mutex_ — the service-then-searcher lock order every path here follows.
+  const SearcherShape shape = host.searcher->shape();
+  host.count = shape.count;
+  host.max_nprobe = std::max<size_t>(1, shape.max_nprobe);
   MutationStats stats;
-  stats.live = host.count;
-  if (host.live != nullptr) {
-    // mutation_stats() takes the searcher's shared lock under mutex_ — the
-    // service-then-searcher lock order every path here follows.
-    stats = host.live->mutation_stats();
-    host.count = stats.live;
-  }
+  if (host.live != nullptr) stats = host.live->mutation_stats();
   if (!IsHostedLocked(host)) return;
   Collection::Instruments& m = host.metric;
-  m.vectors->Set(static_cast<double>(stats.live));
+  m.vectors->Set(static_cast<double>(shape.count));
   m.delta_vectors->Set(static_cast<double>(stats.delta_rows));
   m.tombstones->Set(static_cast<double>(stats.tombstones));
-  m.mmap_bytes->Set(static_cast<double>(host.mapped_bytes));
-  m.quantized_bytes->Set(
-      static_cast<double>(host.searcher->quantized_bytes()));
+  m.mmap_bytes->Set(static_cast<double>(shape.mapped_bytes));
+  m.quantized_bytes->Set(static_cast<double>(shape.quantized_bytes));
 }
 
 void SearchService::MaybeScheduleCompactionLocked(
@@ -582,9 +578,9 @@ void SearchService::CompactorMain() {
     // mutation retries — without it, an always-failing build would spin.
     if (!done.ok()) continue;
     host->metric.compactions->Inc();
-    // An IVF base rebuilt over more vectors may cluster into more
-    // buckets; the admission clamp must follow the new ceiling.
-    host->max_nprobe = std::max<size_t>(1, host->live->max_nprobe());
+    // An IVF base rebuilt over more vectors may cluster into more buckets,
+    // and a base restored from a file no longer maps it: the admission
+    // clamp and the gauges follow the new base.
     RefreshGaugesLocked(*host);
     // The rest acts on the name: a removed or replaced incarnation must
     // neither queue another fold nor overwrite its successor's snapshot.
@@ -653,6 +649,8 @@ Result<CollectionInfo> SearchService::GetCollectionInfo(
   if (!found.ok()) return found.status();
   const Collection& host = *found.value();
   const SearcherConfig& options = host.searcher->options();
+  // shape() is safe against concurrent dispatch (see Searcher::shape).
+  const SearcherShape shape = host.searcher->shape();
   CollectionInfo info;
   info.name = name;
   info.dim = host.searcher->dim();
@@ -660,13 +658,12 @@ Result<CollectionInfo> SearchService::GetCollectionInfo(
   info.default_k = std::max<size_t>(1, options.k);
   info.default_nprobe = std::max<size_t>(1, options.nprobe);
   info.max_nprobe = host.max_nprobe;
-  // num_shards() reads a constant, safe against concurrent dispatch.
-  info.shards = host.searcher->num_shards();
+  info.shards = shape.num_shards;
   info.layout = options.layout;
   info.pruner = options.pruner;
   info.quantization = options.quantization;
   info.rerank_factor = options.rerank_factor;
-  info.quantized_bytes = host.searcher->quantized_bytes();
+  info.quantized_bytes = shape.quantized_bytes;
   info.source = host.source;
   return info;
 }
@@ -889,16 +886,15 @@ ServiceStats SearchService::Stats() const {
     cs.cancelled = m.cancelled->value();
     cs.failed = m.failed->value();
     cs.dispatches = m.dispatches->value();
-    // num_shards() reads a constant and ShardDispatchCounts() reads
-    // atomics, so these are safe against the dispatcher's concurrent use
-    // of the searcher (which mutex_ does not serialize).
-    cs.shards = collection->searcher->num_shards();
+    // shape() is safe against the dispatchers' concurrent use of the
+    // searcher, which mutex_ does not serialize (see Searcher::shape).
+    const SearcherShape shape = collection->searcher->shape();
+    cs.shards = shape.num_shards;
     cs.source = collection->source;
-    cs.mapped_bytes = collection->mapped_bytes;
-    cs.shard_dispatches = collection->searcher->ShardDispatchCounts();
+    cs.mapped_bytes = shape.mapped_bytes;
     cs.quantization = QuantizationKindName(options.quantization);
     cs.rerank_factor = options.rerank_factor;
-    cs.quantized_bytes = collection->searcher->quantized_bytes();
+    cs.quantized_bytes = shape.quantized_bytes;
     cs.rerank_candidates = m.rerank_candidates->value();
     cs.queue_wait = collection->queue_wait.Summary();
     cs.latency = collection->latency.Summary();
@@ -909,7 +905,7 @@ ServiceStats SearchService::Stats() const {
       cs.is_mutable = true;
       cs.delta = ms.delta_rows;
       cs.delta_blocks = ms.delta_blocks;
-      cs.base_blocks = ms.base_blocks;
+      cs.base_blocks = shape.num_blocks;
       cs.tombstones = ms.tombstones;
     }
     cs.added = m.ingested->value();

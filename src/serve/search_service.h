@@ -350,9 +350,10 @@ class SearchService {
   /// crossed the threshold and it is not already queued. Caller holds
   /// mutex_.
   void MaybeScheduleCompactionLocked(const std::shared_ptr<Collection>& host);
-  /// Re-reads a live collection's count, then stamps the name's size
-  /// gauges from `host` — only while it is the hosted incarnation, since
-  /// every incarnation of a name shares them. Caller holds mutex_.
+  /// Re-reads `host`'s count and nprobe ceiling from its searcher's shape,
+  /// then stamps the name's size gauges from it — only while it is the
+  /// hosted incarnation, since every incarnation of a name shares them.
+  /// Caller holds mutex_.
   void RefreshGaugesLocked(Collection& host);
   /// The dedicated compaction thread: drains compact_queue_, runs
   /// MutableSearcher::Compact() (expensive build off every lock, brief

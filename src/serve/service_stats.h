@@ -35,11 +35,9 @@ struct CollectionStats {
   /// restored via the heap-copy fallback.
   std::string source = "built";
   /// Bytes of the collection file currently memory-mapped for this
-  /// collection (0 unless source == "mmap").
+  /// collection: 0 unless source == "mmap", and 0 again once a fold has
+  /// replaced the base a live collection restored.
   uint64_t mapped_bytes = 0;
-  /// Per-shard count of shard-level query executions (each dispatched
-  /// query bumps every shard it fanned out to); empty when unsharded.
-  std::vector<uint64_t> shard_dispatches;
   /// Quantization tier this collection serves on ("none" or "u8").
   std::string quantization = "none";
   /// Over-fetch multiplier of the u8 tier's exact re-rank (0 = serve raw

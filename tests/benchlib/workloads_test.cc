@@ -54,12 +54,31 @@ TEST(WorkloadsTest, BuildPrunerRosterFlatAndIvf) {
         << entry.name;
   }
 
-  IvfIndex index = IvfIndex::Build(dataset.data, {});
+  // Not the auto bucket count (~sqrt(1500)), so a searcher that built an
+  // index of its own would show.
+  IvfOptions options;
+  options.num_buckets = 12;
+  IvfIndex index = IvfIndex::Build(dataset.data, options);
   const auto ivf = BuildPrunerRoster(dataset.data, &index,
                                      SearcherLayout::kIvf, 5, 4);
   ASSERT_EQ(ivf.size(), 4u);
   for (const auto& entry : ivf) {
-    EXPECT_EQ(entry.searcher->index(), &index) << entry.name;
+    // Routed through the shared index: its buckets are the nprobe
+    // ceiling, and a searcher built over it answers identically.
+    EXPECT_EQ(entry.searcher->shape().max_nprobe, index.num_buckets())
+        << entry.name;
+    auto direct =
+        MakeSearcher(dataset.data, index, entry.searcher->options());
+    ASSERT_TRUE(direct.ok()) << entry.name;
+    for (size_t q = 0; q < dataset.queries.count(); ++q) {
+      const auto expected = direct.value()->Search(dataset.queries.Vector(q));
+      const auto actual = entry.searcher->Search(dataset.queries.Vector(q));
+      ASSERT_EQ(actual.size(), expected.size()) << entry.name;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].id, expected[i].id) << entry.name;
+        EXPECT_EQ(actual[i].distance, expected[i].distance) << entry.name;
+      }
+    }
   }
 }
 

@@ -136,7 +136,9 @@ TEST(AnySearcherTest, IvfParityWithDirectFactories) {
                              IvfConfig(pruner, nprobe));
     ASSERT_TRUE(made.ok()) << made.status().ToString();
     auto& facade = *made.value();
-    EXPECT_EQ(facade.index(), &fx.index);
+    // Routed through the caller's index: its buckets are the nprobe
+    // ceiling, and the answers match the direct search over that index.
+    EXPECT_EQ(facade.shape().max_nprobe, fx.index.num_buckets());
     EXPECT_EQ(facade.dim(), fx.dataset.dim());
     for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
       const float* query = fx.dataset.queries.Vector(q);
@@ -158,7 +160,7 @@ TEST(AnySearcherTest, FlatParityWithDirectFactories) {
     auto made = MakeSearcher(fx.dataset.data, config);
     ASSERT_TRUE(made.ok()) << made.status().ToString();
     auto& facade = *made.value();
-    EXPECT_EQ(facade.index(), nullptr);
+    EXPECT_EQ(facade.shape().max_nprobe, 1u);
     for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
       const float* query = fx.dataset.queries.Vector(q);
       ExpectSameNeighbors(facade.Search(query), direct(query),
@@ -175,7 +177,7 @@ TEST(AnySearcherTest, FlatDefaultsMatchPaperBondSetup) {
   // partitions: 2000 vectors -> one block.
   EXPECT_EQ(made.value()->options().block_capacity,
             kExactSearchBlockCapacity);
-  EXPECT_EQ(made.value()->num_blocks(), 1u);
+  EXPECT_EQ(made.value()->shape().num_blocks, 1u);
 }
 
 TEST(AnySearcherTest, OwnedIndexPathReachesFullRecall) {
@@ -185,8 +187,8 @@ TEST(AnySearcherTest, OwnedIndexPathReachesFullRecall) {
   auto made = MakeSearcher(fx.dataset.data, config);
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   auto& searcher = *made.value();
-  ASSERT_NE(searcher.index(), nullptr);
-  const QueryKnobs full_probe{0, searcher.index()->num_buckets()};
+  ASSERT_GT(searcher.shape().max_nprobe, 1u);
+  const QueryKnobs full_probe{0, searcher.shape().max_nprobe};
 
   const auto truth =
       ComputeGroundTruth(fx.dataset.data, fx.dataset.queries, 10, Metric::kL2);

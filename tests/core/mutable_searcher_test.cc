@@ -79,7 +79,7 @@ void ExpectParityWithFreshRebuild(MutableSearcher& live, const Model& model,
                                   const ShardingOptions& sharding,
                                   const VectorSet& queries,
                                   const std::string& label) {
-  ASSERT_EQ(live.count(), model.size()) << label;
+  ASSERT_EQ(live.shape().count, model.size()) << label;
   if (model.empty()) {
     for (size_t q = 0; q < queries.count(); ++q) {
       EXPECT_TRUE(live.Search(queries.Vector(q)).empty()) << label;
@@ -125,7 +125,7 @@ TEST(MutableSearcherTest, NoMutationMatchesPlainSearcher) {
       ASSERT_TRUE(plain.ok());
       auto live = MutableSearcher::Make(data, config);
       ASSERT_TRUE(live.ok()) << live.status().ToString();
-      EXPECT_EQ(live.value()->count(), data.count());
+      EXPECT_EQ(live.value()->shape().count, data.count());
       EXPECT_EQ(live.value()->dim(), dim);
       for (size_t q = 0; q < queries.count(); ++q) {
         const auto actual = live.value()->Search(queries.Vector(q));
@@ -235,7 +235,7 @@ TEST(MutableSearcherTest, InterleavedMutationsMatchFreshRebuild) {
                                  label + "/mixed");
 
     const MutationStats stats = live.mutation_stats();
-    EXPECT_EQ(stats.live, model.size()) << label;
+    EXPECT_EQ(live.shape().count, model.size()) << label;
     EXPECT_GT(stats.delta_blocks, 1u) << label;
     EXPECT_GT(stats.tombstones, 0u) << label;
     EXPECT_EQ(stats.compactions, 0u) << label;
@@ -258,7 +258,7 @@ TEST(MutableSearcherTest, UpsertReplacesUnderSameId) {
   auto res = live.Add(replacement.data(), 1, &id);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value()[0], id);
-  EXPECT_EQ(live.count(), base.count());  // Replace, not grow.
+  EXPECT_EQ(live.shape().count, base.count());  // Replace, not grow.
 
   // The replacement now answers for id 5: querying it exactly must return
   // id 5 at distance 0.
@@ -321,7 +321,7 @@ TEST(MutableSearcherTest, DeleteAllThenReAdd) {
   ASSERT_TRUE(made.ok());
   MutableSearcher& live = *made.value();
   for (uint64_t id = 0; id < 6; ++id) ASSERT_TRUE(live.Delete(id).ok());
-  EXPECT_EQ(live.count(), 0u);
+  EXPECT_EQ(live.shape().count, 0u);
   EXPECT_TRUE(live.Search(queries.Vector(0)).empty());
 
   Model model;
@@ -370,7 +370,7 @@ TEST(MutableSearcherTest, CompactFoldsDeltaAndKeepsParity) {
     EXPECT_EQ(stats.delta_rows, 0u);
     EXPECT_EQ(stats.tombstones, 0u);
     EXPECT_EQ(stats.base_rows, model.size());
-    EXPECT_EQ(stats.live, model.size());
+    EXPECT_EQ(live.shape().count, model.size());
     EXPECT_EQ(stats.compactions, 1u);
     EXPECT_FALSE(live.NeedsCompaction());
     ExpectParityWithFreshRebuild(live, model, config, sharding, queries,
@@ -400,11 +400,11 @@ TEST(MutableSearcherTest, CompactOnEmptyCollectionIsANoOp) {
   MutableSearcher& live = *made.value();
   for (uint64_t id = 0; id < 5; ++id) ASSERT_TRUE(live.Delete(id).ok());
   ASSERT_TRUE(live.Compact().ok());  // Zero survivors: keep the old base.
-  EXPECT_EQ(live.count(), 0u);
+  EXPECT_EQ(live.shape().count, 0u);
   Rng rng(21);
   const std::vector<float> row = RandomRow(rng, 4);
   ASSERT_TRUE(live.Add(row.data(), 1).ok());
-  EXPECT_EQ(live.count(), 1u);
+  EXPECT_EQ(live.shape().count, 1u);
 }
 
 // --- The concurrent (per-slot) surface matches the plain one ------------
@@ -496,7 +496,7 @@ TEST(MutableSearcherTest, RejectsOutOfRangeIds) {
   EXPECT_TRUE(live.Add(row.data(), 1, &too_big).status().IsInvalidArgument());
   EXPECT_TRUE(live.Add(nullptr, 1).status().IsInvalidArgument());
   // All-or-nothing: the failed batch left no trace.
-  EXPECT_EQ(live.count(), 4u);
+  EXPECT_EQ(live.shape().count, 4u);
   EXPECT_EQ(live.mutation_stats().delta_rows, 0u);
 }
 
@@ -531,10 +531,11 @@ TEST(MutableSearcherTest, HugeDeltaBlockCapacityServesTheSameResults) {
   }
 }
 
-TEST(MutableSearcherTest, ShardedBaseBlocksSumOverShards) {
-  // base_blocks (GET /stats) counts every shard of the base, on the float
-  // tier and the u8 tier alike: 300 rows over 3 contiguous shards of 100
-  // in 16-lane blocks are 3 x 7 blocks.
+TEST(MutableSearcherTest, ShardedBaseShapeSumsOverShards) {
+  // The shape's blocks (base_blocks in GET /stats) count every shard of
+  // the base, on the float tier and the u8 tier alike: 300 rows over 3
+  // contiguous shards of 100 in 16-lane blocks are 3 x 7 blocks. The u8
+  // base's code bytes (one per value) reach the live shape too.
   VectorSet base = RandomVectors(300, 8, 29);
   ShardingOptions sharding;
   sharding.num_shards = 3;
@@ -546,9 +547,12 @@ TEST(MutableSearcherTest, ShardedBaseBlocksSumOverShards) {
     auto made = MutableSearcher::Make(base, config, MutationConfig{},
                                       sharding);
     ASSERT_TRUE(made.ok()) << made.status().ToString();
-    EXPECT_EQ(made.value()->num_shards(), 3u);
-    EXPECT_EQ(made.value()->num_blocks(), 21u);
-    EXPECT_EQ(made.value()->mutation_stats().base_blocks, 21u);
+    const SearcherShape shape = made.value()->shape();
+    EXPECT_EQ(shape.count, 300u);
+    EXPECT_EQ(shape.num_shards, 3u);
+    EXPECT_EQ(shape.num_blocks, 21u);
+    EXPECT_EQ(shape.quantized_bytes,
+              quantization == QuantizationKind::kU8 ? 300u * 8u : 0u);
   }
 }
 

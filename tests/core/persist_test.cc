@@ -12,6 +12,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/datagen.h"
@@ -108,10 +109,18 @@ TEST(PersistTest, RoundTripMatrixIsByteIdentical) {
               << label << ": " << loaded.status().message();
           EXPECT_EQ(loaded.value().source, allow_mmap ? "mmap" : "loaded");
           EXPECT_EQ(loaded.value().live, nullptr);
-          EXPECT_EQ(loaded.value().searcher->count(), data.data.count());
           EXPECT_EQ(loaded.value().searcher->dim(), data.dim());
-          EXPECT_EQ(loaded.value().searcher->num_shards(),
-                    num_shards > 1 ? num_shards : 1);
+          // The restored searcher serves the saved one's shape, from the
+          // mapping when there is one.
+          const SearcherShape shape = loaded.value().searcher->shape();
+          const SearcherShape saved_shape = searcher->shape();
+          EXPECT_EQ(shape.count, data.data.count());
+          EXPECT_EQ(shape.num_shards, num_shards > 1 ? num_shards : 1);
+          EXPECT_EQ(shape.num_blocks, saved_shape.num_blocks);
+          EXPECT_EQ(shape.max_nprobe, saved_shape.max_nprobe);
+          EXPECT_EQ(shape.quantized_bytes, saved_shape.quantized_bytes);
+          EXPECT_EQ(saved_shape.mapped_bytes, 0u);
+          EXPECT_EQ(shape.mapped_bytes > 0, allow_mmap);
           for (size_t q = 0; q < data.queries.count(); ++q) {
             const float* query = data.queries.Vector(q);
             ExpectIdenticalResults(loaded.value().searcher->Search(query),
@@ -148,7 +157,7 @@ TEST(PersistTest, LoadRunsNoKmeansAndNoPacking) {
   // And the loaded collection actually serves.
   EXPECT_EQ(loaded.value().searcher->Search(data.queries.Vector(0)).size(),
             config.k);
-  EXPECT_GT(loaded.value().mapped_bytes, 0u);
+  EXPECT_GT(loaded.value().searcher->shape().mapped_bytes, 0u);
   EXPECT_GT(loaded.value().file_bytes, 0u);
   std::remove(path.c_str());
 }
@@ -189,7 +198,7 @@ TEST(PersistTest, MutableSnapshotRestoresMidDeltaState) {
   MutableSearcher* restored = loaded.value().live;
 
   const MutationStats after = restored->mutation_stats();
-  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(restored->shape().count, live->shape().count);
   EXPECT_EQ(after.base_rows, before.base_rows);
   EXPECT_EQ(after.delta_rows, before.delta_rows);
   EXPECT_EQ(after.tombstones, before.tombstones);
@@ -233,7 +242,7 @@ TEST(PersistTest, MutableShardedSnapshotRoundTrips) {
   auto loaded = LoadCollection(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   ASSERT_NE(loaded.value().live, nullptr);
-  EXPECT_EQ(loaded.value().searcher->num_shards(), 2u);
+  EXPECT_EQ(loaded.value().searcher->shape().num_shards, 2u);
   for (size_t q = 0; q < data.queries.count(); ++q) {
     const float* query = data.queries.Vector(q);
     ExpectIdenticalResults(loaded.value().live->Search(query),
@@ -245,23 +254,87 @@ TEST(PersistTest, MutableShardedSnapshotRoundTrips) {
 
 // --- The loaded image must outlive the searcher's views (pin check): drop
 // the LoadedCollection wrapper, keep only the searcher, and query. Under
-// ASan a missing pin is a use-after-free here. ------------------------------
+// ASan a missing pin is a use-after-free here. Only the unsharded tiers pin
+// the image (a sharded or live facade views none of it), so the sharded
+// and live restores lean on their inner searchers' pins. ------------------
 
 TEST(PersistTest, SearcherPinsImageAfterWrapperDies) {
   Dataset data = MakeData(16, 400, 2, 53);
-  auto built =
-      MakeSearcher(data.data, Config(SearcherLayout::kIvf, PrunerKind::kBond));
-  ASSERT_TRUE(built.ok());
-  const std::string path = TempPath("pin.pdxc");
-  ASSERT_TRUE(built.value()->Save(path).ok());
-  std::unique_ptr<Searcher> survivor;
-  {
-    auto loaded = LoadCollection(path);
-    ASSERT_TRUE(loaded.ok());
-    survivor = std::move(loaded.value().searcher);
+  const SearcherConfig config =
+      Config(SearcherLayout::kIvf, PrunerKind::kBond);
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  std::vector<std::pair<std::string, std::unique_ptr<Searcher>>> built;
+  built.emplace_back("plain", MakeSearcher(data.data, config).value());
+  built.emplace_back("sharded",
+                     MakeShardedSearcher(data.data, config, sharding).value());
+  built.emplace_back("live",
+                     MutableSearcher::Make(data.data, config, {}, sharding)
+                         .value());
+  for (const auto& [label, searcher] : built) {
+    const std::string path = TempPath("pin.pdxc");
+    ASSERT_TRUE(searcher->Save(path).ok()) << label;
+    std::unique_ptr<Searcher> survivor;
+    {
+      auto loaded = LoadCollection(path);
+      ASSERT_TRUE(loaded.ok()) << label;
+      survivor = std::move(loaded.value().searcher);
+    }
+    std::remove(path.c_str());  // mmap stays valid after unlink on POSIX.
+    EXPECT_GT(survivor->shape().mapped_bytes, 0u) << label;
+    EXPECT_EQ(survivor->Search(data.queries.Vector(0)).size(), 10u) << label;
   }
-  std::remove(path.c_str());  // mmap stays valid after unlink on POSIX.
-  EXPECT_EQ(survivor->Search(data.queries.Vector(0)).size(), 10u);
+}
+
+/// True while `path` is mapped into this process.
+bool IsMapped(const std::string& path) {
+  const std::string target = std::filesystem::canonical(path).string();
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.size() >= target.size() &&
+        line.compare(line.size() - target.size(), target.size(), target) ==
+            0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A live collection restored by mmap copies its rows, delta, ids and
+// tombstones out of the file; only its base views the mapping. The fold
+// that replaces that base releases the file, and the shape says so.
+TEST(PersistTest, FoldUnmapsARestoredLiveCollection) {
+  Dataset data = MakeData(16, 600, 3, 71);
+  MutationConfig mutation;
+  mutation.compact_threshold = 0;
+  auto made = MutableSearcher::Make(
+      data.data, Config(SearcherLayout::kFlat, PrunerKind::kLinear), mutation);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  std::unique_ptr<MutableSearcher> live = std::move(made).value();
+  ASSERT_TRUE(live->Add(data.queries.Vector(0), 1).ok());
+  ASSERT_TRUE(live->Delete(3).ok());
+
+  const std::string path = TempPath("fold_unmaps.pdxc");
+  ASSERT_TRUE(live->Save(path).ok());
+  auto loaded = LoadCollection(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(loaded.value().source, "mmap");
+  MutableSearcher* restored = loaded.value().live;
+  ASSERT_NE(restored, nullptr);
+  EXPECT_GT(restored->shape().mapped_bytes, 0u);
+  EXPECT_TRUE(IsMapped(path));
+
+  ASSERT_TRUE(restored->Compact().ok());
+  EXPECT_EQ(restored->shape().mapped_bytes, 0u);
+  EXPECT_FALSE(IsMapped(path));
+  EXPECT_EQ(restored->shape().count, live->shape().count);
+  for (size_t q = 0; q < data.queries.count(); ++q) {
+    const float* query = data.queries.Vector(q);
+    ExpectIdenticalResults(restored->Search(query), live->Search(query),
+                           "folded query " + std::to_string(q));
+  }
+  std::remove(path.c_str());
 }
 
 // --- Saving over the file a collection is served from. A save writes a

@@ -1,24 +1,28 @@
 // One parity table over every Searcher implementation: the plain float
 // facade (flat and IVF), the u8 quantized tier, the sharded facade (flat
 // and IVF) and a live collection after mutations, over a plain and over a
-// sharded base. Each implementation provides only the per-slot SearchWith
-// primitive (plus, for the sharded and live ones, a SearchBatchWith
-// override); Search, SearchBatch and the batch fan-out come from the base
-// class, so all three query surfaces must agree exactly — with each other
-// and with a searcher built with the same knobs — and a pooled batch must
-// hand out the same per-query work records as a sequential one.
+// sharded base. Each implementation provides the per-slot SearchWith
+// primitive and its shape() (plus, for the sharded and live ones, a
+// SearchBatchWith override); Search, SearchBatch and the batch fan-out come
+// from the base class, so all three query surfaces must agree exactly —
+// with each other and with a searcher built with the same knobs — and a
+// pooled batch must hand out the same per-query work records as a
+// sequential one. Every row's shape must match the one its layout rules
+// predict, on the live rows after mutations and after a fold too.
 //
 // The binary also counts heap allocations (global operator new) to pin
 // that the shared fan-out adds none of its own.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "core/any_searcher.h"
 #include "core/mutable_searcher.h"
 #include "core/sharded_searcher.h"
+#include "index/ivf.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -80,12 +85,21 @@ Dataset MakeData() {
 }
 
 /// One row of the table: a name and a factory that builds the searcher
-/// under a given config (k, nprobe and threads vary per call).
+/// under a given config (k, nprobe and threads vary per call), with the
+/// contiguous shard count it builds and whether it is a live collection.
 struct Case {
   std::string name;
   SearcherConfig config;
   std::function<std::unique_ptr<Searcher>(const SearcherConfig&)> build;
+  size_t shards = 1;
+  bool live = false;
 };
+
+/// The live rows' mutations: upserts of ids 5-7 and new ids 100000 and
+/// 100001 (query rows 0-4 in that order), then deletes of 11-13 and
+/// 100001. Results then need the delta scan and the tombstone filter.
+const std::vector<uint64_t> kAddedIds = {5, 6, 7, 100000, 100001};
+const std::vector<uint64_t> kDeletedIds = {11, 12, 13, 100001};
 
 std::vector<Case> Cases(const Dataset& data) {
   auto plain = [&data](const SearcherConfig& config) {
@@ -106,14 +120,11 @@ std::vector<Case> Cases(const Dataset& data) {
     auto made = MutableSearcher::Make(data.data, config, {}, sharding);
     EXPECT_TRUE(made.ok()) << made.status().ToString();
     std::unique_ptr<MutableSearcher> searcher = std::move(made).value();
-    // Upsert three rows with query vectors, append two new ones and delete
-    // a few: results now need the delta scan and the tombstone filter.
-    const std::vector<uint64_t> ids = {5, 6, 7, 100000, 100001};
-    EXPECT_TRUE(searcher->Add(data.queries.data(), ids.size(), ids.data())
+    EXPECT_TRUE(searcher
+                    ->Add(data.queries.data(), kAddedIds.size(),
+                          kAddedIds.data())
                     .ok());
-    for (uint64_t id : {11, 12, 13, 100001}) {
-      EXPECT_TRUE(searcher->Delete(id).ok());
-    }
+    for (uint64_t id : kDeletedIds) EXPECT_TRUE(searcher->Delete(id).ok());
     return std::unique_ptr<Searcher>(std::move(searcher));
   };
   auto live_plain = [live](const SearcherConfig& config) {
@@ -135,10 +146,10 @@ std::vector<Case> Cases(const Dataset& data) {
   return {{"flat", flat, plain},
           {"ivf", ivf, plain},
           {"u8", u8, plain},
-          {"sharded", flat, sharded},
-          {"sharded-ivf", ivf, sharded},
-          {"mutable", flat, live_plain},
-          {"mutable-sharded", ivf, live_sharded}};
+          {"sharded", flat, sharded, 3},
+          {"sharded-ivf", ivf, sharded, 3},
+          {"mutable", flat, live_plain, 1, true},
+          {"mutable-sharded", ivf, live_sharded, 3, true}};
 }
 
 void ExpectSameNeighbors(const std::vector<Neighbor>& actual,
@@ -205,11 +216,97 @@ TEST(SearcherSurfaceTest, EveryQuerySurfaceAgreesOnEveryImplementation) {
   }
 }
 
+/// The shape a searcher over `rows` must report, derived from the layout
+/// rules rather than read from any searcher: `num_shards` contiguous
+/// shards, each packing its groups (its IVF index's buckets, or all of its
+/// rows) into blocks of block_capacity lanes.
+SearcherShape ExpectedShape(const VectorSet& rows, const SearcherConfig& config,
+                            size_t num_shards) {
+  const SearcherConfig resolved = ResolveConfig(config);
+  const size_t capacity = resolved.block_capacity;
+  SearcherShape shape;
+  shape.count = rows.count();
+  shape.num_shards = num_shards;
+  size_t begin = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const size_t len =
+        rows.count() / num_shards + (s < rows.count() % num_shards ? 1 : 0);
+    std::vector<VectorId> ids(len);
+    std::iota(ids.begin(), ids.end(), static_cast<VectorId>(begin));
+    begin += len;
+    std::vector<size_t> groups = {len};
+    if (resolved.layout == SearcherLayout::kIvf) {
+      const IvfIndex index = IvfIndex::Build(rows.Select(ids), resolved.ivf);
+      shape.max_nprobe = std::max(shape.max_nprobe, index.num_buckets());
+      groups.clear();
+      for (const auto& bucket : index.buckets()) {
+        groups.push_back(bucket.size());
+      }
+    }
+    for (const size_t group : groups) {
+      shape.num_blocks += (group + capacity - 1) / capacity;
+    }
+  }
+  if (resolved.quantization == QuantizationKind::kU8) {
+    shape.quantized_bytes = rows.count() * rows.dim();
+  }
+  return shape;
+}
+
+void ExpectShape(const SearcherShape& actual, const SearcherShape& expected,
+                 const std::string& label) {
+  EXPECT_EQ(actual.count, expected.count) << label;
+  EXPECT_EQ(actual.num_blocks, expected.num_blocks) << label;
+  EXPECT_EQ(actual.num_shards, expected.num_shards) << label;
+  EXPECT_EQ(actual.max_nprobe, expected.max_nprobe) << label;
+  EXPECT_EQ(actual.quantized_bytes, expected.quantized_bytes) << label;
+  EXPECT_EQ(actual.mapped_bytes, expected.mapped_bytes) << label;
+}
+
+bool Contains(const std::vector<uint64_t>& ids, uint64_t id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+TEST(SearcherSurfaceTest, ShapeDescribesEveryImplementation) {
+  const Dataset data = MakeData();
+  // The rows a fold keeps, in slot order: the base rows neither upserted
+  // nor deleted, then the delta rows not deleted.
+  VectorSet survivors(data.dim(), data.data.count());
+  for (VectorId i = 0; i < data.data.count(); ++i) {
+    if (!Contains(kAddedIds, i) && !Contains(kDeletedIds, i)) {
+      survivors.Append(data.data.Vector(i));
+    }
+  }
+  for (size_t r = 0; r < kAddedIds.size(); ++r) {
+    if (!Contains(kDeletedIds, kAddedIds[r])) {
+      survivors.Append(data.queries.Vector(static_cast<VectorId>(r)));
+    }
+  }
+
+  for (const Case& c : Cases(data)) {
+    std::unique_ptr<Searcher> searcher = c.build(c.config);
+    ASSERT_NE(searcher, nullptr) << c.name;
+    EXPECT_EQ(searcher->dim(), data.dim()) << c.name;
+    SearcherShape expected = ExpectedShape(data.data, c.config, c.shards);
+    if (!c.live) {
+      ExpectShape(searcher->shape(), expected, c.name);
+      continue;
+    }
+    // A live collection counts its live rows; the rest is its base's.
+    expected.count = survivors.count();
+    ExpectShape(searcher->shape(), expected, c.name + " mutated");
+    MutableSearcher& live = static_cast<MutableSearcher&>(*searcher);
+    ASSERT_TRUE(live.Compact().ok()) << c.name;
+    ExpectShape(live.shape(), ExpectedShape(survivors, c.config, c.shards),
+                c.name + " folded");
+  }
+}
+
 TEST(SearcherSurfaceTest, HugeKMatchesKEqualToCount) {
   // Any k at or past the vector count returns every candidate the search
   // reaches, so a huge k — configured, as a loaded file's meta can carry
-  // it, or per call — must answer exactly as k = count() does instead of
-  // sizing a heap by it.
+  // it, or per call — must answer exactly as k = shape().count does instead
+  // of sizing a heap by it.
   const Dataset data = MakeData();
   constexpr size_t kQueries = 3;
   constexpr size_t kHugeK = size_t{1} << 40;
@@ -219,7 +316,7 @@ TEST(SearcherSurfaceTest, HugeKMatchesKEqualToCount) {
     std::unique_ptr<Searcher> huge = c.build(huge_config);
     ASSERT_NE(huge, nullptr) << c.name;
     SearcherConfig count_config = c.config;
-    count_config.k = huge->count();
+    count_config.k = huge->shape().count;
     std::unique_ptr<Searcher> everything = c.build(count_config);
     ASSERT_NE(everything, nullptr) << c.name;
 

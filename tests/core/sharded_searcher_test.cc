@@ -74,8 +74,9 @@ TEST(ShardedSearcherTest, MatchesUnshardedExactPruners) {
               std::string(SearcherLayoutName(layout)) + "/" +
               PrunerKindName(pruner) + "/" + ShardAssignmentName(assignment) +
               "/" + std::to_string(shards);
-          EXPECT_EQ(sharded.value()->num_shards(), shards) << label;
-          EXPECT_EQ(sharded.value()->count(), data.data.count()) << label;
+          EXPECT_EQ(sharded.value()->shape().num_shards, shards) << label;
+          EXPECT_EQ(sharded.value()->shape().count, data.data.count())
+              << label;
           for (size_t q = 0; q < data.queries.count(); ++q) {
             ExpectSameNeighbors(
                 sharded.value()->Search(data.queries.Vector(q)),
@@ -170,11 +171,17 @@ TEST(ShardedSearcherTest, SearchBatchWithMatchesBuildTimeKnobs) {
     EXPECT_EQ(knob_explicit.value()->options().k, 10u);
     EXPECT_EQ(knob_explicit.value()->Search(data.queries.Vector(0)).size(),
               10u);
-    // Both batch paths bump every shard once per query.
-    const auto counts = knob_explicit.value()->ShardDispatchCounts();
-    ASSERT_EQ(counts.size(), 3u);
-    // SearchBatchWith(nq) + the one Search above.
-    for (uint64_t per_shard : counts) EXPECT_EQ(per_shard, nq + 1);
+    // Every shard runs every query: at full probe (every block of a flat
+    // shard, every bucket of an IVF one) each query's work record covers
+    // every block of every shard.
+    const SearcherShape shape = knob_explicit.value()->shape();
+    (void)knob_explicit.value()->SearchBatchWith(
+        slot, QueryKnobs{4, shape.max_nprobe}, data.queries.data(), nq, &pool,
+        work.data());
+    for (size_t q = 0; q < nq; ++q) {
+      EXPECT_EQ(work[q].blocks_visited, shape.num_blocks)
+          << label << " q" << q;
+    }
   }
 }
 
@@ -253,9 +260,9 @@ TEST(ShardedSearcherTest, ApproximatePrunerEqualsManualScatterGather) {
   }
 }
 
-// --- Per-call knobs, counters, and facade accessors -----------------------
+// --- Per-call knobs, shape, and per-query work -----------------------------
 
-TEST(ShardedSearcherTest, KnobsCountersAndAccessors) {
+TEST(ShardedSearcherTest, KnobsShapeAndWorkRecords) {
   Dataset data = MakeData(16, 900, 4, 17);
   ShardingOptions sharding;
   sharding.num_shards = 4;
@@ -264,12 +271,14 @@ TEST(ShardedSearcherTest, KnobsCountersAndAccessors) {
   ASSERT_TRUE(sharded.ok());
   Searcher& s = *sharded.value();
 
-  EXPECT_EQ(s.num_shards(), 4u);
-  EXPECT_EQ(s.count(), data.data.count());
-  EXPECT_EQ(s.index(), nullptr);
+  const SearcherShape shape = s.shape();
+  EXPECT_EQ(shape.num_shards, 4u);
+  EXPECT_EQ(shape.count, data.data.count());
+  EXPECT_EQ(shape.quantized_bytes, 0u);
+  EXPECT_EQ(shape.mapped_bytes, 0u);
   // Each shard routes through its own IVF index; the nprobe ceiling is the
   // largest shard's bucket count, well above the flat sentinel of 1.
-  EXPECT_GT(s.max_nprobe(), 1u);
+  EXPECT_GT(shape.max_nprobe, 1u);
 
   // A per-call k applies through the merge truncation and the per-shard
   // searchers alike.
@@ -278,20 +287,29 @@ TEST(ShardedSearcherTest, KnobsCountersAndAccessors) {
   EXPECT_EQ(s.SearchWith(0, QueryKnobs{25, 0}, data.queries.Vector(0)).size(),
             25u);
 
-  std::vector<uint64_t> counts = s.ShardDispatchCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  for (uint64_t c : counts) EXPECT_EQ(c, 2u);  // Two searches so far.
-  s.SearchBatch(data.queries.data(), data.queries.count());
-  counts = s.ShardDispatchCounts();
-  for (uint64_t c : counts) EXPECT_EQ(c, 2u + data.queries.count());
+  // Every shard runs every query, sequentially and on the (shard x query)
+  // tiling: at full probe each query's work record covers every block of
+  // every shard.
+  const size_t nq = data.queries.count();
+  const QueryKnobs full_probe{0, shape.max_nprobe};
+  ThreadPool pool(4);
+  for (ThreadPool* on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<PdxearchProfile> work(nq);
+    (void)s.SearchBatchWith(0, full_probe, data.queries.data(), nq, on,
+                            work.data());
+    for (size_t q = 0; q < nq; ++q) {
+      EXPECT_EQ(work[q].blocks_visited, shape.num_blocks)
+          << (on != nullptr ? "pooled" : "sequential") << " q" << q;
+    }
+  }
 
   // An unsharded facade reports the degenerate values.
   auto plain =
       MakeSearcher(data.data, Config(SearcherLayout::kFlat, PrunerKind::kBond));
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain.value()->num_shards(), 1u);
-  EXPECT_TRUE(plain.value()->ShardDispatchCounts().empty());
-  EXPECT_EQ(plain.value()->count(), data.data.count());
+  EXPECT_EQ(plain.value()->shape().num_shards, 1u);
+  EXPECT_EQ(plain.value()->shape().max_nprobe, 1u);
+  EXPECT_EQ(plain.value()->shape().count, data.data.count());
 }
 
 TEST(ShardedSearcherTest, ValidatesAndClamps) {
@@ -328,14 +346,14 @@ TEST(ShardedSearcherTest, ValidatesAndClamps) {
   excessive.num_shards = 64;
   auto clamped = MakeShardedSearcher(data.data, config, excessive);
   ASSERT_TRUE(clamped.ok());
-  EXPECT_EQ(clamped.value()->num_shards(), data.data.count());
+  EXPECT_EQ(clamped.value()->shape().num_shards, data.data.count());
 
   // num_shards == 1 degrades to a plain searcher.
   ShardingOptions one;
   one.num_shards = 1;
   auto plain = MakeShardedSearcher(data.data, config, one);
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain.value()->num_shards(), 1u);
+  EXPECT_EQ(plain.value()->shape().num_shards, 1u);
 
   // k larger than any single shard still returns the global top-k: shards
   // contribute fewer than k candidates each and the merge fills from all.

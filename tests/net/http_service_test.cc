@@ -232,7 +232,7 @@ TEST(HttpServiceTest, WireLifecycleWithExactSearchParity) {
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info.value().status, 200);
     EXPECT_EQ(MustParseBody(info.value()).Find("max_nprobe")->AsNumber(),
-              reference.value()->max_nprobe());
+              reference.value()->shape().max_nprobe);
   }
 
   // GET /stats reflects the served traffic.
@@ -333,28 +333,35 @@ TEST(HttpServiceTest, ShardedCollectionOverTheWire) {
     request.Set("query",
                 QueryJson(data.queries.Vector(static_cast<VectorId>(q)),
                           data.queries.dim()));
+    request.Set("trace", true);
     Result<HttpResponse> response = client.Roundtrip(
         "POST", "/collections/sharded/search", WriteJson(request));
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response.value().status, 200) << response.value().body;
+    const JsonValue body = MustParseBody(response.value());
     // Exact scatter-gather parity, served over a socket.
     ExpectWireNeighbors(
-        *MustParseBody(response.value()).Find("neighbors"),
+        *body.Find("neighbors"),
         reference.value()->Search(data.queries.Vector(static_cast<VectorId>(q))),
         "sharded query " + std::to_string(q));
+    // Every shard ran the query: a flat search visits every block of
+    // every shard.
+    EXPECT_EQ(body.Find("trace")
+                  ->Find("counters")
+                  ->Find("blocks_visited")
+                  ->AsNumber(),
+              static_cast<double>(reference.value()->shape().num_blocks))
+        << "sharded query " << q;
   }
 
-  // Per-shard dispatch counters ride /stats.
   Result<HttpResponse> stats = client.Roundtrip("GET", "/stats");
   ASSERT_TRUE(stats.ok());
   const JsonValue stats_body = MustParseBody(stats.value());
   const JsonValue* entry = stats_body.Find("collections")->Find("sharded");
   ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(entry->Find("shard_dispatches")->size(), 3u);
-  for (const JsonValue& per_shard : entry->Find("shard_dispatches")->items()) {
-    EXPECT_EQ(per_shard.AsNumber(),
-              static_cast<double>(data.queries.count()));
-  }
+  EXPECT_EQ(entry->Find("shards")->AsNumber(), 3.0);
+  EXPECT_EQ(entry->Find("base_blocks")->AsNumber(),
+            static_cast<double>(reference.value()->shape().num_blocks));
 }
 
 // --- Error mappings over real sockets ---------------------------------------
@@ -545,6 +552,30 @@ TEST(HttpServiceTest, MalformedHttpIsAnswered400AndClosed) {
               "malformed Content-Length")
         << length;
     EXPECT_FALSE(client.ReadResponse().ok()) << length;
+  }
+  // A header name is a token (RFC 9112 §5.1): whitespace before the colon,
+  // or a folded continuation line, is a 400 and a close — never framing.
+  // Otherwise `Content-Length : 38` frames no body, so the body is answered
+  // as a second request, and `Transfer-Encoding : chunked` gets past the
+  // 501 below.
+  const std::string smuggled = "GET /collections HTTP/1.1\r\nHost: x\r\n\r\n";
+  for (const std::string& header :
+       {"Content-Length : " + std::to_string(smuggled.size()),
+        std::string("Transfer-Encoding : chunked"),
+        std::string("Host: x\r\n\tX-Folded: y")}) {
+    HttpClient client = stack.NewClient();
+    ASSERT_TRUE(client
+                    .SendRaw("GET /healthz HTTP/1.1\r\n" + header +
+                             "\r\n\r\n" + smuggled)
+                    .ok());
+    Result<HttpResponse> response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << header << ": "
+                               << response.status().ToString();
+    ASSERT_EQ(response.value().status, 400) << header;
+    EXPECT_EQ(MustParseBody(response.value()).Find("error")->AsString(),
+              "malformed header name")
+        << header;
+    EXPECT_FALSE(client.ReadResponse().ok()) << header;
   }
   {
     // Chunked bodies are out of the supported subset: 501, explicitly.

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/json.h"
@@ -440,6 +444,105 @@ TEST(IngestWireTest, RejectedPutLeavesCollectionServing) {
   ASSERT_EQ(info.value().status, 200) << info.value().body;
   EXPECT_EQ(MustParseBody(info.value()).Find("count")->AsNumber(), 4.0);
   EXPECT_EQ(TopIds(Search(client, "live", 2.0, dim)).front(), 1u);
+}
+
+// --- Mutated ingest bodies, straight into the handler -----------------------
+
+/// One seeded edit of an ingest body: overwrite a byte with any byte,
+/// insert one of the bytes the NDJSON and JSON grammars turn on, delete a
+/// byte, or repeat a span (a row, an element, a digit run).
+void MutateBody(std::string& body, Rng& rng) {
+  static const std::string kInserts = "{}[]\",:\n-.e0123456789 ";
+  const size_t at = body.empty() ? 0 : rng.UniformInt(body.size());
+  switch (rng.UniformInt(5)) {
+    case 0:
+      if (!body.empty()) body[at] = static_cast<char>(rng.UniformInt(256));
+      break;
+    case 1:
+    case 2:
+      body.insert(body.begin() + static_cast<std::ptrdiff_t>(at),
+                  kInserts[rng.UniformInt(kInserts.size())]);
+      break;
+    case 3:
+      if (!body.empty()) body.erase(at, 1);
+      break;
+    default:
+      body.insert(at, body.substr(at, 1 + rng.UniformInt(16)));
+      break;
+  }
+}
+
+TEST(IngestWireTest, MutatedIngestBodiesGetOneCleanAnswer) {
+  // SearchHandler::Handle with no sockets: every edit of a valid NDJSON or
+  // {"vectors","ids"} body gets exactly one answer, 2xx or 4xx — a bad
+  // body is the client's error, never a 5xx — while background folds run
+  // under the appends, and the collection keeps serving afterwards.
+  ServiceConfig config;
+  config.threads = 1;
+  config.mutation.compact_threshold = 64;
+  SearchService service(config);
+  SearchHandler handler(service);
+  constexpr size_t kDim = 4;
+  VectorSet base(kDim, 16);
+  for (size_t i = 0; i < 16; ++i) {
+    const float row[kDim] = {static_cast<float>(i + 1), 0.0f, 0.0f, 0.0f};
+    base.Append(row);
+  }
+  SearcherConfig searcher;
+  searcher.layout = SearcherLayout::kFlat;
+  searcher.pruner = PrunerKind::kLinear;
+  ASSERT_TRUE(service.AddCollection("live", base, searcher).ok());
+
+  const std::vector<std::string> valid = {
+      "[1,0,0,0]\n[2,0.5,0,0]\n",
+      "{\"id\": 7, \"vector\": [1,2,3,4]}\n"
+      "{\"id\": 40, \"vector\": [0,0,0,1]}\n",
+      R"({"vectors": [[1,0,0,0], [0,1,0,0]], "ids": [3, 41]})",
+      R"({"vectors": [[0.25,0,1e3,0]]})",
+  };
+  Rng rng(20261019);
+  size_t rows_added = 0;
+  for (size_t trial = 0; trial < 1500; ++trial) {
+    HttpRequest request;
+    request.method = "POST";
+    request.path = "/collections/live/vectors";
+    request.body = valid[trial % valid.size()];
+    const size_t edits = 1 + rng.UniformInt(3);
+    for (size_t e = 0; e < edits; ++e) MutateBody(request.body, rng);
+    const std::string body = request.body;
+    // Ingest answers on the calling thread, before Handle returns.
+    std::vector<HttpResponse> answers;
+    handler.Handle(std::move(request), [&answers](HttpResponse response) {
+      answers.push_back(std::move(response));
+    });
+    ASSERT_EQ(answers.size(), 1u) << body;
+    const int status = answers.front().status;
+    EXPECT_TRUE((status >= 200 && status < 300) ||
+                (status >= 400 && status < 500))
+        << status << " for " << body;
+    if (status < 300) {
+      rows_added += static_cast<size_t>(
+          MustParseBody(answers.front()).Find("added")->AsNumber());
+    }
+  }
+  // Some edits stay valid, and every row a 2xx reported was ingested.
+  EXPECT_GT(rows_added, 64u);
+  EXPECT_EQ(service.Stats().collections.at("live").added, rows_added);
+
+  HttpRequest search;
+  search.method = "POST";
+  search.path = "/collections/live/search";
+  search.body = R"({"query": [3, 0, 0, 0]})";
+  std::promise<HttpResponse> answered;
+  std::future<HttpResponse> answer = answered.get_future();
+  handler.Handle(std::move(search), [&answered](HttpResponse response) {
+    answered.set_value(std::move(response));
+  });
+  ASSERT_EQ(answer.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const HttpResponse response = answer.get();
+  EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_FALSE(TopIds(MustParseBody(response)).empty());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <clocale>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <random>
 #include <string>
@@ -301,6 +302,57 @@ TEST(JsonTest, RandomDocumentPrefixesNeverCrash) {
       (void)Parse(wire.substr(0, cut));
     }
   }
+}
+
+/// One seeded edit of a JSON text: overwrite a byte with any byte,
+/// insert one of the bytes JSON's grammar turns on, delete a byte, or
+/// repeat a span (a member, an element, a digit run).
+void MutateJson(std::string& text, std::mt19937_64& rng) {
+  static const std::string kInserts = "{}[]\",:\\-+.eE0123456789 tfnu";
+  const size_t at = text.empty() ? 0 : rng() % text.size();
+  switch (rng() % 5) {
+    case 0:
+      if (!text.empty()) text[at] = static_cast<char>(rng() % 256);
+      break;
+    case 1:
+    case 2:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                  kInserts[rng() % kInserts.size()]);
+      break;
+    case 3:
+      if (!text.empty()) text.erase(at, 1);
+      break;
+    default:
+      text.insert(at, text.substr(at, 1 + rng() % 8));
+      break;
+  }
+}
+
+TEST(JsonTest, MutatedDocumentsParseOrFailCleanly) {
+  // Every edit of a valid document either fails with InvalidArgument or
+  // parses to a value the writer round-trips exactly.
+  RandomJson gen(20261019);
+  std::mt19937_64 rng(77);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text = WriteJson(gen.Value(3));
+    const size_t edits = 1 + rng() % 3;
+    for (size_t e = 0; e < edits; ++e) MutateJson(text, rng);
+    Result<JsonValue> parsed = Parse(text);
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsInvalidArgument())
+          << text << " -> " << parsed.status().ToString();
+      continue;
+    }
+    ++accepted;
+    const std::string wire = WriteJson(parsed.value());
+    Result<JsonValue> reparsed = Parse(wire);
+    ASSERT_TRUE(reparsed.ok()) << text << " -> " << wire;
+    EXPECT_TRUE(reparsed.value() == parsed.value()) << text << " -> " << wire;
+    EXPECT_EQ(WriteJson(reparsed.value()), wire) << text;
+  }
+  // The edits reach the accepting path too, not only the rejections.
+  EXPECT_GT(accepted, 100u);
 }
 
 }  // namespace

@@ -231,22 +231,22 @@ TEST(QuantizedSearcherTest, HugeRerankFactorSurvivesSaveAndLoad) {
   std::remove(path.c_str());
 }
 
-// The compressed footprint is one byte per value: quantized_bytes() ==
-// count * dim, a quarter of the float arena — and the float tier reports
-// zero.
+// The compressed footprint is one byte per value: the shape's
+// quantized_bytes == count * dim, a quarter of the float arena — and the
+// float tier reports zero.
 TEST(QuantizedSearcherTest, QuantizedBytesIsOneBytePerValue) {
   Dataset data = MakeData(16, 700, 2, 5);
   auto quant =
       MakeSearcher(data.data, QuantConfig(SearcherLayout::kFlat, 4));
   ASSERT_TRUE(quant.ok()) << quant.status().message();
-  EXPECT_EQ(quant.value()->quantized_bytes(),
+  EXPECT_EQ(quant.value()->shape().quantized_bytes,
             data.data.count() * data.data.dim());
 
   SearcherConfig float_config;
   float_config.k = 10;
   auto exact = MakeSearcher(data.data, float_config);
   ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(exact.value()->quantized_bytes(), 0u);
+  EXPECT_EQ(exact.value()->shape().quantized_bytes, 0u);
 }
 
 // Sharded composition: quantized shards behind MakeShardedSearcher serve
@@ -261,9 +261,9 @@ TEST(QuantizedSearcherTest, ShardedQuantizedComposes) {
       data.data, QuantConfig(SearcherLayout::kFlat, 4), sharding);
   ASSERT_TRUE(made.ok()) << made.status().message();
   std::unique_ptr<Searcher> searcher = std::move(made).value();
-  EXPECT_EQ(searcher->num_shards(), 3u);
+  EXPECT_EQ(searcher->shape().num_shards, 3u);
   EXPECT_EQ(searcher->dim(), data.data.dim());
-  EXPECT_EQ(searcher->quantized_bytes(),
+  EXPECT_EQ(searcher->shape().quantized_bytes,
             data.data.count() * data.data.dim());
 
   const auto truth = ComputeGroundTruth(data.data, data.queries, k);
@@ -302,7 +302,7 @@ TEST(QuantizedSearcherTest, SaveLoadRoundTripWithZeroRequantization) {
       EXPECT_EQ(loaded.value().config.quantization, QuantizationKind::kU8)
           << label;
       EXPECT_EQ(loaded.value().config.rerank_factor, 4u) << label;
-      EXPECT_EQ(loaded.value().searcher->quantized_bytes(),
+      EXPECT_EQ(loaded.value().searcher->shape().quantized_bytes,
                 data.data.count() * data.data.dim())
           << label;
       for (size_t q = 0; q < data.queries.count(); ++q) {

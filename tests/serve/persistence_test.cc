@@ -160,6 +160,53 @@ TEST(ServicePersistenceTest, CompactorKeepsSnapshotCurrent) {
   std::remove(path.c_str());
 }
 
+// mapped_bytes (GET /stats) and the pdx_mmap_bytes gauge describe the
+// hosted searcher, not the load: once a fold replaces the base a live
+// collection restored by mmap, the file is no longer mapped and both read 0.
+TEST(ServicePersistenceTest, FoldOfAMappedLiveCollectionReportsNoMapping) {
+  const Dataset data = MakeData(16, 600, 41);
+  const std::string path = TempPath("svc_fold_unmaps.pdxc");
+  ServiceConfig sc;
+  sc.mutation.compact_threshold = 128;
+  SearchService service(sc);
+  SearcherConfig config;
+  config.k = 5;
+  ASSERT_TRUE(service.AddCollection("c", data.data, config).ok());
+  ASSERT_TRUE(service.SaveCollection("c", path).ok());
+  ASSERT_TRUE(service.LoadCollection("c", path).ok());
+  MetricGauge* mmap_bytes = service.metrics().GetGauge(
+      "pdx_mmap_bytes",
+      "Collection-file bytes served from a live memory mapping",
+      {{"collection", "c"}});
+  const CollectionStats loaded = service.Stats().collections.at("c");
+  ASSERT_EQ(loaded.source, "mmap");
+  EXPECT_GT(loaded.mapped_bytes, 0u);
+  EXPECT_EQ(mmap_bytes->value(), static_cast<double>(loaded.mapped_bytes));
+
+  std::vector<float> rows(256 * data.data.dim());
+  for (size_t i = 0; i < 256; ++i) {
+    const float* src = data.data.Vector(static_cast<VectorId>(i));
+    std::copy(src, src + data.data.dim(),
+              rows.begin() + static_cast<long>(i * data.data.dim()));
+  }
+  ASSERT_TRUE(
+      service.AddVectors("c", rows.data(), 256, data.data.dim()).ok());
+  // The compactor counts the fold after the swap, in the same service-lock
+  // section that restamps the gauges.
+  bool compacted = false;
+  for (int spin = 0; spin < 250 && !compacted; ++spin) {
+    std::this_thread::sleep_for(20ms);
+    compacted = service.Stats().collections.at("c").compactions > 0;
+  }
+  ASSERT_TRUE(compacted) << "background compaction never ran";
+  const CollectionStats folded = service.Stats().collections.at("c");
+  EXPECT_EQ(folded.mapped_bytes, 0u);
+  EXPECT_EQ(mmap_bytes->value(), 0.0);
+  EXPECT_EQ(folded.count, data.data.count() + 256);
+  service.Shutdown();
+  std::remove(path.c_str());
+}
+
 // A fold that outlives its collection must not re-save it. Each round
 // saves a live collection to P and pushes it past the compaction
 // threshold, then removes it and hosts and saves a small collection under

@@ -902,14 +902,18 @@ TEST(SearchServiceTest, ShardedCollectionMatchesUnshardedWithShardStats) {
       fx.dataset.data, Config(SearcherLayout::kFlat, PrunerKind::kBond));
   ASSERT_TRUE(reference.ok());
 
+  QueryOptions traced;
+  traced.trace = true;
   std::vector<QueryTicket> tickets;
   for (size_t q = 0; q < fx.dataset.queries.count(); ++q) {
-    tickets.push_back(service.Submit("sharded", fx.dataset.queries.Vector(q)));
+    tickets.push_back(
+        service.Submit("sharded", fx.dataset.queries.Vector(q), traced));
   }
+  std::vector<QueryResult> results;
   for (size_t q = 0; q < tickets.size(); ++q) {
-    QueryResult result = tickets[q].result.get();
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    ExpectSameNeighbors(result.neighbors,
+    results.push_back(tickets[q].result.get());
+    ASSERT_TRUE(results[q].status.ok()) << results[q].status.ToString();
+    ExpectSameNeighbors(results[q].neighbors,
                         reference.value()->Search(fx.dataset.queries.Vector(q)),
                         "sharded query " + std::to_string(q));
   }
@@ -917,10 +921,13 @@ TEST(SearchServiceTest, ShardedCollectionMatchesUnshardedWithShardStats) {
   const CollectionStats cs = service.Stats().collections.at("sharded");
   EXPECT_EQ(cs.completed, tickets.size());
   EXPECT_EQ(cs.shards, 4u);
-  ASSERT_EQ(cs.shard_dispatches.size(), 4u);
-  // Every dispatched query fans out to every shard.
-  for (uint64_t per_shard : cs.shard_dispatches) {
-    EXPECT_EQ(per_shard, tickets.size());
+  // Every dispatched query fans out to every shard: a flat search visits
+  // every block of every shard of the base.
+  ASSERT_GE(cs.base_blocks, 4u);
+  for (size_t q = 0; q < results.size(); ++q) {
+    ASSERT_NE(results[q].trace, nullptr);
+    EXPECT_EQ(results[q].trace->counters.blocks_visited, cs.base_blocks)
+        << "sharded query " << q;
   }
 }
 
@@ -1042,7 +1049,7 @@ class SlowSearcher : public Searcher {
  public:
   SlowSearcher(std::unique_ptr<Searcher> inner,
                std::shared_future<void> release, std::promise<void>* started)
-      : Searcher(inner->options()),
+      : Searcher(inner->options(), inner->dim()),
         inner_(std::move(inner)),
         release_(std::move(release)),
         started_(started) {}
@@ -1054,11 +1061,8 @@ class SlowSearcher : public Searcher {
     release_.wait();
     return inner_->SearchWith(slot, knobs, query, profile);
   }
+  SearcherShape shape() const override { return inner_->shape(); }
   void ReserveScratch(size_t slots) override { inner_->ReserveScratch(slots); }
-  size_t num_blocks() const override { return inner_->num_blocks(); }
-  size_t count() const override { return inner_->count(); }
-  size_t dim() const override { return inner_->dim(); }
-  const IvfIndex* index() const override { return inner_->index(); }
 
  private:
   std::unique_ptr<Searcher> inner_;
@@ -1119,7 +1123,9 @@ TEST(SearchServiceTest, RemoveCollectionWithInFlightBatch) {
 class ThrowingSearcher : public Searcher {
  public:
   ThrowingSearcher(std::unique_ptr<Searcher> inner, std::atomic<bool>* armed)
-      : Searcher(inner->options()), inner_(std::move(inner)), armed_(armed) {}
+      : Searcher(inner->options(), inner->dim()),
+        inner_(std::move(inner)),
+        armed_(armed) {}
 
   std::vector<Neighbor> SearchWith(size_t slot, QueryKnobs knobs,
                                    const float* query,
@@ -1127,11 +1133,8 @@ class ThrowingSearcher : public Searcher {
     if (armed_->load()) throw std::runtime_error("injected search failure");
     return inner_->SearchWith(slot, knobs, query, profile);
   }
+  SearcherShape shape() const override { return inner_->shape(); }
   void ReserveScratch(size_t slots) override { inner_->ReserveScratch(slots); }
-  size_t num_blocks() const override { return inner_->num_blocks(); }
-  size_t count() const override { return inner_->count(); }
-  size_t dim() const override { return inner_->dim(); }
-  const IvfIndex* index() const override { return inner_->index(); }
 
  private:
   std::unique_ptr<Searcher> inner_;

@@ -1,12 +1,33 @@
 #include "common/aligned_buffer.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 
+#include "common/parallel.h"
+
 namespace pdx {
 
 namespace {
+
+// Fills below this size run inline; larger ones run in kFillChunkBytes
+// pieces on the shared pool. Zeroing a fresh allocation is mostly
+// first-touch page faults, and those proceed in parallel.
+constexpr size_t kFillChunkBytes = size_t{1} << 20;
+constexpr size_t kPooledFillBytes = 16 * kFillChunkBytes;
+
+void ZeroFill(void* ptr, size_t bytes) {
+  if (bytes < kPooledFillBytes) {
+    std::memset(ptr, 0, bytes);
+    return;
+  }
+  char* base = static_cast<char*>(ptr);
+  ParallelFor((bytes + kFillChunkBytes - 1) / kFillChunkBytes, [&](size_t c) {
+    const size_t offset = c * kFillChunkBytes;
+    std::memset(base + offset, 0, std::min(kFillChunkBytes, bytes - offset));
+  });
+}
 
 float* AllocateAligned(size_t count) {
   if (count == 0) return nullptr;
@@ -16,7 +37,7 @@ float* AllocateAligned(size_t count) {
   bytes = (bytes + kPdxAlignment - 1) / kPdxAlignment * kPdxAlignment;
   void* ptr = std::aligned_alloc(kPdxAlignment, bytes);
   if (ptr == nullptr) throw std::bad_alloc();
-  std::memset(ptr, 0, bytes);
+  ZeroFill(ptr, bytes);
   return static_cast<float*>(ptr);
 }
 

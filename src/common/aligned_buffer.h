@@ -14,7 +14,8 @@ namespace pdx {
 /// Vector data is kept 64-byte aligned so that both AVX-512 loads and full
 /// cache-line prefetches operate on natural boundaries. The buffer value-
 /// initializes its contents (all zeros) — PDX blocks rely on zero padding in
-/// the tail lanes of a partially filled block.
+/// the tail lanes of a partially filled block. A buffer of 16 MiB or more
+/// is zeroed in pieces on the shared pool (ParallelFor).
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;

@@ -41,6 +41,20 @@ class FrameGuard {
 // synchronization point.
 std::atomic<uint64_t> pool_creation_counter{0};
 
+// Claims each thread makes on a long loop. A claim is one atomic step, so
+// a light loop body needs several items per claim; 64 claims per thread
+// still leave enough of them to even out threads that run at unequal
+// speeds.
+constexpr size_t kClaimsPerThread = 64;
+
+// Items per claim: one while count <= kClaimsPerThread * threads (query
+// batches and shard fan-outs), then just enough that each thread makes
+// about kClaimsPerThread claims.
+size_t RunLength(size_t count, size_t threads) {
+  const size_t claims = kClaimsPerThread * threads;
+  return (count + claims - 1) / claims;
+}
+
 }  // namespace
 
 size_t ResolveThreadCount(size_t num_threads) {
@@ -97,6 +111,7 @@ void ThreadPool::ParallelFor(size_t count,
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->count = count;
+  job->run = RunLength(count, num_threads());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     active_jobs_.push_back(job);
@@ -158,16 +173,22 @@ void ThreadPool::WorkerMain(size_t worker_id) {
 void ThreadPool::RunJob(Job& job, size_t worker_id) {
   FrameGuard guard(this, worker_id);
   for (;;) {
-    const size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.count) return;
-    try {
-      (*job.fn)(i, worker_id);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(job.error_mutex);
-      if (!job.error) job.error = std::current_exception();
+    const size_t first =
+        job.next.fetch_add(job.run, std::memory_order_relaxed);
+    if (first >= job.count) return;
+    const size_t last = std::min(first + job.run, job.count);
+    for (size_t i = first; i < last; ++i) {
+      try {
+        (*job.fn)(i, worker_id);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(job.error_mutex);
+        if (!job.error) job.error = std::current_exception();
+      }
     }
-    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.count) {
-      // Last item: wake the caller. Locking mutex_ orders this notify
+    const size_t claimed = last - first;
+    if (job.done.fetch_add(claimed, std::memory_order_acq_rel) + claimed ==
+        job.count) {
+      // Last run: wake the caller. Locking mutex_ orders this notify
       // against the caller's predicate check, so the wakeup can't be lost;
       // notify_all because several callers may be waiting, each on its own
       // job's completion.

@@ -43,9 +43,18 @@ size_t ResolveThreadCount(size_t num_threads);
 /// side by side, sharing the spawned workers (the serving layer's N
 /// dispatchers each fan a batch out over the one shared pool). Each caller
 /// participates only in its *own* loop, as worker 0; spawned workers
-/// (ids 1..num_threads()-1) claim items from any in-flight loop, one item
-/// at a time. Because a caller always drives its own loop, every loop
-/// completes even when all workers are busy elsewhere.
+/// (ids 1..num_threads()-1) claim items from any in-flight loop. Because a
+/// caller always drives its own loop, every loop completes even when all
+/// workers are busy elsewhere.
+///
+/// Threads claim a run of consecutive items per atomic step. A loop of at
+/// most 64 x num_threads() items (every query batch and shard fan-out)
+/// claims one item at a time; a longer one claims
+/// ceil(count / (64 x num_threads())) items at a time, so each thread makes
+/// about 64 claims and a light loop body is not dominated by the claim.
+/// The run length changes only which thread runs an item: worker ids,
+/// nesting and the exception contract below are the same for every run
+/// length.
 class ThreadPool {
  public:
   /// `num_threads` = total threads including the caller, resolved through
@@ -75,11 +84,13 @@ class ThreadPool {
   /// (e.g. one PdxearchEngine each) can be indexed by it. The caller
   /// participates as worker 0 and returns as soon as every item is done
   /// (not when every woken worker has gone idle again). Exceptions thrown
-  /// by `fn` are rethrown on the caller (first one wins). Re-entrant calls
-  /// from inside this pool's own job on the same thread — directly, or
-  /// sandwiched through another pool — run inline under the enclosing
-  /// job's worker id, so scratch indexed by worker id stays race-free
-  /// across nesting, and no deadlock occurs.
+  /// by `fn` are rethrown on the caller (first one wins) after every other
+  /// item has run, the rest of a thrower's run included; a loop that runs
+  /// inline stops at the throw. Re-entrant calls from inside this pool's
+  /// own job on the same thread — directly, or sandwiched through another
+  /// pool — run inline under the enclosing job's worker id, so scratch
+  /// indexed by worker id stays race-free across nesting, and no deadlock
+  /// occurs.
   ///
   /// Concurrent calls from distinct threads are supported and their loops
   /// run side by side. Worker-id exclusivity then has one caveat: a
@@ -106,14 +117,15 @@ class ThreadPool {
   struct Job {
     const std::function<void(size_t, size_t)>* fn = nullptr;
     size_t count = 0;
-    std::atomic<size_t> next{0};  ///< Next item to claim.
+    size_t run = 1;               ///< Items per claim (RunLength).
+    std::atomic<size_t> next{0};  ///< First item of the next claim.
     std::atomic<size_t> done{0};  ///< Items fully processed.
     std::exception_ptr error;
     std::mutex error_mutex;
   };
 
   void WorkerMain(size_t worker_id);
-  // Caller/worker loop: claim items until `job` is exhausted.
+  // Caller/worker loop: claim runs of items until `job` is exhausted.
   void RunJob(Job& job, size_t worker_id);
 
   std::vector<std::thread> workers_;

@@ -26,7 +26,10 @@ uint64_t KMeansRunCount() {
 namespace {
 
 // k-means++ seeding: each next seed is drawn with probability proportional
-// to its squared distance from the nearest already-chosen seed.
+// to its squared distance from the nearest already-chosen seed. The
+// distance update runs on the pool, one row per item; the total and the
+// pick stay one sequential double sum in row order, so the seeds are the
+// ones a serial loop draws.
 std::vector<uint32_t> KMeansPlusPlusSeeds(const VectorSet& train, size_t k,
                                           Rng& rng) {
   const size_t n = train.count();
@@ -38,13 +41,13 @@ std::vector<uint32_t> KMeansPlusPlusSeeds(const VectorSet& train, size_t k,
   std::vector<float> best_d2(n, std::numeric_limits<float>::infinity());
   for (size_t chosen = 1; chosen < k; ++chosen) {
     const float* last_seed = train.Vector(seeds.back());
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
+    ParallelFor(n, [&](size_t i) {
       const float d2 = NaryL2(train.Vector(static_cast<VectorId>(i)),
                               last_seed, dim);
       best_d2[i] = std::min(best_d2[i], d2);
-      total += best_d2[i];
-    }
+    });
+    double total = 0.0;
+    for (size_t i = 0; i < n; ++i) total += best_d2[i];
     if (total <= 0.0) {
       // All remaining points coincide with a seed; fall back to random.
       seeds.push_back(static_cast<uint32_t>(rng.UniformInt(n)));

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/parallel.h"
 #include "storage/block_stats.h"
 #include "storage/pdx_store.h"
 
@@ -63,7 +64,8 @@ void QuantizedPdxStore::FitParameters(const VectorSet& vectors) {
 void QuantizedPdxStore::EncodeRows(const VectorSet& vectors) {
   codes_.resize(count_ * dim_);
   codes_data_ = codes_.data();
-  for (size_t b = 0; b < block_counts_.size(); ++b) {
+  // One pool item per block: blocks own disjoint code ranges.
+  ParallelFor(block_counts_.size(), [&](size_t b) {
     const size_t n = block_counts_[b];
     uint8_t* block = codes_.data() + block_first_row_[b] * dim_;
     for (size_t i = 0; i < n; ++i) {
@@ -77,7 +79,7 @@ void QuantizedPdxStore::EncodeRows(const VectorSet& vectors) {
             static_cast<uint8_t>(std::clamp(code, 0.0f, 255.0f));
       }
     }
-  }
+  });
   g_quantized_packs.fetch_add(1, std::memory_order_relaxed);
 }
 

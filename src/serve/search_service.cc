@@ -993,9 +993,7 @@ void SearchService::DispatcherMain(size_t dispatcher) {
   // dispatcher passes through here; whichever arrives first takes the
   // remainder.
   std::vector<std::unique_ptr<Pending>> drained;
-  drained.reserve(queue_.size());
-  for (auto& pending : queue_) drained.push_back(std::move(pending));
-  queue_.clear();
+  drained.swap(queue_);
   deadline_queued_ = 0;
   SetQueueDepthLocked();
   lock.unlock();
@@ -1037,7 +1035,7 @@ SearchService::CollectBatchLocked() {
   std::vector<std::unique_ptr<Pending>> batch;
   NoteDequeuedLocked(*queue_.front());
   batch.push_back(std::move(queue_.front()));
-  queue_.pop_front();
+  queue_.erase(queue_.begin());
   // Opportunistic micro-batching: pull every queued query that can share
   // one SearchBatch call with the head (same collection and same effective
   // k/nprobe — the knobs are per-call on the searcher). The head of the

@@ -448,7 +448,10 @@ class SearchService {
   mutable std::mutex mutex_;
   std::condition_variable dispatch_cv_;
   std::map<std::string, std::shared_ptr<Collection>> collections_;
-  std::deque<std::unique_ptr<Pending>> queue_;
+  /// Admission FIFO, head first. A vector keeps its capacity, so a warm
+  /// queue admits without allocating (a deque allocates a node every 64
+  /// pushes); max_pending bounds the cost of erasing at the head.
+  std::vector<std::unique_ptr<Pending>> queue_;
   /// Queued queries carrying a deadline — the per-iteration deadline sweep
   /// skips its O(queue) scan while this is zero (the common case). Every
   /// removal from queue_ goes through NoteDequeuedLocked to keep it exact.

@@ -5,9 +5,16 @@
 #include <cassert>
 #include <numeric>
 
+#include "common/parallel.h"
+
 namespace pdx {
 
 namespace {
+
+// Lanes per FromGroups packing task. Dimension by dimension, a tile reads
+// one value of each of its rows: the 256 cache lines in use (16 KB) stay
+// in L1 across the 16 dimensions each line holds.
+constexpr size_t kPackTileLanes = 256;
 
 // Blocks start on 16-float (64-byte) boundaries within the arena.
 size_t AlignedBlockFloats(size_t dim, size_t n) {
@@ -98,14 +105,37 @@ PdxStore PdxStore::FromGroups(const VectorSet& vectors,
                               const std::vector<std::vector<VectorId>>& groups,
                               size_t block_capacity) {
   g_pack_count.fetch_add(1, std::memory_order_relaxed);
-  AlignedBuffer arena(ArenaFloats(vectors.dim(), groups, block_capacity));
-  PdxStore store = Lay(vectors.dim(), groups, block_capacity, arena.data());
+  const size_t dim = vectors.dim();
+  AlignedBuffer arena(ArenaFloats(dim, groups, block_capacity));
+  PdxStore store = Lay(dim, groups, block_capacity, arena.data());
   store.arena_ = std::move(arena);
+  // Lay installed the lane ids; the pool writes the values, one tile per
+  // item. A tile is up to kPackTileLanes lanes of one block across every
+  // dimension, so each dimension receives one contiguous run per tile
+  // instead of single values a block's lane count apart.
+  struct Tile {
+    PdxBlock* block;
+    size_t first_lane;
+  };
+  std::vector<Tile> tiles;
   for (PdxBlock& block : store.blocks_) {
-    for (size_t i = 0; i < block.count(); ++i) {
-      block.FillLane(i, vectors.Vector(block.id(i)), block.id(i));
+    for (size_t first = 0; first < block.count(); first += kPackTileLanes) {
+      tiles.push_back({&block, first});
     }
   }
+  ParallelFor(tiles.size(), [&](size_t t) {
+    PdxBlock& block = *tiles[t].block;
+    const size_t first = tiles[t].first_lane;
+    const size_t lanes = std::min(kPackTileLanes, block.count() - first);
+    const float* rows[kPackTileLanes];
+    for (size_t i = 0; i < lanes; ++i) {
+      rows[i] = vectors.Vector(block.id(first + i));
+    }
+    for (size_t d = 0; d < dim; ++d) {
+      float* run = block.MutableDimension(d) + first;
+      for (size_t i = 0; i < lanes; ++i) run[i] = rows[i][d];
+    }
+  });
   return store;
 }
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/parallel.h"
+
 namespace pdx {
 
 VectorSet::VectorSet(size_t dim, size_t capacity)
@@ -12,10 +14,17 @@ VectorSet::VectorSet(size_t dim, size_t capacity)
 VectorSet VectorSet::Clone() const {
   VectorSet copy(dim_, count_);
   copy.count_ = count_;
-  if (count_ > 0) {
-    std::memcpy(copy.data_.data(), data_.data(),
-                count_ * dim_ * sizeof(float));
-  }
+  if (count_ == 0 || dim_ == 0) return copy;
+  // Pieces of about 1 MiB on the shared pool: copying a large collection
+  // is memory traffic that several threads move faster than one.
+  const size_t piece_rows =
+      std::max<size_t>(1, (size_t{1} << 20) / (dim_ * sizeof(float)));
+  ParallelFor((count_ + piece_rows - 1) / piece_rows, [&](size_t p) {
+    const size_t first = p * piece_rows;
+    const size_t rows = std::min(piece_rows, count_ - first);
+    std::memcpy(copy.data_.data() + first * dim_,
+                data_.data() + first * dim_, rows * dim_ * sizeof(float));
+  });
   return copy;
 }
 

@@ -28,7 +28,8 @@ class VectorSet {
   VectorSet(const VectorSet&) = delete;
   VectorSet& operator=(const VectorSet&) = delete;
 
-  /// Deep copy (explicit, since vectors collections can be large).
+  /// Deep copy (explicit, since vectors collections can be large), copied
+  /// in pieces on the shared pool.
   VectorSet Clone() const;
 
   /// Builds a collection by copying `count` row-major vectors.

@@ -212,6 +212,50 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   EXPECT_EQ(count.load(), 10u);
 }
 
+// Long loops claim runs of ceil(count / (64 x threads)) items; loops of at
+// most 64 x threads items claim one at a time. Every index must run exactly
+// once on either side of each run-length step and for a count no run
+// length divides.
+TEST(ThreadPoolTest, ChunkedClaimsRunEveryIndexExactlyOnce) {
+  for (const size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    const size_t step = 64 * threads;
+    for (const size_t count : {step - 1, step, step + 1, 2 * step - 1,
+                               2 * step, 2 * step + 1, size_t{100003}}) {
+      std::vector<std::atomic<int>> hits(count);
+      std::atomic<size_t> bad_worker{0};
+      pool.ParallelFor(count, [&](size_t i, size_t worker) {
+        if (worker >= threads) bad_worker.fetch_add(1);
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(bad_worker.load(), 0u);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "threads " << threads << " count " << count << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ThrowInsideARunStillRunsEveryOtherItem) {
+  // 10,000 items on 2 threads claim runs of 79: item 500 sits inside one.
+  ThreadPool pool(2);
+  constexpr size_t kCount = 10000;
+  constexpr size_t kThrower = 500;
+  std::vector<std::atomic<int>> hits(kCount);
+  EXPECT_THROW(pool.ParallelFor(kCount,
+                                [&](size_t i, size_t) {
+                                  hits[i].fetch_add(1);
+                                  if (i == kThrower) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
+               std::runtime_error);
+  for (size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(ThreadPoolTest, ZeroCountIsANoOp) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [&](size_t, size_t) { FAIL(); });

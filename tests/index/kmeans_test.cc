@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
 
 #include "common/random.h"
+#include "kernels/nary_kernels.h"
 #include "kernels/scalar_kernels.h"
 
 namespace pdx {
@@ -26,6 +32,163 @@ VectorSet ThreeBlobs(size_t per_blob, uint64_t seed) {
     }
   }
   return set;
+}
+
+// RunKMeans written out as one serial loop, step for step: subsample,
+// k-means++ seeding, Lloyd iterations with empty-cluster re-seeding, final
+// assignment. The build spreads its loops over the shared pool and must
+// reproduce these bytes.
+struct SerialKMeans {
+  std::vector<uint32_t> seeds;
+  VectorSet centroids;
+  std::vector<uint32_t> assignment;
+  double objective = 0.0;
+  int iterations = 0;
+  size_t reseeds = 0;  ///< Empty clusters re-seeded over all iterations.
+};
+
+uint32_t SerialNearest(const VectorSet& centroids, const float* row,
+                       float* best_d2) {
+  uint32_t best = 0;
+  *best_d2 = std::numeric_limits<float>::infinity();
+  for (size_t c = 0; c < centroids.count(); ++c) {
+    const float d2 = NaryL2(row, centroids.Vector(static_cast<VectorId>(c)),
+                            centroids.dim());
+    if (d2 < *best_d2) {
+      *best_d2 = d2;
+      best = static_cast<uint32_t>(c);
+    }
+  }
+  return best;
+}
+
+SerialKMeans SerialRunKMeans(const VectorSet& vectors,
+                             const KMeansOptions& options) {
+  const size_t n = vectors.count();
+  const size_t dim = vectors.dim();
+  const size_t k = options.num_clusters;
+  Rng rng(options.seed);
+  const size_t train_cap = options.max_points_per_centroid > 0
+                               ? options.max_points_per_centroid * k
+                               : n;
+  VectorSet sampled;
+  const VectorSet* train = &vectors;
+  if (n > train_cap) {
+    std::vector<VectorId> pick(n);
+    std::iota(pick.begin(), pick.end(), 0);
+    rng.Shuffle(pick);
+    pick.resize(train_cap);
+    sampled = vectors.Select(pick);
+    train = &sampled;
+  }
+  const size_t tn = train->count();
+
+  SerialKMeans out;
+  out.seeds.push_back(static_cast<uint32_t>(rng.UniformInt(tn)));
+  std::vector<float> best_d2(tn, std::numeric_limits<float>::infinity());
+  while (out.seeds.size() < k) {
+    const float* last_seed = train->Vector(out.seeds.back());
+    double total = 0.0;
+    for (size_t i = 0; i < tn; ++i) {
+      best_d2[i] = std::min(
+          best_d2[i],
+          NaryL2(train->Vector(static_cast<VectorId>(i)), last_seed, dim));
+      total += best_d2[i];
+    }
+    if (total <= 0.0) {
+      out.seeds.push_back(static_cast<uint32_t>(rng.UniformInt(tn)));
+      continue;
+    }
+    double pick = rng.UniformDouble() * total;
+    uint32_t chosen = static_cast<uint32_t>(tn - 1);
+    for (size_t i = 0; i < tn; ++i) {
+      pick -= best_d2[i];
+      if (pick <= 0.0) {
+        chosen = static_cast<uint32_t>(i);
+        break;
+      }
+    }
+    out.seeds.push_back(chosen);
+  }
+  VectorSet centroids(dim, k);
+  for (const uint32_t seed : out.seeds) centroids.Append(train->Vector(seed));
+
+  std::vector<uint32_t> assign(tn);
+  std::vector<float> d2(tn);
+  double objective = 0.0;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    ++out.iterations;
+    for (size_t i = 0; i < tn; ++i) {
+      assign[i] = SerialNearest(
+          centroids, train->Vector(static_cast<VectorId>(i)), &d2[i]);
+    }
+    double new_objective = 0.0;
+    for (size_t i = 0; i < tn; ++i) new_objective += d2[i];
+    std::vector<double> sums(k * dim, 0.0);
+    std::vector<uint32_t> counts(k, 0);
+    for (size_t i = 0; i < tn; ++i) {
+      const float* row = train->Vector(static_cast<VectorId>(i));
+      for (size_t d = 0; d < dim; ++d) sums[assign[i] * dim + d] += row[d];
+      ++counts[assign[i]];
+    }
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        ++out.reseeds;
+        centroids.Update(static_cast<VectorId>(c),
+                         train->Vector(static_cast<VectorId>(
+                             rng.UniformInt(tn))));
+        continue;
+      }
+      float* centroid = centroids.MutableVector(static_cast<VectorId>(c));
+      const double inv = 1.0 / double(counts[c]);
+      for (size_t d = 0; d < dim; ++d) {
+        centroid[d] = static_cast<float>(sums[c * dim + d] * inv);
+      }
+    }
+    const bool converged =
+        iter > 0 && std::fabs(objective - new_objective) <=
+                        1e-6 * std::max(1.0, objective);
+    objective = new_objective;
+    if (converged) break;
+  }
+
+  out.assignment.resize(n);
+  std::vector<float> final_d2(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.assignment[i] = SerialNearest(
+        centroids, vectors.Vector(static_cast<VectorId>(i)), &final_d2[i]);
+  }
+  for (size_t i = 0; i < n; ++i) out.objective += final_d2[i];
+  out.centroids = std::move(centroids);
+  return out;
+}
+
+void ExpectSameBytes(const VectorSet& a, const VectorSet& b) {
+  ASSERT_EQ(a.count(), b.count());
+  ASSERT_EQ(a.dim(), b.dim());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.count() * a.dim() * 4), 0);
+}
+
+// Checks RunKMeans against the serial reference byte for byte: the seeds
+// (a run with no Lloyd iteration returns them as its centroids), then the
+// full run's centroids, assignment, objective and iteration count.
+// Returns the reference's empty-cluster re-seed count.
+size_t ExpectMatchesSerial(const VectorSet& data, KMeansOptions options) {
+  const SerialKMeans serial = SerialRunKMeans(data, options);
+  const KMeansResult result = RunKMeans(data, options);
+  ExpectSameBytes(result.centroids, serial.centroids);
+  EXPECT_EQ(result.assignment, serial.assignment);
+  EXPECT_EQ(std::bit_cast<uint64_t>(result.objective),
+            std::bit_cast<uint64_t>(serial.objective));
+  EXPECT_EQ(result.iterations_run, serial.iterations);
+
+  options.max_iterations = 0;
+  const KMeansResult seeded = RunKMeans(data, options);
+  const SerialKMeans serial_seeded = SerialRunKMeans(data, options);
+  EXPECT_EQ(serial_seeded.seeds, serial.seeds);
+  ExpectSameBytes(seeded.centroids, serial_seeded.centroids);
+  EXPECT_EQ(seeded.assignment, serial_seeded.assignment);
+  return serial.reseeds;
 }
 
 TEST(KMeansTest, RecoversSeparatedBlobs) {
@@ -145,6 +308,59 @@ TEST(KMeansTest, TrainingSampleCapStillCoversSpace) {
   std::set<uint32_t> clusters(result.assignment.begin(),
                               result.assignment.end());
   EXPECT_EQ(clusters.size(), 3u);
+}
+
+TEST(KMeansTest, MatchesSerialReferenceAboveTheTrainingCap) {
+  // 20,000 rows against a cap of 256 x 12 = 3,072 training rows: the
+  // subsample, the seeding and Lloyd's loops all run long pool loops. The
+  // first half is a tight cluster far from the rest: its squared distances
+  // (about 1e-9) lie below the rounding step of the objective's final sum
+  // (about 3e-8), so they count when summed first, in row order, and
+  // vanish when summed last. A sum that leaves row order changes the
+  // objective's bits.
+  Rng rng(5);
+  constexpr size_t kDim = 24;
+  VectorSet data(kDim, 20000);
+  std::vector<float> row(kDim);
+  for (size_t i = 0; i < 20000; ++i) {
+    const bool tight = i < 10000;
+    for (float& v : row) {
+      v = static_cast<float>(rng.Gaussian()) * (tight ? 0x1p-16f : 30.0f);
+    }
+    if (tight) {
+      row[0] -= 5000.0f;
+    } else {
+      row[i % 4] += 1000.0f;
+    }
+    data.Append(row.data());
+  }
+  KMeansOptions options;
+  options.num_clusters = 12;
+  options.seed = 99;
+  ExpectMatchesSerial(data, options);
+}
+
+TEST(KMeansTest, MatchesSerialReferenceThroughEmptyClusterReseeds) {
+  // Four distinct points, 600 copies each, and eight clusters: after four
+  // seeds every distance is zero, the rest are drawn at random and land on
+  // already-seeded points, and the duplicate centroids' clusters come up
+  // empty and are re-seeded.
+  const float points[4][3] = {{0, 0, 0}, {9, 0, 1}, {0, 7, 2}, {4, 4, 8}};
+  VectorSet data(3, 2400);
+  for (size_t i = 0; i < 2400; ++i) data.Append(points[i % 4]);
+  KMeansOptions options;
+  options.num_clusters = 8;
+  options.seed = 3;
+  EXPECT_GT(ExpectMatchesSerial(data, options), 0u);
+}
+
+TEST(KMeansTest, OneRunCountedPerBuild) {
+  const VectorSet data = ThreeBlobs(100, 4);
+  KMeansOptions options;
+  options.num_clusters = 3;
+  const uint64_t before = KMeansRunCount();
+  RunKMeans(data, options);
+  EXPECT_EQ(KMeansRunCount(), before + 1);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/random.h"
@@ -121,6 +122,38 @@ TEST(MatrixTest, ProjectBatchMatchesApply) {
           << "row " << i << " col " << j;
     }
   }
+}
+
+TEST(MatrixTest, ProjectBatchEqualsRowByRowPretransposedApply) {
+  // ProjectBatch spreads its rows over the shared pool; each row must get
+  // the bits of the same i-k-j arithmetic run row after row on one thread.
+  // ApplyPretransposed is that arithmetic, compiled with the library's
+  // flags, so FMA contraction (PDX_MARCH_NATIVE) agrees on both sides.
+  Rng rng(3);
+  const size_t in_dim = 40;
+  const size_t out_dim = 24;
+  const size_t count = 3001;
+  Matrix proj(out_dim, in_dim);
+  for (size_t r = 0; r < out_dim; ++r) {
+    for (size_t c = 0; c < in_dim; ++c) {
+      proj.At(r, c) = static_cast<float>(rng.Gaussian());
+    }
+  }
+  std::vector<float> data(count * in_dim);
+  for (float& v : data) v = static_cast<float>(rng.Gaussian());
+
+  std::vector<float> batch(count * out_dim);
+  ProjectBatch(proj, data.data(), count, batch.data());
+
+  const Matrix proj_t = proj.Transposed();
+  std::vector<float> serial(count * out_dim);
+  for (size_t i = 0; i < count; ++i) {
+    ApplyPretransposed(proj_t, data.data() + i * in_dim,
+                       serial.data() + i * out_dim);
+  }
+  EXPECT_EQ(std::memcmp(batch.data(), serial.data(),
+                        serial.size() * sizeof(float)),
+            0);
 }
 
 }  // namespace

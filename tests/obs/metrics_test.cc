@@ -1,7 +1,8 @@
 // MetricsRegistry unit tests: instrument semantics, get-or-create child
 // identity, type-conflict failure, an exact golden of the Prometheus text
-// exposition, a writers-vs-scrape race (the TSan target), and the
-// zero-allocation guarantee of every hot-path instrument call.
+// exposition, a writers-vs-scrape race (the TSan target), the
+// zero-allocation guarantee of every hot-path instrument call, and the
+// steady allocation count of a warm service's Submit.
 
 #include <gtest/gtest.h>
 
@@ -14,26 +15,31 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "obs/metrics.h"
 #include "obs/pdxearch_profile.h"
 #include "obs/slow_query_log.h"
+#include "serve/search_service.h"
 
 // Global operator new/delete overrides that count every heap allocation in
-// the binary. The zero-allocation test snapshots the counter around the
-// instrument calls the dispatch path makes per query; everything else in
-// the binary just pays one relaxed add per allocation.
+// the binary, in total and per thread. The zero-allocation test snapshots
+// the total around the instrument calls the dispatch path makes per query;
+// everything else in the binary just pays one relaxed add per allocation.
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+thread_local uint64_t t_allocations = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -258,6 +264,48 @@ TEST(MetricsTest, HotPathInstrumentCallsDoNotAllocate) {
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "hot-path instrument calls allocated";
   EXPECT_EQ(b.values_scanned, 7000u);
+}
+
+// The admission queue must not allocate once warm. As a std::deque it
+// allocated a 512-byte node every 64 pushes, so every 64th Submit made one
+// allocation more than the others. Admission runs on the submitting
+// thread, so its allocations are counted there: the dispatcher's would
+// race the next Submit's window.
+TEST(ServiceAllocationTest, WarmSubmitsAllocateTheSameCount) {
+  Rng rng(6);
+  VectorSet vectors(8, 256);
+  std::vector<float> row(8);
+  for (size_t i = 0; i < 256; ++i) {
+    for (float& v : row) v = static_cast<float>(rng.Gaussian());
+    vectors.Append(row.data());
+  }
+  SearcherConfig config;
+  config.layout = SearcherLayout::kFlat;
+  config.pruner = PrunerKind::kLinear;
+  config.k = 5;
+  ServiceConfig service_config;
+  service_config.threads = 2;
+  service_config.dispatchers = 1;
+  SearchService service(service_config);
+  ASSERT_TRUE(service.AddCollection("c", vectors, config).ok());
+
+  auto submit = [&](size_t i) {
+    const QueryResult result =
+        service.Submit("c", vectors.Vector(static_cast<VectorId>(i % 256)))
+            .result.get();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  };
+  for (size_t i = 0; i < 64; ++i) submit(i);  // Warm-up.
+  constexpr size_t kSubmits = 192;
+  std::vector<uint64_t> allocations(kSubmits);
+  for (size_t i = 0; i < kSubmits; ++i) {
+    const uint64_t before = t_allocations;
+    submit(i);
+    allocations[i] = t_allocations - before;
+  }
+  for (size_t i = 1; i < kSubmits; ++i) {
+    EXPECT_EQ(allocations[i], allocations[0]) << "submit " << i;
+  }
 }
 
 TEST(MetricsTest, SlowQueryLogKeepsWorstSortedAndBounded) {

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "benchlib/datagen.h"
 #include "benchlib/recall.h"
+#include "common/random.h"
 #include "core/any_searcher.h"
 #include "index/flat.h"
 #include "kernels/scalar_kernels.h"
@@ -132,6 +137,84 @@ TEST(QuantizedStoreTest, ConstantDimensionQueryOffsetNoNaN) {
   // dimension: vector 4 (value 4.0) and 5 (value 5.0) are nearest to 4.5.
   EXPECT_TRUE(result[0].id == 4 || result[0].id == 5);
   EXPECT_TRUE(result[1].id == 4 || result[1].id == 5);
+}
+
+// The offsets, scales and codes of a serial encode: per-dimension min and
+// max over the rows, then every listed row, in store order, encoded one
+// value at a time into its block.
+void ExpectSerialEncode(const VectorSet& vectors,
+                        const std::vector<std::vector<VectorId>>& groups,
+                        size_t capacity) {
+  const size_t dim = vectors.dim();
+  const uint64_t packs = QuantizedPackCount();
+  const QuantizedPdxStore store =
+      groups.empty() ? QuantizedPdxStore::FromVectorSet(vectors, capacity)
+                     : QuantizedPdxStore::FromGroups(vectors, groups, capacity);
+  EXPECT_EQ(QuantizedPackCount(), packs + 1);
+
+  std::vector<float> lo(dim, std::numeric_limits<float>::infinity());
+  std::vector<float> hi(dim, -std::numeric_limits<float>::infinity());
+  for (size_t i = 0; i < vectors.count(); ++i) {
+    const float* v = vectors.Vector(static_cast<VectorId>(i));
+    for (size_t d = 0; d < dim; ++d) {
+      lo[d] = std::min(lo[d], v[d]);
+      hi[d] = std::max(hi[d], v[d]);
+    }
+  }
+  std::vector<float> scales(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    scales[d] = std::max((hi[d] - lo[d]) / 255.0f, 1e-10f);
+  }
+  EXPECT_EQ(store.offsets(), lo);
+  EXPECT_EQ(store.scales(), scales);
+
+  std::vector<VectorId> order;
+  for (const std::vector<VectorId>& group : groups) {
+    order.insert(order.end(), group.begin(), group.end());
+  }
+  if (groups.empty()) {
+    order.resize(vectors.count());
+    std::iota(order.begin(), order.end(), 0);
+  }
+  std::vector<uint8_t> codes(vectors.count() * dim);
+  size_t position = 0;
+  for (size_t b = 0; b < store.num_blocks(); ++b) {
+    const size_t n = store.BlockCount(b);
+    uint8_t* block = codes.data() + position * dim;
+    for (size_t i = 0; i < n; ++i) {
+      const float* v = vectors.Vector(order[position + i]);
+      for (size_t d = 0; d < dim; ++d) {
+        const float code = std::round((v[d] - lo[d]) / scales[d]);
+        block[d * n + i] =
+            static_cast<uint8_t>(std::clamp(code, 0.0f, 255.0f));
+      }
+    }
+    position += n;
+  }
+  ASSERT_EQ(position, vectors.count());
+  ASSERT_EQ(store.codes_bytes(), codes.size());
+  EXPECT_EQ(std::memcmp(store.codes_data(), codes.data(), codes.size()), 0);
+}
+
+TEST(QuantizedStoreTest, CodesEqualSerialEncode) {
+  Dataset data = MakeDataset(100, ValueDistribution::kNormal, 21);
+  // Dimension 0 spans exactly [0, 255] (scale 1) and holds halves, so
+  // rounding ties away from zero shows in the codes.
+  for (size_t i = 0; i < data.data.count(); ++i) {
+    data.data.MutableVector(static_cast<VectorId>(i))[0] =
+        i < 2 ? 255.0f * float(i) : float(i % 255) + 0.5f;
+  }
+  ExpectSerialEncode(data.data, {}, 64);
+  ExpectSerialEncode(data.data, {}, 300);
+
+  std::vector<VectorId> all(data.data.count());
+  std::iota(all.begin(), all.end(), 0);
+  Rng rng(22);
+  rng.Shuffle(all);
+  const std::vector<std::vector<VectorId>> groups = {
+      std::vector<VectorId>(all.begin(), all.begin() + 900), {},
+      std::vector<VectorId>(all.begin() + 900, all.end())};
+  ExpectSerialEncode(data.data, groups, 64);
 }
 
 TEST(QuantizedKernelsTest, DistanceMatchesDequantizedReference) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -137,6 +139,74 @@ TEST(PdxStoreTest, ViewOverPackedArenaIsTheSameStore) {
     EXPECT_EQ(view.block(b).data(), packed.block(b).data()) << b;
     EXPECT_EQ(view.block(b).ids(), packed.block(b).ids()) << b;
   }
+}
+
+// The arena and lane ids of a one-vector-at-a-time pack: blocks laid out
+// group by group, every block starting on a 16-float boundary, each vector
+// transposed into its lane by FillLane.
+struct LaneByLanePack {
+  std::vector<float> arena;
+  std::vector<std::vector<VectorId>> ids;  ///< Per block.
+};
+
+LaneByLanePack PackLaneByLane(const VectorSet& vectors,
+                              const std::vector<std::vector<VectorId>>& groups,
+                              size_t capacity) {
+  const size_t dim = vectors.dim();
+  LaneByLanePack pack;
+  pack.arena.assign(PdxStore::ArenaFloats(dim, groups, capacity), 0.0f);
+  size_t offset = 0;
+  for (const std::vector<VectorId>& group : groups) {
+    for (size_t first = 0; first < group.size(); first += capacity) {
+      const size_t n = std::min(capacity, group.size() - first);
+      PdxBlock block(dim, n, pack.arena.data() + offset);
+      for (size_t i = 0; i < n; ++i) {
+        block.FillLane(i, vectors.Vector(group[first + i]), group[first + i]);
+      }
+      pack.ids.push_back(block.ids());
+      offset += (dim * n + 15) / 16 * 16;
+    }
+  }
+  EXPECT_EQ(offset, pack.arena.size());
+  return pack;
+}
+
+void ExpectPackedLaneByLane(const VectorSet& vectors,
+                            const std::vector<std::vector<VectorId>>& groups,
+                            size_t capacity) {
+  const uint64_t packs = PdxStorePackCount();
+  const PdxStore store = PdxStore::FromGroups(vectors, groups, capacity);
+  EXPECT_EQ(PdxStorePackCount(), packs + 1);
+  const LaneByLanePack expected = PackLaneByLane(vectors, groups, capacity);
+  ASSERT_EQ(store.arena_floats(), expected.arena.size());
+  EXPECT_EQ(std::memcmp(store.arena_data(), expected.arena.data(),
+                        expected.arena.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(store.num_blocks(), expected.ids.size());
+  for (size_t b = 0; b < store.num_blocks(); ++b) {
+    EXPECT_EQ(store.block(b).ids(), expected.ids[b]) << "block " << b;
+  }
+}
+
+TEST(PdxStoreTest, PackedArenaEqualsLaneByLanePack) {
+  // 37 dimensions (not a multiple of 16, so every block ends in padding)
+  // and 300-lane blocks (a packing tile and a partial one each).
+  const VectorSet vectors = RandomVectors(1300, 37, 11);
+  std::vector<VectorId> all(1300);
+  std::iota(all.begin(), all.end(), 0);
+  ExpectPackedLaneByLane(vectors, {all}, 300);
+  ExpectPackedLaneByLane(vectors, {all}, 1000);
+
+  // IVF-style groups, shuffled members and an empty group, at both the
+  // large capacity and the 64-lane blocks IVF uses.
+  Rng rng(12);
+  rng.Shuffle(all);
+  const std::vector<std::vector<VectorId>> groups = {
+      std::vector<VectorId>(all.begin(), all.begin() + 700), {},
+      std::vector<VectorId>(all.begin() + 700, all.begin() + 1001),
+      std::vector<VectorId>(all.begin() + 1001, all.end())};
+  ExpectPackedLaneByLane(vectors, groups, 300);
+  ExpectPackedLaneByLane(vectors, groups, 64);
 }
 
 TEST(PdxBlockTest, FillAndExtractLane) {

@@ -5,9 +5,12 @@
 // *exact* k-NN — the setting of the paper's Figure 9. This example runs
 // the same query workload through every exact searcher in the library and
 // reports per-query latency, demonstrating that PDX-BOND returns identical
-// results while touching a fraction of the data.
+// results while touching a fraction of the data, and that PDX-BOND run as
+// a one-query batch on a pool of 4 (START on the caller, the partitions
+// after it split over the pool) returns its sequential answers.
 
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "benchlib/datagen.h"
@@ -29,7 +32,9 @@ int main() {
   pdx::SyntheticSpec spec;
   spec.name = "dedup";
   spec.dim = 960;
-  spec.count = 8000;
+  // Past three exact-search partitions (kExactSearchBlockCapacity lanes
+  // each), so a one-query batch on a pool splits into three ranges.
+  spec.count = 32768;
   spec.num_queries = 20;
   spec.distribution = pdx::ValueDistribution::kSkewed;
   pdx::Dataset dataset = pdx::GenerateDataset(spec);
@@ -42,7 +47,7 @@ int main() {
   pdx::SearcherConfig bond_config;
   bond_config.pruner = pdx::PrunerKind::kBond;
   bond_config.k = k;
-  bond_config.block_capacity = 1024;  // ~8 partitions for 8K vectors.
+  bond_config.block_capacity = 1024;  // 32 partitions for 32K vectors.
   auto bond = pdx::MakeSearcher(dataset.data, bond_config).value();
 
   std::vector<std::vector<pdx::Neighbor>> reference;
@@ -67,12 +72,33 @@ int main() {
   // PDX-BOND, with a correctness check against the SIMD reference.
   size_t mismatches = 0;
   size_t query_index = 0;
+  std::vector<std::vector<pdx::Neighbor>> bond_results;
   const double bond_ms = MeasureMillisPerQuery(
       dataset.queries, [&](const float* q) {
-        const auto result = bond->Search(q);
+        bond_results.push_back(bond->Search(q));
+        const auto& result = bond_results.back();
         const auto& expected = reference[query_index++];
         for (size_t i = 0; i < k; ++i) {
           if (result[i].id != expected[i].id) ++mismatches;
+        }
+      });
+
+  // The same searcher, each query a one-query batch on a caller pool of 4,
+  // checked against its sequential answers: ids and distance bits.
+  pdx::ThreadPool pool(4);
+  bond->ReserveScratch(pool.num_threads());
+  size_t split_mismatches = 0;
+  query_index = 0;
+  const double split_ms = MeasureMillisPerQuery(
+      dataset.queries, [&](const float* q) {
+        const auto result = bond->SearchBatchWith(0, {}, q, 1, &pool).front();
+        const auto& expected = bond_results[query_index++];
+        for (size_t i = 0; i < k; ++i) {
+          if (result[i].id != expected[i].id ||
+              std::memcmp(&result[i].distance, &expected[i].distance,
+                          sizeof(float)) != 0) {
+            ++split_mismatches;
+          }
         }
       });
 
@@ -83,7 +109,12 @@ int main() {
   std::printf("  DSM linear scan        %8.3f\n", dsm_ms);
   std::printf("  PDX linear scan        %8.3f\n", pdx_ms);
   std::printf("  PDX-BOND (pruned)      %8.3f\n", bond_ms);
+  std::printf("  PDX-BOND, pool of 4    %8.3f\n", split_ms);
+  std::printf(
+      "PDX-BOND on a pool of 4 mismatches vs sequential PDX-BOND (ids and "
+      "distance bits): %zu (must be 0)\n",
+      split_mismatches);
   std::printf("PDX-BOND result mismatches vs reference: %zu (must be 0)\n",
               mismatches);
-  return mismatches == 0 ? 0 : 1;
+  return mismatches == 0 && split_mismatches == 0 ? 0 : 1;
 }

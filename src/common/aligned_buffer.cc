@@ -29,22 +29,35 @@ void ZeroFill(void* ptr, size_t bytes) {
   });
 }
 
-float* AllocateAligned(size_t count) {
+// `zero` = false leaves the first `count` floats unwritten.
+float* AllocateAligned(size_t count, bool zero) {
   if (count == 0) return nullptr;
   // Round the byte size up to a multiple of the alignment: required by
   // std::aligned_alloc and convenient for whole-register tail loads.
-  size_t bytes = count * sizeof(float);
-  bytes = (bytes + kPdxAlignment - 1) / kPdxAlignment * kPdxAlignment;
+  const size_t used = count * sizeof(float);
+  const size_t bytes =
+      (used + kPdxAlignment - 1) / kPdxAlignment * kPdxAlignment;
   void* ptr = std::aligned_alloc(kPdxAlignment, bytes);
   if (ptr == nullptr) throw std::bad_alloc();
-  ZeroFill(ptr, bytes);
+  if (zero) {
+    ZeroFill(ptr, bytes);
+  } else {
+    std::memset(static_cast<char*>(ptr) + used, 0, bytes - used);
+  }
   return static_cast<float*>(ptr);
 }
 
 }  // namespace
 
 AlignedBuffer::AlignedBuffer(size_t count)
-    : data_(AllocateAligned(count)), size_(count) {}
+    : data_(AllocateAligned(count, true)), size_(count) {}
+
+AlignedBuffer AlignedBuffer::Uninitialized(size_t count) {
+  AlignedBuffer buffer;
+  buffer.data_ = AllocateAligned(count, false);
+  buffer.size_ = count;
+  return buffer;
+}
 
 AlignedBuffer::~AlignedBuffer() { Free(); }
 
@@ -66,14 +79,14 @@ AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
 }
 
 AlignedBuffer AlignedBuffer::Clone() const {
-  AlignedBuffer copy(size_);
+  AlignedBuffer copy = Uninitialized(size_);
   if (size_ > 0) std::memcpy(copy.data_, data_, size_ * sizeof(float));
   return copy;
 }
 
 void AlignedBuffer::Reset(size_t count) {
   Free();
-  data_ = AllocateAligned(count);
+  data_ = AllocateAligned(count, true);
   size_ = count;
 }
 

@@ -14,13 +14,19 @@ namespace pdx {
 /// Vector data is kept 64-byte aligned so that both AVX-512 loads and full
 /// cache-line prefetches operate on natural boundaries. The buffer value-
 /// initializes its contents (all zeros) — PDX blocks rely on zero padding in
-/// the tail lanes of a partially filled block. A buffer of 16 MiB or more
-/// is zeroed in pieces on the shared pool (ParallelFor).
+/// the tail lanes of a partially filled block — unless made by
+/// Uninitialized, for callers that write every float next. A buffer of
+/// 16 MiB or more is zeroed in pieces on the shared pool (ParallelFor).
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
   /// Allocates `count` zero-initialized floats.
   explicit AlignedBuffer(size_t count);
+
+  /// Allocates `count` floats the caller writes in full before reading any:
+  /// their contents are unspecified. Only the allocation's round-up past
+  /// `count` (to a multiple of 64 bytes) is zeroed.
+  static AlignedBuffer Uninitialized(size_t count);
   ~AlignedBuffer();
 
   AlignedBuffer(AlignedBuffer&& other) noexcept;

@@ -284,6 +284,60 @@ class AnySearcherImpl final : public Searcher {
 
   void ReserveScratch(size_t slots) override { GrowEngines(slots); }
 
+  // A one-query batch that PlanSplit spreads over `pool` runs START on the
+  // calling thread, through slot `slot`, until its heap is full; range w of
+  // the blocks after it then runs on slot `slot + w`. Range 0 continues
+  // START's heap; every other range fills an empty heap of its own and
+  // prunes against the smaller of its k-th distance and START's. The
+  // caller merges the range heaps into START's. Flat lanes ascend in id
+  // through the store and every heap keeps the lowest ids among exact ties,
+  // so a lane a range prunes (partial >= bound) could not have entered the
+  // sequential heap either: the merge returns SearchFlat's ids and distance
+  // bits. Every other batch takes the base fan-out.
+  std::vector<std::vector<Neighbor>> SearchBatchWith(
+      size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
+      ThreadPool* pool, PdxearchProfile* per_query) override {
+    const size_t k =
+        std::min(knobs.k > 0 ? knobs.k : config_.k, store_.count());
+    SplitPlan plan = num_queries == 1 ? PlanSplit(pool, k) : SplitPlan{};
+    if (plan.tasks < 2) {
+      return Searcher::SearchBatchWith(slot, knobs, queries, num_queries, pool,
+                                       per_query);
+    }
+    // Growth happens here, on the calling thread, as in the base fan-out.
+    ReserveScratch(slot + pool->num_threads());
+    Timer timer;
+    const typename P::QueryState qs = pruner_.PrepareQuery(queries);
+    PdxearchProfile work;
+    if (config_.search.collect_phase_times) {
+      work.preprocess_ms = timer.ElapsedMillis();
+    }
+    TopK& heap = heaps_[slot];
+    heap.Reset(k);
+    engines_[slot]->SearchBlockRange(qs, 0, plan.first,
+                                     PdxearchEngine<P>::kNoBound, heap);
+    work += engines_[slot]->last_profile();
+    plan.slot = slot;
+    plan.k = k;
+    plan.bound = heap.threshold();
+    plan.qs = &qs;
+    // Two captures keep the callable inside std::function's own storage.
+    pool->ParallelFor(plan.tasks, [this, &plan](size_t w, size_t) {
+      TopK& own = heaps_[plan.slot + w];
+      if (w > 0) own.Reset(plan.k);
+      engines_[plan.slot + w]->SearchBlockRange(
+          *plan.qs, plan.Begin(w), plan.Begin(w + 1), plan.bound, own);
+    });
+    for (size_t w = 0; w < plan.tasks; ++w) {
+      work += engines_[slot + w]->last_profile();
+      if (w > 0) heap.Merge(heaps_[slot + w]);
+    }
+    if (per_query != nullptr) *per_query = work;
+    std::vector<std::vector<Neighbor>> results(1);
+    results[0] = heap.SortedResults();
+    return results;
+  }
+
   std::vector<Neighbor> SearchWith(size_t slot, QueryKnobs knobs,
                                    const float* query,
                                    PdxearchProfile* profile) override {
@@ -305,11 +359,55 @@ class AnySearcherImpl final : public Searcher {
   }
 
  private:
-  // Appends engines until `n` slots exist.
+  // How a one-query batch splits: START fills the heap over blocks
+  // [0, first), and the blocks after it form `tasks` contiguous ranges.
+  // The rest is filled in once START has run.
+  struct SplitPlan {
+    size_t first = 0;
+    size_t tasks = 0;
+    size_t slot = 0;
+    size_t k = 0;
+    float bound = 0.0f;
+    const typename P::QueryState* qs = nullptr;
+    size_t num_blocks = 0;
+
+    // First block of range w, for w in [0, tasks].
+    size_t Begin(size_t w) const {
+      return first + (num_blocks - first) * w / tasks;
+    }
+  };
+
+  // Splits only a flat search with an exact pruner (linear, or PDX-BOND
+  // under any order), whose bound START fixes for every later lane; the
+  // inexact bounds of ADSampling and BSA and IVF's bucket order keep the
+  // sequential path. Tasks: one per kExactSearchBlockCapacity lanes left
+  // after START, at most one per pool thread and one per block, so small
+  // collections stay sequential.
+  SplitPlan PlanSplit(const ThreadPool* pool, size_t k) const {
+    constexpr bool kExact =
+        std::is_same_v<P, NoPruner> || std::is_same_v<P, PdxBondPruner>;
+    if (!kExact || index_ != nullptr || pool == nullptr ||
+        config_.search.step_observer) {
+      return {};
+    }
+    SplitPlan plan;
+    plan.num_blocks = store_.num_blocks();
+    size_t start_lanes = 0;
+    while (plan.first < plan.num_blocks && start_lanes < k) {
+      start_lanes += store_.block(plan.first++).count();
+    }
+    plan.tasks = std::min({pool->num_threads(), plan.num_blocks - plan.first,
+                           (store_.count() - start_lanes) /
+                               kExactSearchBlockCapacity});
+    return plan;
+  }
+
+  // Appends engines (and their split-search heaps) until `n` slots exist.
   void GrowEngines(size_t n) {
     while (engines_.size() < n) {
       engines_.push_back(std::make_unique<PdxearchEngine<P>>(
           &store_, &pruner_, config_.metric, config_.search));
+      heaps_.emplace_back(1);
     }
   }
 
@@ -322,6 +420,7 @@ class AnySearcherImpl final : public Searcher {
   PdxStore store_;
   P pruner_;
   std::vector<std::unique_ptr<PdxearchEngine<P>>> engines_;
+  std::vector<TopK> heaps_;  ///< One per engine, for split searches.
 };
 
 /// Builds the searcher a validated, resolved `config` describes over

@@ -161,7 +161,9 @@ struct SearcherShape {
 /// the last-profile member, so one querier at a time on that surface. A
 /// pooled batch parallelizes *internally* (per-worker engines over the
 /// shared read-only store) and returns exactly the neighbors the
-/// sequential path returns, query by query. The multi-querier surface is
+/// sequential path returns, query by query — including a one-query batch
+/// on a flat exact collection, which splits its one search over the pool
+/// (see SearchBatchWith). The multi-querier surface is
 /// SearchWith/SearchBatchWith: after ReserveScratch, calls on disjoint
 /// slots (bands) may run concurrently from several threads, with any
 /// caller pools — they mutate no shared searcher state, only the slot
@@ -175,8 +177,8 @@ class Searcher {
 
   /// k-NN of `query` (dim() floats) under options().k / options().nprobe:
   /// a one-query SearchBatchWith on band 0 and the owned pool (so a
-  /// sharded searcher still fans the query out across its shards). Updates
-  /// last_profile().
+  /// sharded searcher still fans the query out across its shards, and a
+  /// flat exact one splits it over the pool). Updates last_profile().
   std::vector<Neighbor> Search(const float* query);
 
   /// k-NN of `num_queries` row-major queries on band 0, executed on the
@@ -220,6 +222,17 @@ class Searcher {
   ///     `slot` alone;
   ///   - the base fan-out uses `pool` only for num_queries > 1, over slots
   ///     [slot, slot + pool->num_threads());
+  ///   - the float facade splits a one-query batch over a pool of two or
+  ///     more threads when the layout is flat and the pruner exact (linear,
+  ///     or PDX-BOND under any order). START runs on the calling thread,
+  ///     through `slot`, until the heap holds k; the blocks after it form
+  ///     min(pool threads, lanes left / kExactSearchBlockCapacity, blocks
+  ///     left) contiguous ranges, range w on slot `slot + w`, each pruning
+  ///     against the smaller of its own k-th distance and START's, and the
+  ///     caller merges the range heaps by (distance, id). Fewer than two
+  ///     ranges (a small collection, or k near the count) keep the
+  ///     sequential path, as do IVF, ADSampling, BSA and the u8 tier. The
+  ///     answer is the sequential one, ids and distance bits;
   ///   - the sharded (shard x query) tiling uses it for any num_queries,
   ///     so even one query spreads across the shards.
   /// Concurrent calls are safe, with any caller pools, when their bands
@@ -231,11 +244,15 @@ class Searcher {
   /// the call overwrites per_query[q] with query q's OWN search work (per
   /// query even inside a pooled batch). Filling it allocates nothing: the
   /// serving layer passes a per-dispatcher pre-reserved array, so
-  /// per-query observability rides the dispatch path for free.
+  /// per-query observability rides the dispatch path for free. A split
+  /// query's record sums START and every range: it visits every block, as
+  /// the sequential search does, but its ranges scan the values their
+  /// bound lets through, so the record depends only on the query, the
+  /// store and the pool size.
   ///
   /// The base implementation runs SearchWith once per query; an override
-  /// exists only where a batch needs more than that (shard x query tiling,
-  /// one lock around a whole batch).
+  /// exists only where a batch needs more than that (the flat one-query
+  /// split, shard x query tiling, one lock around a whole batch).
   virtual std::vector<std::vector<Neighbor>> SearchBatchWith(
       size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
       ThreadPool* pool = nullptr, PdxearchProfile* per_query = nullptr);

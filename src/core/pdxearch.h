@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -126,9 +127,25 @@ class PdxearchEngine {
     // results, and the heap is sized by it.
     TopK heap(std::min(k, store_->count()));
     for (size_t b = 0; b < store_->num_blocks(); ++b) {
-      SearchBlock(qs, b, heap);
+      SearchBlock(qs, b, heap, kNoBound);
     }
     return heap.SortedResults();
+  }
+
+  /// One range of a flat search spread over several engines: searches
+  /// blocks [first, last) into `heap`, pruning against the smaller of the
+  /// heap's k-th distance and `bound`. With `bound` = kNoBound the range
+  /// runs as SearchFlat does from block `first`: START scans whole blocks
+  /// until the heap is full. A finite `bound` is the k-th distance of a
+  /// full heap over lanes that precede every lane of the range (START's);
+  /// the range then prunes from its first block, even while its own heap
+  /// is not full. `qs` is the pruner's PrepareQuery of the query, shared
+  /// read-only by the ranges other engines run at the same time.
+  /// last_profile() then holds this range's work alone.
+  void SearchBlockRange(const typename Pruner::QueryState& qs, size_t first,
+                        size_t last, float bound, TopK& heap) {
+    profile_ = PdxearchProfile{};
+    for (size_t b = first; b < last; ++b) SearchBlock(qs, b, heap, bound);
   }
 
   /// IVF search for the `k` nearest: ranks buckets by centroid distance
@@ -154,7 +171,7 @@ class PdxearchEngine {
     for (size_t r = 0; r < probes; ++r) {
       const auto [first, last] = store_->GroupBlockRange(ranked[r]);
       for (size_t b = first; b < last; ++b) {
-        SearchBlock(qs, b, heap);
+        SearchBlock(qs, b, heap, kNoBound);
       }
     }
     return heap.SortedResults();
@@ -163,10 +180,14 @@ class PdxearchEngine {
   /// Measurements of the most recent Search* call.
   const PdxearchProfile& last_profile() const { return profile_; }
 
+  /// The `bound` of a search that no other range bounds.
+  static constexpr float kNoBound = std::numeric_limits<float>::infinity();
+
  private:
-  // Searches one block, updating the heap.
+  // Searches one block, updating the heap; `bound` caps the pruning
+  // threshold (see SearchBlockRange).
   void SearchBlock(const typename Pruner::QueryState& qs, size_t block_index,
-                   TopK& heap) {
+                   TopK& heap, float bound) {
     const PdxBlock& block = store_->block(block_index);
     const size_t n = block.count();
     const size_t dim = block.dim();
@@ -181,7 +202,7 @@ class PdxearchEngine {
     const bool timed = options_.collect_phase_times;
 
     // START: no threshold yet -> linear scan, merge everything.
-    if (!heap.full()) {
+    if (!heap.full() && bound == kNoBound) {
       if (timed) timer.Reset();
       if (order != nullptr) {
         std::fill(distances, distances + n, 0.0f);
@@ -255,7 +276,8 @@ class PdxearchEngine {
 
       if (timed) timer.Reset();
       alive = pruner_->FilterSurvivors(qs, block_index, distances, dims_done,
-                                       heap.threshold(), positions, alive);
+                                       std::min(heap.threshold(), bound),
+                                       positions, alive);
       ++profile_.predicate_evaluations;
       if (timed) profile_.bounds_ms += timer.ElapsedMillis();
 

@@ -39,15 +39,15 @@ struct ShardingOptions {
 ///
 ///   - SearchWith runs the query on every shard through the same slot and
 ///     merges the per-shard top-k lists into one exact global top-k,
-///     shard-local ids remapped to global ids. The merge is the same
-///     (distance, id) order TopK::SortedResults emits, so with an exact
-///     pruner the result is identical to the equivalent unsharded
-///     searcher over the same data. One caveat at the k boundary: when
-///     candidates are tied at *exactly* the k-th distance (duplicate
-///     vectors), the unsharded heap keeps the first one its visit order
-///     met while the merge keeps the lowest global id — the distances
-///     returned are identical either way, the tied ids may not be (same
-///     caveat as any scatter-gather merge, e.g. Faiss IndexShards).
+///     shard-local ids remapped to global ids. The merge is the (distance,
+///     id) order every TopK heap keeps, so with an exact pruner the result
+///     is identical to the equivalent unsharded searcher over the same
+///     data, ties at the k-th distance included. One caveat, on IVF
+///     PDX-BOND only: buckets are visited in centroid order, not id order,
+///     so the strict `partial < threshold` predicate can prune a lane tied
+///     at *exactly* the k-th distance whose id is lower than a kept one.
+///     The distances returned are identical either way; the tied ids may
+///     not be.
 ///   - SearchBatchWith — and so Search and SearchBatch — tiles (shard x
 ///     query) tasks over the pool it is given, so one query, or one large
 ///     batch against one collection, saturates the whole pool. With no

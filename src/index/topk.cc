@@ -5,35 +5,50 @@
 
 namespace pdx {
 
+namespace {
+
+// The heap's one order: ascending distance, ties broken by ascending id.
+bool Before(const Neighbor& a, const Neighbor& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.id < b.id;
+}
+
+}  // namespace
+
 TopK::TopK(size_t k) : k_(k) {
   assert(k >= 1);
   heap_.reserve(k);
 }
 
+void TopK::Reset(size_t k) {
+  assert(k >= 1);
+  k_ = k;
+  heap_.clear();
+  heap_.reserve(k);
+}
+
 void TopK::Push(VectorId id, float distance) {
+  const Neighbor candidate{id, distance};
   if (heap_.size() < k_) {
-    heap_.push_back(Neighbor{id, distance});
+    heap_.push_back(candidate);
     SiftUp(heap_.size() - 1);
     return;
   }
-  if (distance >= heap_.front().distance) return;
-  heap_.front() = Neighbor{id, distance};
+  if (!Before(candidate, heap_.front())) return;
+  heap_.front() = candidate;
   SiftDown(0);
 }
 
 std::vector<Neighbor> TopK::SortedResults() const {
   std::vector<Neighbor> out = heap_;
-  std::sort(out.begin(), out.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  });
+  std::sort(out.begin(), out.end(), Before);
   return out;
 }
 
 void TopK::SiftUp(size_t pos) {
   while (pos > 0) {
     const size_t parent = (pos - 1) / 2;
-    if (heap_[parent].distance >= heap_[pos].distance) break;
+    if (!Before(heap_[parent], heap_[pos])) break;
     std::swap(heap_[parent], heap_[pos]);
     pos = parent;
   }
@@ -45,12 +60,8 @@ void TopK::SiftDown(size_t pos) {
     const size_t left = 2 * pos + 1;
     const size_t right = left + 1;
     size_t largest = pos;
-    if (left < n && heap_[left].distance > heap_[largest].distance) {
-      largest = left;
-    }
-    if (right < n && heap_[right].distance > heap_[largest].distance) {
-      largest = right;
-    }
+    if (left < n && Before(heap_[largest], heap_[left])) largest = left;
+    if (right < n && Before(heap_[largest], heap_[right])) largest = right;
     if (largest == pos) break;
     std::swap(heap_[pos], heap_[largest]);
     pos = largest;

@@ -18,8 +18,12 @@ struct Neighbor {
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
 };
 
-/// Bounded max-heap that keeps the k smallest distances seen so far — the
-/// "KNN candidate list" every VSS search maintains.
+/// Bounded max-heap that keeps the k smallest candidates seen so far — the
+/// "KNN candidate list" every VSS search maintains. Candidates are ordered
+/// by (distance, id), so among candidates tied at exactly the k-th distance
+/// the heap keeps the lowest ids, whatever order they arrive in: any two
+/// heaps offered the same candidates hold the same k, and merging heaps
+/// over disjoint candidate sets yields the heap over their union.
 ///
 /// threshold() exposes the current k-th best distance, which is exactly the
 /// pruning threshold ADSampling/BSA/PDX-BOND test partial distances
@@ -45,22 +49,32 @@ class TopK {
   /// True when a vector at `distance` would enter the current top-k.
   bool WouldAccept(float distance) const { return distance < threshold(); }
 
-  /// Offers one candidate; keeps it only if it is among the k best.
+  /// Offers one candidate; keeps it only if it is among the k best by
+  /// (distance, id).
   void Push(VectorId id, float distance);
 
-  /// Heap contents sorted by ascending distance (ties broken by id for
-  /// deterministic output). Does not consume the collector.
+  /// Offers every candidate `other` holds.
+  void Merge(const TopK& other) {
+    for (const Neighbor& n : other.heap_) Push(n.id, n.distance);
+  }
+
+  /// Heap contents sorted by (distance, id). Does not consume the
+  /// collector.
   std::vector<Neighbor> SortedResults() const;
 
   /// Removes all entries, keeping k.
   void Clear() { heap_.clear(); }
+
+  /// Removes all entries and collects the k nearest from now on (k >= 1).
+  /// Allocates only when k exceeds every k the collector held before.
+  void Reset(size_t k);
 
  private:
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
 
   size_t k_;
-  std::vector<Neighbor> heap_;  // Max-heap on distance.
+  std::vector<Neighbor> heap_;  // Max-heap on (distance, id).
 };
 
 }  // namespace pdx

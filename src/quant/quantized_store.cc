@@ -27,6 +27,17 @@ constexpr float kMinScale = 1e-10f;
 
 std::atomic<uint64_t> g_quantized_packs{0};
 
+/// std::round's code, clamped to [0, 255], without the libm call per value:
+/// rounds half away from zero (for a clamped, non-negative value, up).
+/// Exact on the clamped range, where x - trunc(x) is exact; floor(x + 0.5f)
+/// is not, since 0.49999997f + 0.5f rounds to 1.0f.
+inline uint8_t RoundCode(float x) {
+  const float clamped = std::clamp(x, 0.0f, 255.0f);
+  const auto whole = static_cast<uint32_t>(clamped);
+  const bool up = clamped - static_cast<float>(whole) >= 0.5f;
+  return static_cast<uint8_t>(whole + (up ? 1 : 0));
+}
+
 }  // namespace
 
 uint64_t QuantizedPackCount() {
@@ -74,9 +85,7 @@ void QuantizedPdxStore::EncodeRows(const VectorSet& vectors) {
           ids_.empty() ? static_cast<VectorId>(position) : ids_[position];
       const float* v = vectors.Vector(row);
       for (size_t d = 0; d < dim_; ++d) {
-        const float code = std::round((v[d] - offsets_[d]) / scales_[d]);
-        block[d * n + i] =
-            static_cast<uint8_t>(std::clamp(code, 0.0f, 255.0f));
+        block[d * n + i] = RoundCode((v[d] - offsets_[d]) / scales_[d]);
       }
     }
   });

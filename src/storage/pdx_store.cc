@@ -106,9 +106,18 @@ PdxStore PdxStore::FromGroups(const VectorSet& vectors,
                               size_t block_capacity) {
   g_pack_count.fetch_add(1, std::memory_order_relaxed);
   const size_t dim = vectors.dim();
-  AlignedBuffer arena(ArenaFloats(dim, groups, block_capacity));
+  // Every lane value is written below, so the arena skips the zero-fill;
+  // only each block's tail padding (fewer than 16 floats) is zeroed here,
+  // which keeps saved files byte-identical.
+  AlignedBuffer arena =
+      AlignedBuffer::Uninitialized(ArenaFloats(dim, groups, block_capacity));
   PdxStore store = Lay(dim, groups, block_capacity, arena.data());
   store.arena_ = std::move(arena);
+  for (PdxBlock& block : store.blocks_) {
+    const size_t n = block.count();
+    float* data = block.MutableDimension(0);
+    std::fill(data + dim * n, data + AlignedBlockFloats(dim, n), 0.0f);
+  }
   // Lay installed the lane ids; the pool writes the values, one tile per
   // item. A tile is up to kPackTileLanes lanes of one block across every
   // dimension, so each dimension receives one contiguous run per tile

@@ -64,6 +64,16 @@ TEST(AlignedBufferTest, CloneIsIndependent) {
   EXPECT_EQ(a[0], 1.0f);
 }
 
+TEST(AlignedBufferTest, UninitializedZeroesOnlyTheRoundUp) {
+  // The caller writes the 7 floats; the 9 the allocation rounds up to a
+  // 64-byte multiple are zeroed, so whole-register tail loads read zeros.
+  AlignedBuffer buffer = AlignedBuffer::Uninitialized(7);
+  EXPECT_EQ(buffer.size(), 7u);
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(buffer.data()) % kPdxAlignment, 0u);
+  for (size_t i = 7; i < 16; ++i) ASSERT_EQ(buffer.data()[i], 0.0f) << i;
+  EXPECT_TRUE(AlignedBuffer::Uninitialized(0).empty());
+}
+
 TEST(AlignedBufferTest, ResetReallocatesZeroed) {
   AlignedBuffer buffer(4);
   buffer[0] = 5.0f;

@@ -1,14 +1,16 @@
 // One parity table over every Searcher implementation: the plain float
-// facade (flat and IVF), the u8 quantized tier, the sharded facade (flat
-// and IVF) and a live collection after mutations, over a plain and over a
-// sharded base. Each implementation provides the per-slot SearchWith
-// primitive and its shape() (plus, for the sharded and live ones, a
-// SearchBatchWith override); Search, SearchBatch and the batch fan-out come
-// from the base class, so all three query surfaces must agree exactly —
-// with each other and with a searcher built with the same knobs — and a
-// pooled batch must hand out the same per-query work records as a
-// sequential one. Every row's shape must match the one its layout rules
-// predict, on the live rows after mutations and after a fold too.
+// facade (flat and IVF, and a flat store large enough that a one-query
+// batch on a pool splits over it), the u8 quantized tier, the sharded
+// facade (flat and IVF) and a live collection after mutations, over a plain
+// and over a sharded base. Each implementation provides the per-slot
+// SearchWith primitive and its shape() (plus a SearchBatchWith override on
+// the float facade, for the one-query split, and on the sharded and live
+// ones); Search, SearchBatch and the batch fan-out come from the base
+// class, so all three query surfaces must agree exactly — with each other
+// and with a searcher built with the same knobs — and a pooled batch must
+// hand out the same per-query work records as a sequential one, except
+// where one query splits. Every row's shape must match the one its layout
+// rules predict, on the live rows after mutations and after a fold too.
 //
 // The binary also counts heap allocations (global operator new) to pin
 // that the shared fan-out adds none of its own.
@@ -84,15 +86,37 @@ Dataset MakeData() {
   return GenerateDataset(spec);
 }
 
+/// The rows of the "flat-split" case: four exact-search partitions and a
+/// partial one, so START leaves 31,720 lanes to split, into three tasks on
+/// a pool of 4 and two on a pool of 2.
+const VectorSet& SplitRows() {
+  static const VectorSet rows = [] {
+    SyntheticSpec spec;
+    spec.name = "searcher-surface-split";
+    spec.dim = 24;
+    spec.count = 4 * kExactSearchBlockCapacity + 1000;
+    spec.num_queries = 1;
+    spec.num_clusters = 8;
+    spec.seed = 4243;
+    spec.distribution = ValueDistribution::kNormal;
+    return std::move(GenerateDataset(spec).data);
+  }();
+  return rows;
+}
+
 /// One row of the table: a name and a factory that builds the searcher
 /// under a given config (k, nprobe and threads vary per call), with the
-/// contiguous shard count it builds and whether it is a live collection.
+/// rows it serves, the contiguous shard count it builds, whether it is a
+/// live collection, and whether a one-query batch on a pool splits its
+/// flat search over the pool (which changes the query's work record).
 struct Case {
   std::string name;
   SearcherConfig config;
   std::function<std::unique_ptr<Searcher>(const SearcherConfig&)> build;
+  const VectorSet* rows = nullptr;
   size_t shards = 1;
   bool live = false;
+  bool splits = false;
 };
 
 /// The live rows' mutations: upserts of ids 5-7 and new ids 100000 and
@@ -133,6 +157,11 @@ std::vector<Case> Cases(const Dataset& data) {
   auto live_sharded = [live](const SearcherConfig& config) {
     return live(config, 3);
   };
+  auto split = [](const SearcherConfig& config) {
+    auto made = MakeSearcher(SplitRows(), config);
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    return std::move(made).value();
+  };
 
   SearcherConfig flat;
   flat.layout = SearcherLayout::kFlat;
@@ -143,13 +172,15 @@ std::vector<Case> Cases(const Dataset& data) {
   SearcherConfig u8 = ivf;
   u8.pruner = PrunerKind::kLinear;
   u8.quantization = QuantizationKind::kU8;
-  return {{"flat", flat, plain},
-          {"ivf", ivf, plain},
-          {"u8", u8, plain},
-          {"sharded", flat, sharded, 3},
-          {"sharded-ivf", ivf, sharded, 3},
-          {"mutable", flat, live_plain, 1, true},
-          {"mutable-sharded", ivf, live_sharded, 3, true}};
+  const VectorSet* rows = &data.data;
+  return {{"flat", flat, plain, rows},
+          {"flat-split", flat, split, &SplitRows(), 1, false, true},
+          {"ivf", ivf, plain, rows},
+          {"u8", u8, plain, rows},
+          {"sharded", flat, sharded, rows, 3},
+          {"sharded-ivf", ivf, sharded, rows, 3},
+          {"mutable", flat, live_plain, rows, 1, true},
+          {"mutable-sharded", ivf, live_sharded, rows, 3, true}};
 }
 
 void ExpectSameNeighbors(const std::vector<Neighbor>& actual,
@@ -287,7 +318,7 @@ TEST(SearcherSurfaceTest, ShapeDescribesEveryImplementation) {
     std::unique_ptr<Searcher> searcher = c.build(c.config);
     ASSERT_NE(searcher, nullptr) << c.name;
     EXPECT_EQ(searcher->dim(), data.dim()) << c.name;
-    SearcherShape expected = ExpectedShape(data.data, c.config, c.shards);
+    SearcherShape expected = ExpectedShape(*c.rows, c.config, c.shards);
     if (!c.live) {
       ExpectShape(searcher->shape(), expected, c.name);
       continue;
@@ -310,6 +341,7 @@ TEST(SearcherSurfaceTest, HugeKMatchesKEqualToCount) {
   const Dataset data = MakeData();
   constexpr size_t kQueries = 3;
   constexpr size_t kHugeK = size_t{1} << 40;
+  ThreadPool pool(4);
   for (const Case& c : Cases(data)) {
     SearcherConfig huge_config = c.config;
     huge_config.k = kHugeK;
@@ -330,6 +362,11 @@ TEST(SearcherSurfaceTest, HugeKMatchesKEqualToCount) {
       EXPECT_GT(expected[q].size(), c.config.k) << label;
       ExpectSameNeighbors(configured[q], expected[q], label + " configured");
       ExpectSameNeighbors(per_call[q], expected[q], label + " per call");
+      // One query on a pool answers the same; on the flat layout START
+      // takes every block, so nothing is left to split.
+      const auto one = everything->SearchBatchWith(
+          0, QueryKnobs{SIZE_MAX, 0}, data.queries.Vector(q), 1, &pool);
+      ExpectSameNeighbors(one.front(), expected[q], label + " one on a pool");
     }
   }
 }
@@ -357,6 +394,7 @@ TEST(SearcherSurfaceTest, PooledWorkRecordsEqualSequentialOnes) {
   const Dataset data = MakeData();
   const size_t nq = data.queries.count();
   ThreadPool pool(4);
+  ThreadPool other(4);
 
   for (const Case& c : Cases(data)) {
     std::unique_ptr<Searcher> searcher = c.build(c.config);
@@ -373,11 +411,29 @@ TEST(SearcherSurfaceTest, PooledWorkRecordsEqualSequentialOnes) {
       ExpectSameWork(pooled[q], sequential[q], label);
     }
     // One query on a pool: sequential on the base fan-out, spread over the
-    // shards on the tiling.
+    // shards on the tiling, split after START on the flat-split row.
     PdxearchProfile one;
     (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(), 1,
                                     &pool, &one);
-    ExpectSameWork(one, sequential[0], c.name + " one-query batch");
+    const std::string label = c.name + " one-query batch";
+    if (!c.splits) {
+      ExpectSameWork(one, sequential[0], label);
+      continue;
+    }
+    // A split prunes each task against START's bound, so it scans other
+    // values than the sequential search; but it visits every block, and
+    // its record depends only on the query, the store and the pool size.
+    EXPECT_EQ(one.blocks_visited, sequential[0].blocks_visited) << label;
+    EXPECT_EQ(one.values_total, sequential[0].values_total) << label;
+    EXPECT_GT(one.values_scanned, sequential[0].values_scanned) << label;
+    PdxearchProfile again;
+    PdxearchProfile elsewhere;
+    (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(), 1,
+                                    &pool, &again);
+    (void)searcher->SearchBatchWith(0, QueryKnobs{}, data.queries.data(), 1,
+                                    &other, &elsewhere);
+    ExpectSameWork(again, one, label + " again");
+    ExpectSameWork(elsewhere, one, label + " on another pool of 4");
   }
 }
 
@@ -462,6 +518,20 @@ TEST(SearcherSurfaceTest, PooledBatchAllocationsDoNotGrowWithThePool) {
     const uint64_t on_two = pooled(two);
     const uint64_t on_four = pooled(four);
     EXPECT_EQ(on_two, on_four) << c.name;
+    if (!c.splits) continue;
+    // A split keeps its task heaps in per-slot scratch: it allocates the
+    // same on any pool, and no more than the query run sequentially.
+    auto one = [&](ThreadPool* pool) {
+      (void)searcher->SearchBatchWith(0, knobs, data.queries.data(), 1, pool,
+                                      counters.data());  // Warm.
+      return CountAllocations([&] {
+        (void)searcher->SearchBatchWith(0, knobs, data.queries.data(), 1,
+                                        pool, counters.data());
+      });
+    };
+    const uint64_t one_on_two = one(&two);
+    EXPECT_EQ(one_on_two, one(&four)) << c.name;
+    EXPECT_LE(one_on_two, one(nullptr)) << c.name;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,17 +48,48 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& actual,
   }
 }
 
+/// `data` with every coordinate rounded to an integer, its first 300 rows
+/// stored again after the last, and two queries that repeat rows 5 and 17.
+/// Distances are then exact integer sums in any dimension order (each
+/// shard's PDX-BOND means pick its own order), and candidates tie at the
+/// k-th distance across shards.
+Dataset WithDuplicates(const Dataset& data) {
+  Dataset out;
+  out.data = VectorSet(data.dim(), data.data.count() + 300);
+  out.queries = VectorSet(data.dim(), data.queries.count() + 2);
+  std::vector<float> row(data.dim());
+  auto rounded = [&row](const float* v) {
+    for (size_t d = 0; d < row.size(); ++d) row[d] = std::round(v[d]);
+    return row.data();
+  };
+  for (VectorId i = 0; i < data.data.count(); ++i) {
+    out.data.Append(rounded(data.data.Vector(i)));
+  }
+  for (VectorId i = 0; i < 300; ++i) out.data.Append(out.data.Vector(i));
+  for (VectorId q = 0; q < data.queries.count(); ++q) {
+    out.queries.Append(rounded(data.queries.Vector(q)));
+  }
+  out.queries.Append(out.data.Vector(5));
+  out.queries.Append(out.data.Vector(17));
+  return out;
+}
+
 // --- Acceptance: sharded == unsharded, flat and IVF, two exact pruners ----
 
 TEST(ShardedSearcherTest, MatchesUnshardedExactPruners) {
-  Dataset data = MakeData();
   // IVF candidate generation is itself approximate and each shard builds
   // its own bucket structure, so IVF parity is asserted where both sides
   // are exhaustive: nprobe covering every bucket. Flat parity holds at the
-  // paper-default knobs. Linear and PDX-BOND are the exact pruners —
-  // pruning changes work done, never the accepted set.
+  // paper-default knobs, and on duplicated rows: a flat search keeps the
+  // lowest ids among candidates tied at the k-th distance, as the merge
+  // does. Linear and PDX-BOND are the exact pruners — pruning changes work
+  // done, never the accepted set.
+  const Dataset plain = MakeData();
+  const Dataset duplicated = WithDuplicates(plain);
   const size_t all_buckets = 1u << 20;
   for (SearcherLayout layout : {SearcherLayout::kFlat, SearcherLayout::kIvf}) {
+    const Dataset& data =
+        layout == SearcherLayout::kFlat ? duplicated : plain;
     for (PrunerKind pruner : {PrunerKind::kLinear, PrunerKind::kBond}) {
       SearcherConfig config = Config(layout, pruner, all_buckets);
       auto reference = MakeSearcher(data.data, config);

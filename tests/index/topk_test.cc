@@ -104,6 +104,57 @@ TEST(TopKTest, TiesBrokenById) {
   EXPECT_EQ(results[2].id, 9u);
 }
 
+TEST(TopKTest, HeavyTiesKeepTheLowestIds) {
+  // Few distinct distances, ids offered in shuffled order: at every k the
+  // heap must hold the k smallest by (distance, id), not whichever tied
+  // candidates reached it first.
+  Rng rng(3);
+  std::vector<Neighbor> all(600);
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = Neighbor{static_cast<VectorId>(i),
+                      static_cast<float>(rng.UniformInt(5))};
+  }
+  for (size_t k : {size_t{1}, size_t{10}, size_t{25}, size_t{170}}) {
+    for (int round = 0; round < 8; ++round) {
+      rng.Shuffle(all);
+      TopK topk(k);
+      for (const Neighbor& n : all) topk.Push(n.id, n.distance);
+      std::vector<Neighbor> expected = all;
+      std::sort(expected.begin(), expected.end(),
+                [](const Neighbor& a, const Neighbor& b) {
+                  if (a.distance != b.distance) return a.distance < b.distance;
+                  return a.id < b.id;
+                });
+      expected.resize(k);
+      ASSERT_EQ(topk.SortedResults(), expected) << "k " << k;
+    }
+  }
+}
+
+TEST(TopKTest, MergeAndResetKeepTheUnionsBest) {
+  // Heaps over disjoint candidates merge into the heap over their union,
+  // and a reset heap collects afresh at its new k.
+  Rng rng(4);
+  TopK whole(7);
+  TopK left(7);
+  TopK right(3);
+  right.Reset(7);
+  for (VectorId id = 0; id < 200; ++id) {
+    const float distance = static_cast<float>(rng.UniformInt(6));
+    whole.Push(id, distance);
+    (id % 3 == 0 ? left : right).Push(id, distance);
+  }
+  left.Merge(right);
+  EXPECT_EQ(left.SortedResults(), whole.SortedResults());
+  left.Reset(2);
+  EXPECT_EQ(left.size(), 0u);
+  left.Push(9, 1.0f);
+  left.Push(4, 1.0f);
+  left.Push(6, 1.0f);
+  EXPECT_EQ(left.SortedResults(),
+            (std::vector<Neighbor>{{4, 1.0f}, {6, 1.0f}}));
+}
+
 TEST(TopKTest, ClearResets) {
   TopK topk(2);
   topk.Push(0, 1.0f);

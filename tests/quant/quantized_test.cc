@@ -199,11 +199,17 @@ void ExpectSerialEncode(const VectorSet& vectors,
 TEST(QuantizedStoreTest, CodesEqualSerialEncode) {
   Dataset data = MakeDataset(100, ValueDistribution::kNormal, 21);
   // Dimension 0 spans exactly [0, 255] (scale 1) and holds halves, so
-  // rounding ties away from zero shows in the codes.
+  // rounding ties away from zero shows in the codes, and every third row
+  // holds the float just below a half (0.49999997f, ..., the float below
+  // 254.5f), which must round down: floor(x + 0.5f) rounds 0.49999997f up.
   for (size_t i = 0; i < data.data.count(); ++i) {
+    const float half = float(i % 255) + 0.5f;
     data.data.MutableVector(static_cast<VectorId>(i))[0] =
-        i < 2 ? 255.0f * float(i) : float(i % 255) + 0.5f;
+        i < 2 ? 255.0f * float(i)
+              : (i % 3 == 0 ? std::nextafter(half, 0.0f) : half);
   }
+  data.data.MutableVector(2)[0] = 0.49999997f;
+  data.data.MutableVector(3)[0] = std::nextafter(254.5f, 0.0f);
   ExpectSerialEncode(data.data, {}, 64);
   ExpectSerialEncode(data.data, {}, 300);
 

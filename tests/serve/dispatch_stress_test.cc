@@ -11,9 +11,13 @@
 //     ctest timeout fails CI);
 //   - accounting: per-dispatcher dispatch counts partition the total.
 //
+// The hot collection is large enough (three exact-search partitions after
+// START) that every one-query batch splits its flat search over the shared
+// pool, so concurrent dispatchers run concurrent splits on one pool.
+//
 // The ThreadSanitizer and AddressSanitizer CI jobs run this binary; any
-// data race on the dispatch path (searcher config, slot engines, scratch)
-// or lifetime bug in the Pending hand-offs surfaces here.
+// data race on the dispatch path (searcher config, slot engines, split
+// heaps, scratch) or lifetime bug in the Pending hand-offs surfaces here.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +36,8 @@ namespace {
 using namespace std::chrono_literals;
 
 struct StressFixture {
-  Dataset dataset;
+  Dataset dataset;         ///< The hot collection's rows, and the queries.
+  VectorSet sharded_rows;  ///< The sharded collection's: the first 2,400.
   std::vector<std::vector<std::vector<Neighbor>>> expected_hot;      // [k][q]
   std::vector<std::vector<std::vector<Neighbor>>> expected_sharded;  // [k][q]
 };
@@ -52,18 +57,19 @@ StressFixture MakeStressFixture(size_t num_shards) {
   SyntheticSpec spec;
   spec.name = "dispatch-stress";
   spec.dim = 24;
-  spec.count = 2400;
+  spec.count = 3 * kExactSearchBlockCapacity + 2400;
   spec.num_queries = 16;
   spec.num_clusters = 8;
   spec.seed = 1234;
   spec.distribution = ValueDistribution::kNormal;
-  StressFixture fx{GenerateDataset(spec), {}, {}};
+  StressFixture fx{GenerateDataset(spec), {}, {}, {}};
+  fx.sharded_rows =
+      VectorSet::FromRowMajor(fx.dataset.data.data(), 2400, spec.dim);
 
   ShardingOptions sharding;
   sharding.num_shards = num_shards;
   auto hot = MakeSearcher(fx.dataset.data, HotConfig());
-  auto sharded =
-      MakeShardedSearcher(fx.dataset.data, HotConfig(), sharding);
+  auto sharded = MakeShardedSearcher(fx.sharded_rows, HotConfig(), sharding);
   EXPECT_TRUE(hot.ok());
   EXPECT_TRUE(sharded.ok());
   const size_t nq = fx.dataset.queries.count();
@@ -111,7 +117,7 @@ TEST(DispatchStressTest, ConcurrentDispatchersKeepExactParity) {
   ShardingOptions sharding;
   sharding.num_shards = kShards;
   ASSERT_TRUE(service
-                  .AddCollection("sharded", fx.dataset.data, HotConfig(),
+                  .AddCollection("sharded", fx.sharded_rows, HotConfig(),
                                  sharding)
                   .ok());
 
@@ -183,6 +189,54 @@ TEST(DispatchStressTest, ConcurrentDispatchersKeepExactParity) {
     EXPECT_EQ(cs.completed, kClients * kRounds * nq);
   }
   EXPECT_EQ(dispatcher_total, collection_total);
+}
+
+TEST(DispatchStressTest, ConcurrentOneQuerySplitsKeepExactParity) {
+  // One query per batch: every dispatch of the hot collection splits its
+  // flat search over the shared pool, so the dispatchers' splits overlap
+  // on the same workers, each on its own slot band.
+  StressFixture fx = MakeStressFixture(2);
+  ServiceConfig sc;
+  sc.threads = 4;
+  sc.dispatchers = 3;
+  sc.max_batch = 1;
+  SearchService service(sc);
+  ASSERT_TRUE(
+      service.AddCollection("hot", fx.dataset.data, HotConfig()).ok());
+
+  const size_t nq = fx.dataset.queries.count();
+  std::atomic<size_t> bad{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t round = 0; round < 4; ++round) {
+        struct Outstanding {
+          size_t variant;  // 0 = k default (10), 1 = k override (5).
+          size_t q;
+          QueryTicket ticket;
+        };
+        std::vector<Outstanding> outstanding;
+        for (size_t q = 0; q < nq; ++q) {
+          const size_t variant = (c + q + round) % 2;
+          QueryOptions options;
+          options.k = variant == 0 ? 0 : 5;
+          outstanding.push_back(
+              {variant, q,
+               service.Submit("hot", fx.dataset.queries.Vector(q), options)});
+        }
+        for (Outstanding& out : outstanding) {
+          QueryResult result = out.ticket.result.get();
+          if (!result.status.ok() ||
+              !SameNeighbors(result.neighbors,
+                             fx.expected_hot[out.variant][out.q])) {
+            bad.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(bad.load(), 0u);
 }
 
 TEST(DispatchStressTest, DeadlineShedsStayLiveUnderConcurrentLoad) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -171,10 +173,26 @@ LaneByLanePack PackLaneByLane(const VectorSet& vectors,
   return pack;
 }
 
+/// Fills and frees heap blocks the size of a `floats` arena, so that a pack
+/// which left an arena float unwritten would likely read this NaN garbage
+/// rather than the zeros of a fresh page. The first block of a size above
+/// the allocator's mmap threshold raises that threshold when freed; the
+/// next ones then come from, and return to, the heap the arena is cut from.
+void DirtyTheHeap(size_t floats) {
+  const size_t bytes = (floats * sizeof(float) + 63) / 64 * 64;
+  for (int round = 0; round < 3; ++round) {
+    float* block = static_cast<float*>(std::aligned_alloc(64, bytes));
+    ASSERT_NE(block, nullptr);
+    std::fill(block, block + floats, std::numeric_limits<float>::quiet_NaN());
+    std::free(block);
+  }
+}
+
 void ExpectPackedLaneByLane(const VectorSet& vectors,
                             const std::vector<std::vector<VectorId>>& groups,
                             size_t capacity) {
   const uint64_t packs = PdxStorePackCount();
+  DirtyTheHeap(PdxStore::ArenaFloats(vectors.dim(), groups, capacity));
   const PdxStore store = PdxStore::FromGroups(vectors, groups, capacity);
   EXPECT_EQ(PdxStorePackCount(), packs + 1);
   const LaneByLanePack expected = PackLaneByLane(vectors, groups, capacity);
@@ -182,6 +200,18 @@ void ExpectPackedLaneByLane(const VectorSet& vectors,
   EXPECT_EQ(std::memcmp(store.arena_data(), expected.arena.data(),
                         expected.arena.size() * sizeof(float)),
             0);
+  // The arena is allocated without a fill, so the pack itself zeroes the
+  // padding after each block's last dimension (the memcmp covers it too).
+  size_t padding = 0;
+  for (size_t b = 0; b < store.num_blocks(); ++b) {
+    const PdxBlock& block = store.block(b);
+    const float* end = block.data() + block.dim() * block.count();
+    for (size_t f = 0; (block.dim() * block.count() + f) % 16 != 0; ++f) {
+      EXPECT_EQ(end[f], 0.0f) << "block " << b << " padding float " << f;
+      ++padding;
+    }
+  }
+  EXPECT_GT(padding, 0u);
   ASSERT_EQ(store.num_blocks(), expected.ids.size());
   for (size_t b = 0; b < store.num_blocks(); ++b) {
     EXPECT_EQ(store.block(b).ids(), expected.ids[b]) << "block " << b;

@@ -23,8 +23,9 @@ void RunDataset(const SyntheticSpec& spec) {
 
   PdxStore pdx_store = PdxStore::FromVectorSet(dataset.data);
   DsmStore dsm_store = DsmStore::FromVectorSet(dataset.data);
-  // Flat PDX-BOND: <=10K partitions, distance-to-means order (Section 6.5),
-  // partition size capped so small collections still have several blocks.
+  // Flat PDX-BOND: distance-to-means order (Section 6.5) on partitions of
+  // at most kExactSearchBlockCapacity lanes (the paper's are 10K), capped
+  // so small collections still have several blocks.
   SearcherConfig bond_config =
       bench::PdxConfig(SearcherLayout::kFlat, PrunerKind::kBond, k);
   bond_config.block_capacity =

@@ -32,8 +32,8 @@ int main() {
   pdx::SyntheticSpec spec;
   spec.name = "dedup";
   spec.dim = 960;
-  // Past three exact-search partitions (kExactSearchBlockCapacity lanes
-  // each), so a one-query batch on a pool splits into three ranges.
+  // Past three split tasks (kSplitTaskLanes lanes each after START), so a
+  // one-query batch on a pool splits into three ranges.
   spec.count = 32768;
   spec.num_queries = 20;
   spec.distribution = pdx::ValueDistribution::kSkewed;

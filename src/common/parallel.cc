@@ -71,6 +71,14 @@ uint64_t ThreadPool::num_created() {
 ThreadPool::ThreadPool(size_t num_threads) {
   pool_creation_counter.fetch_add(1, std::memory_order_relaxed);
   num_threads = ResolveThreadCount(num_threads);
+  if (num_threads > 1) {
+    // A late-waking worker holds at most one finished record, so with one
+    // caller one of these is always free: its loops allocate none.
+    active_jobs_.reserve(num_threads);
+    for (size_t i = 0; i < num_threads; ++i) {
+      free_jobs_.push_back(std::make_shared<Job>());
+    }
+  }
   workers_.reserve(num_threads - 1);
   for (size_t w = 1; w < num_threads; ++w) {
     workers_.emplace_back([this, w] { WorkerMain(w); });
@@ -108,12 +116,15 @@ void ThreadPool::ParallelFor(size_t count,
     return;
   }
 
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->count = count;
-  job->run = RunLength(count, num_threads());
+  std::shared_ptr<Job> job;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    job = TakeFreeJobLocked();
+    job->fn = &fn;
+    job->count = count;
+    job->run = RunLength(count, num_threads());
+    job->next.store(0, std::memory_order_relaxed);
+    job->done.store(0, std::memory_order_relaxed);
     active_jobs_.push_back(job);
     ++generation_;
   }
@@ -121,6 +132,7 @@ void ThreadPool::ParallelFor(size_t count,
 
   RunJob(*job, 0);
 
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // Wait for items, not for workers: a late-waking worker that never got
@@ -131,8 +143,21 @@ void ThreadPool::ParallelFor(size_t count,
     });
     active_jobs_.erase(
         std::find(active_jobs_.begin(), active_jobs_.end(), job));
+    error = std::move(job->error);
+    free_jobs_.push_back(std::move(job));
   }
-  if (job->error) std::rethrow_exception(job->error);
+  if (error) std::rethrow_exception(error);
+}
+
+std::shared_ptr<ThreadPool::Job> ThreadPool::TakeFreeJobLocked() {
+  for (auto it = free_jobs_.begin(); it != free_jobs_.end(); ++it) {
+    if (it->use_count() == 1) {
+      std::shared_ptr<Job> job = std::move(*it);
+      free_jobs_.erase(it);
+      return job;
+    }
+  }
+  return std::make_shared<Job>();
 }
 
 ThreadPool& ThreadPool::Shared() {
@@ -154,7 +179,9 @@ void ThreadPool::WorkerMain(size_t worker_id) {
     // job submitted mid-drain is caught either by the rescan or by the
     // generation bump on the next wait.
     for (;;) {
-      std::shared_ptr<Job> job;  // Own a reference before unlocking.
+      // Own a reference before unlocking. It is dropped at the end of this
+      // iteration, with mutex_ held again, as free_jobs_ requires.
+      std::shared_ptr<Job> job;
       for (const std::shared_ptr<Job>& candidate : active_jobs_) {
         if (candidate->next.load(std::memory_order_relaxed) <
             candidate->count) {

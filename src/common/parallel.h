@@ -109,11 +109,12 @@ class ThreadPool {
   static ThreadPool& Shared();
 
  private:
-  // One parallel loop's shared state. Heap-allocated and held via
-  // shared_ptr so a worker that wakes late (after the caller has already
-  // returned, possibly after a newer job was submitted) still holds a
-  // consistent {fn, count, next} triple: it finds `next` exhausted and
-  // leaves, instead of racing a newer job's counters.
+  // One parallel loop's shared state. Held via shared_ptr so a worker that
+  // wakes late (after the caller has already returned, possibly after a
+  // newer job was submitted) still holds a consistent {fn, count, next}
+  // triple: it finds `next` exhausted and leaves, instead of racing a newer
+  // job's counters. Finished jobs go back to free_jobs_ and are reused, so
+  // a warm pool allocates none.
   struct Job {
     const std::function<void(size_t, size_t)>* fn = nullptr;
     size_t count = 0;
@@ -127,6 +128,9 @@ class ThreadPool {
   void WorkerMain(size_t worker_id);
   // Caller/worker loop: claim runs of items until `job` is exhausted.
   void RunJob(Job& job, size_t worker_id);
+  // A job record no worker holds, reused from free_jobs_ when one is there.
+  // Called with mutex_ held.
+  std::shared_ptr<Job> TakeFreeJobLocked();
 
   std::vector<std::thread> workers_;
 
@@ -139,6 +143,11 @@ class ThreadPool {
   // own job, drives it as worker 0, and removes it once done; spawned
   // workers claim items from whichever active job still has some.
   std::vector<std::shared_ptr<Job>> active_jobs_;
+  // Finished jobs, one per thread at construction (more only when
+  // concurrent callers need them). Workers take and drop their references
+  // under mutex_, so under it a use_count() of 1 means no late-waking
+  // worker still holds the record.
+  std::vector<std::shared_ptr<Job>> free_jobs_;
 };
 
 /// Runs fn(i) for i in [0, count) across hardware threads, on the shared

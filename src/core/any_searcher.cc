@@ -212,8 +212,9 @@ SearcherConfig ResolveConfig(SearcherConfig config) {
     config.pruner = PrunerKind::kLinear;
   }
   if (config.block_capacity == 0) {
-    // Flat PDX-BOND uses the paper's large exact-search partitions
-    // (Section 6.5); everything else uses register-resident blocks.
+    // Flat PDX-BOND uses large exact-search partitions (Section 6.5, at
+    // kExactSearchBlockCapacity); everything else uses register-resident
+    // blocks.
     config.block_capacity = (config.layout == SearcherLayout::kFlat &&
                              config.pruner == PrunerKind::kBond)
                                 ? kExactSearchBlockCapacity
@@ -380,8 +381,8 @@ class AnySearcherImpl final : public Searcher {
   // Splits only a flat search with an exact pruner (linear, or PDX-BOND
   // under any order), whose bound START fixes for every later lane; the
   // inexact bounds of ADSampling and BSA and IVF's bucket order keep the
-  // sequential path. Tasks: one per kExactSearchBlockCapacity lanes left
-  // after START, at most one per pool thread and one per block, so small
+  // sequential path. Tasks: one per kSplitTaskLanes lanes left after
+  // START, at most one per pool thread and one per block, so small
   // collections stay sequential.
   SplitPlan PlanSplit(const ThreadPool* pool, size_t k) const {
     constexpr bool kExact =
@@ -397,8 +398,7 @@ class AnySearcherImpl final : public Searcher {
       start_lanes += store_.block(plan.first++).count();
     }
     plan.tasks = std::min({pool->num_threads(), plan.num_blocks - plan.first,
-                           (store_.count() - start_lanes) /
-                               kExactSearchBlockCapacity});
+                           (store_.count() - start_lanes) / kSplitTaskLanes});
     return plan;
   }
 

@@ -24,9 +24,25 @@ namespace pdx {
 class CollectionImage;   // storage/collection_format.h
 struct SavedCollection;  // storage/collection_format.h
 
-/// Exact-search partition size used by the paper (Section 6.5): the block
-/// capacity flat PDX-BOND resolves to.
-inline constexpr size_t kExactSearchBlockCapacity = 10240;
+/// The block capacity flat PDX-BOND resolves to. The paper's exact search
+/// uses 10K-vector partitions (Section 6.5); these are five times smaller.
+/// A pruned partition costs its WARMUP scan of every lane, and START is
+/// one whole partition, so smaller ones prune under a threshold that
+/// tightens five times as often and split one query into finer tasks.
+/// Sweep on 4 vCPUs (one query, PDX-BOND in sequential order, k = 10; p50
+/// of two runs): split on a pool of 4, 100K x 96 rows took 0.95-1.14 ms at
+/// 10,240 lanes, 0.71-0.89 ms at 4,096, 0.60-0.67 ms at 2,048, 0.60-0.78
+/// ms at 1,024 and 0.82-0.99 ms at 64; 120K x 768 rows took 10.5-12.8 ms
+/// at 10,240, 8.7-10.6 ms at 2,048 and 8.7-9.2 ms at 1,024. Sequentially,
+/// 120K x 768 rows took 24.6-27.8 ms at 2,048 lanes but 32.2-32.6 ms at
+/// 512. A collection saved at another capacity keeps it: its file names
+/// the capacity it was packed at.
+inline constexpr size_t kExactSearchBlockCapacity = 2048;
+
+/// Lanes left after START per task of a one-query split (see
+/// Searcher::SearchBatchWith): a split needs two tasks, so at least twice
+/// this many lanes after START.
+inline constexpr size_t kSplitTaskLanes = 10240;
 
 /// How the collection is blocked and visited (Sections 4.2/6.5).
 enum class SearcherLayout : uint8_t {
@@ -68,8 +84,8 @@ struct SearcherConfig {
   /// thread semantic and the kMaxPoolThreads ceiling ValidateSearcherConfig
   /// enforces. SearchBatchWith ignores it: its pool rides on the call.
   size_t threads = 1;
-  /// Vectors per PDX block; 0 = layout default (kPdxBlockSize, or the
-  /// paper's 10K partitions for flat PDX-BOND).
+  /// Vectors per PDX block; 0 = layout default (kPdxBlockSize, or
+  /// kExactSearchBlockCapacity for flat PDX-BOND).
   size_t block_capacity = 0;
   /// IVF build options, used only when the factory builds its own index.
   IvfOptions ivf;
@@ -226,8 +242,8 @@ class Searcher {
   ///     more threads when the layout is flat and the pruner exact (linear,
   ///     or PDX-BOND under any order). START runs on the calling thread,
   ///     through `slot`, until the heap holds k; the blocks after it form
-  ///     min(pool threads, lanes left / kExactSearchBlockCapacity, blocks
-  ///     left) contiguous ranges, range w on slot `slot + w`, each pruning
+  ///     min(pool threads, lanes left / kSplitTaskLanes, blocks left)
+  ///     contiguous ranges, range w on slot `slot + w`, each pruning
   ///     against the smaller of its own k-th distance and START's, and the
   ///     caller merges the range heaps by (distance, id). Fewer than two
   ///     ranges (a small collection, or k near the count) keep the

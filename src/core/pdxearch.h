@@ -45,10 +45,15 @@ struct PdxearchOptions {
 
 /// The "prune nothing" policy: PDXearch degenerates to a blockwise linear
 /// scan (the PDX-LINEAR-SCAN competitor, and the baseline of Figure 10).
+/// Its test keeps every lane, so the compiler drops the engine's
+/// compaction loop for it.
 class NoPruner {
  public:
   struct QueryState {
     const float* query = nullptr;
+  };
+  struct LaneTest {
+    bool operator()(uint32_t, float) const { return true; }
   };
   QueryState PrepareQuery(const float* raw_query) const {
     return QueryState{raw_query};
@@ -59,9 +64,8 @@ class NoPruner {
     return nullptr;
   }
   void BuildAux(const PdxStore&) {}
-  size_t FilterSurvivors(const QueryState&, size_t, const float*, size_t,
-                         float, uint32_t*, size_t count) const {
-    return count;
+  LaneTest SurvivalTest(const QueryState&, size_t, size_t, float) const {
+    return {};
   }
 };
 
@@ -75,24 +79,33 @@ class NoPruner {
 ///            vectors, evaluating the pruning predicate after each step but
 ///            not yet skipping pruned lanes (skipping few lanes costs more
 ///            in random access than it saves).
-///   PRUNE  — once survivors drop below `selection_fraction`, compact the
-///            survivor positions and compute only those lanes.
+///   PRUNE  — once survivors drop below `selection_fraction`, compute only
+///            the survivors' lanes. Their partial distances move once, at
+///            PRUNE entry, into an array indexed by survivor beside the
+///            survivor positions, so the PRUNE kernels gather values
+///            without scattering distances back to lanes.
 ///
-/// The framework never changes *what* the pruner's predicate accepts — only
-/// how many dimensions are fetched per step and when computation is broken
+/// After every step the engine asks the pruner's per-lane test which
+/// survivors may still enter the top-k and compacts the positions (and, in
+/// PRUNE, the distances beside them) itself; a pruner supplies only the
+/// test. The framework never changes *what* that test accepts — only how
+/// many dimensions are fetched per step and when computation is broken
 /// off — so the underlying algorithm's exactness/recall is preserved.
 ///
 /// The Pruner policy must provide:
 ///   struct QueryState;
+///   struct LaneTest;  // bool operator()(uint32_t lane, float partial) const
 ///   QueryState PrepareQuery(const float* raw_query) const;
 ///   const float* KernelQuery(const QueryState&) const;
 ///   bool has_visit_order() const;
 ///   const std::vector<uint32_t>* VisitOrder(const QueryState&) const;
 ///   void BuildAux(const PdxStore&);
-///   size_t FilterSurvivors(const QueryState&, size_t block_index,
-///                          const float* distances, size_t dims_scanned,
-///                          float threshold, uint32_t* positions,
-///                          size_t count) const;
+///   LaneTest SurvivalTest(const QueryState&, size_t block_index,
+///                         size_t dims_scanned, float threshold) const;
+/// SurvivalTest fixes one test of block `block_index` after
+/// `dims_scanned` dimensions against `threshold` (the k-th distance); the
+/// LaneTest it returns says whether lane `lane`, at partial distance
+/// `partial`, survives.
 template <typename Pruner>
 class PdxearchEngine {
  public:
@@ -111,6 +124,7 @@ class PdxearchEngine {
       max_lanes = std::max(max_lanes, store_->block(b).count());
     }
     distances_.Reset(max_lanes);
+    survivor_distances_.Reset(max_lanes);
     positions_.resize(max_lanes);
   }
 
@@ -219,9 +233,12 @@ class PdxearchEngine {
       return;
     }
 
-    // WARMUP / PRUNE.
+    // WARMUP / PRUNE. WARMUP accumulates every lane into `distances`;
+    // PRUNE accumulates survivor p's lane positions[p] into
+    // survivor_distances[p].
     std::fill(distances, distances + n, 0.0f);
     uint32_t* positions = positions_.data();
+    float* survivor_distances = survivor_distances_.data();
     std::iota(positions, positions + n, 0u);
     size_t alive = n;
     if (options_.step_observer) options_.step_observer(0, n, n);
@@ -259,11 +276,11 @@ class PdxearchEngine {
         if (order != nullptr) {
           kernels_.pdx_accumulate_dims_positions(
               metric_, query, block.data(), n, order->data() + dims_done, step,
-              positions, alive, distances);
+              positions, alive, survivor_distances);
         } else {
-          kernels_.pdx_accumulate_positions(metric_, query, block.data(), n,
-                                            dims_done, dims_done + step,
-                                            positions, alive, distances);
+          kernels_.pdx_accumulate_positions(
+              metric_, query, block.data(), n, dims_done, dims_done + step,
+              positions, alive, survivor_distances);
         }
         profile_.values_scanned += uint64_t(alive) * step;
       }
@@ -275,16 +292,24 @@ class PdxearchEngine {
       if (dims_done >= dim) break;  // Full distances: no test needed.
 
       if (timed) timer.Reset();
-      alive = pruner_->FilterSurvivors(qs, block_index, distances, dims_done,
-                                       std::min(heap.threshold(), bound),
-                                       positions, alive);
+      const typename Pruner::LaneTest survives = pruner_->SurvivalTest(
+          qs, block_index, dims_done, std::min(heap.threshold(), bound));
+      alive = pruning_phase
+                  ? KeepSurvivors(survives, positions, survivor_distances,
+                                  alive)
+                  : KeepLanes(survives, distances, positions, alive);
       ++profile_.predicate_evaluations;
       if (timed) profile_.bounds_ms += timer.ElapsedMillis();
 
       if (options_.step_observer) {
         options_.step_observer(dims_done, alive, n);
       }
-      if (!pruning_phase && alive <= prune_entry) pruning_phase = true;
+      if (!pruning_phase && alive <= prune_entry) {
+        pruning_phase = true;
+        for (size_t p = 0; p < alive; ++p) {
+          survivor_distances[p] = distances[positions[p]];
+        }
+      }
     }
 
     if (options_.step_observer) options_.step_observer(dim, alive, n);
@@ -295,9 +320,41 @@ class PdxearchEngine {
     if (timed) timer.Reset();
     for (size_t p = 0; p < alive; ++p) {
       const uint32_t lane = positions[p];
-      heap.Push(block.id(lane), distances[lane]);
+      heap.Push(block.id(lane),
+                pruning_phase ? survivor_distances[p] : distances[lane]);
     }
     if (timed) profile_.distance_ms += timer.ElapsedMillis();
+  }
+
+  // The two compactions keep, in order, the survivors `survives` passes
+  // and return how many are left. Each writes every survivor and advances
+  // the write cursor only past those that pass, so neither branches on the
+  // test. WARMUP's distances are lane-indexed and stay where they are.
+  template <typename LaneTest>
+  static size_t KeepLanes(const LaneTest& survives, const float* distances,
+                          uint32_t* positions, size_t count) {
+    size_t out = 0;
+    for (size_t p = 0; p < count; ++p) {
+      const uint32_t lane = positions[p];
+      positions[out] = lane;
+      out += static_cast<size_t>(survives(lane, distances[lane]));
+    }
+    return out;
+  }
+
+  // PRUNE's distances are survivor-indexed and move with their positions.
+  template <typename LaneTest>
+  static size_t KeepSurvivors(const LaneTest& survives, uint32_t* positions,
+                              float* distances, size_t count) {
+    size_t out = 0;
+    for (size_t p = 0; p < count; ++p) {
+      const uint32_t lane = positions[p];
+      const float partial = distances[p];
+      positions[out] = lane;
+      distances[out] = partial;
+      out += static_cast<size_t>(survives(lane, partial));
+    }
+    return out;
   }
 
   const PdxStore* store_;
@@ -307,7 +364,8 @@ class PdxearchEngine {
   /// The runtime-dispatched kernel tier, resolved once at engine creation
   /// so the block loop pays one indirect call per kernel, not a dispatch.
   const KernelTable& kernels_;
-  AlignedBuffer distances_;
+  AlignedBuffer distances_;           ///< Lane-indexed (START, WARMUP).
+  AlignedBuffer survivor_distances_;  ///< Survivor-indexed (PRUNE).
   std::vector<uint32_t> positions_;
   PdxearchProfile profile_;
 };

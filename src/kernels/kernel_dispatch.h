@@ -28,7 +28,9 @@ using PairKernelFn = float (*)(const float*, const float*, size_t);
 using NaryBatchFn = void (*)(Metric, const float* query, const float* data,
                              size_t count, size_t dim, float* out);
 
-// Vertical (PDX-layout) kernels; see pdx_kernels.h for the contracts.
+// Vertical (PDX-layout) kernels; see pdx_kernels.h for the contracts. The
+// two *Positions kernels gather the lanes `positions` lists and accumulate
+// into `distances` indexed by survivor (position_count entries), not lane.
 using PdxAccumulateFn = void (*)(Metric, const float* query,
                                  const float* block, size_t n, size_t d_start,
                                  size_t d_end, float* distances);

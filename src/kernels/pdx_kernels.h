@@ -18,7 +18,9 @@ namespace pdx {
 /// paper's portability claim).
 ///
 /// `block` points to dimension-major data where dimension d's values occupy
-/// block[d*n .. d*n+n). `distances` has n entries indexed by lane.
+/// block[d*n .. d*n+n). `distances` has n entries indexed by lane, except
+/// in the two PRUNE-phase (*Positions) kernels, where it is indexed by
+/// survivor.
 ///
 /// The kernels are compiled once per ISA tier (scalar / AVX2 / AVX-512, see
 /// src/kernels/isa/) and these entry points forward to the tier the runtime
@@ -43,13 +45,18 @@ void PdxAccumulateDims(Metric metric, const float* query, const float* block,
                        float* distances);
 
 /// PRUNE-phase kernel: accumulates dims [d_start, d_end) only for the lanes
-/// listed in `positions` (the not-yet-pruned vectors).
+/// listed in `positions` (the not-yet-pruned vectors). Unlike the kernels
+/// above, `distances` is indexed by survivor, not by lane: it has
+/// position_count entries, and distances[p] is lane positions[p]'s partial
+/// distance. Each lane still sums its dimensions in the order the lane-
+/// indexed kernels do, so its bits are the same.
 void PdxAccumulatePositions(Metric metric, const float* query,
                             const float* block, size_t n, size_t d_start,
                             size_t d_end, const uint32_t* positions,
                             size_t position_count, float* distances);
 
-/// PRUNE-phase kernel with an explicit dimension list.
+/// PRUNE-phase kernel with an explicit dimension list; `distances` is
+/// indexed by survivor, as in PdxAccumulatePositions.
 void PdxAccumulateDimsPositions(Metric metric, const float* query,
                                 const float* block, size_t n,
                                 const uint32_t* dims, size_t dims_count,

@@ -95,9 +95,11 @@ static inline void AccumulateDims(const float* PDX_RESTRICT query,
   }
 }
 
-/// PRUNE-phase kernel: indexed access through the survivors list. The
-/// gather-style indexing is the random-access cost the WARMUP phase defers
-/// until few vectors remain.
+/// PRUNE-phase kernel: gathers the survivors' values through `positions`
+/// and accumulates into `distances`, which is indexed by survivor:
+/// distances[p] belongs to lane positions[p]. The gather is the random-
+/// access cost the WARMUP phase defers until few vectors remain; the
+/// distances stay contiguous, so no update is scattered back to its lane.
 template <Metric M>
 static inline void AccumulatePositions(const float* PDX_RESTRICT query,
                                 const float* PDX_RESTRICT block, size_t n,
@@ -109,8 +111,7 @@ static inline void AccumulatePositions(const float* PDX_RESTRICT query,
     const float query_value = query[d];
     const float* PDX_RESTRICT values = block + d * n;
     for (size_t p = 0; p < position_count; ++p) {
-      const uint32_t lane = positions[p];
-      distances[lane] += LaneUpdate<M>(query_value, values[lane]);
+      distances[p] += LaneUpdate<M>(query_value, values[positions[p]]);
     }
   }
 }
@@ -128,8 +129,7 @@ static inline void AccumulateDimsPositions(const float* PDX_RESTRICT query,
     const float query_value = query[d];
     const float* PDX_RESTRICT values = block + d * n;
     for (size_t p = 0; p < position_count; ++p) {
-      const uint32_t lane = positions[p];
-      distances[lane] += LaneUpdate<M>(query_value, values[lane]);
+      distances[p] += LaneUpdate<M>(query_value, values[positions[p]]);
     }
   }
 }

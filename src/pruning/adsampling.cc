@@ -70,21 +70,6 @@ AdSamplingPruner::QueryState AdSamplingPruner::PrepareQuery(
   return qs;
 }
 
-size_t AdSamplingPruner::FilterSurvivors(const QueryState&, size_t,
-                                         const float* distances,
-                                         size_t dims_scanned, float threshold,
-                                         uint32_t* positions,
-                                         size_t count) const {
-  const float bound = threshold * ratios_[dims_scanned];
-  size_t out = 0;
-  for (size_t p = 0; p < count; ++p) {
-    const uint32_t lane = positions[p];
-    positions[out] = lane;
-    out += static_cast<size_t>(distances[lane] < bound);
-  }
-  return out;
-}
-
 namespace {
 
 // One candidate vector, dual-block layout: chunked distance + hypothesis

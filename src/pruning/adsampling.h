@@ -60,6 +60,13 @@ class AdSamplingPruner {
     std::vector<float> query;
   };
 
+  /// The hypothesis test of one step: a lane survives while its partial
+  /// distance is below threshold * Ratio(dims_scanned).
+  struct LaneTest {
+    float bound;
+    bool operator()(uint32_t, float partial) const { return partial < bound; }
+  };
+
   QueryState PrepareQuery(const float* raw_query) const;
 
   /// The query the distance kernels consume (rotated space).
@@ -77,14 +84,12 @@ class AdSamplingPruner {
   /// Hook for per-block auxiliary data; ADSampling needs none.
   void BuildAux(const PdxStore&) {}
 
-  /// Branchless survivor filter: keeps lanes whose partial distance over
-  /// `dims_scanned` dims passes the hypothesis test against `threshold`
-  /// (the current k-th best squared distance). Returns the new survivor
-  /// count; `positions` is compacted in place.
-  size_t FilterSurvivors(const QueryState& qs, size_t block_index,
-                         const float* distances, size_t dims_scanned,
-                         float threshold, uint32_t* positions,
-                         size_t count) const;
+  /// The test after `dims_scanned` dims against `threshold` (the current
+  /// k-th best squared distance).
+  LaneTest SurvivalTest(const QueryState&, size_t, size_t dims_scanned,
+                        float threshold) const {
+    return LaneTest{threshold * ratios_[dims_scanned]};
+  }
 
  private:
   size_t dim_;

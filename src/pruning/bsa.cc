@@ -73,25 +73,15 @@ void BsaPruner::BuildAux(const PdxStore& store) {
   }
 }
 
-size_t BsaPruner::FilterSurvivors(const QueryState& qs, size_t block_index,
-                                  const float* distances, size_t dims_scanned,
-                                  float threshold, uint32_t* positions,
-                                  size_t count) const {
+BsaPruner::LaneTest BsaPruner::SurvivalTest(const QueryState& qs,
+                                            size_t block_index,
+                                            size_t dims_scanned,
+                                            float threshold) const {
   assert(block_index < aux_.size() && "BuildAux must run against the store");
   const size_t n = aux_lanes_[block_index];
-  const float* suffix = aux_[block_index].data() + dims_scanned * n;
   const float sq = qs.suffix_norms[dims_scanned];
-  const float sq2 = sq * sq;
-  const float two_m_sq = 2.0f * multiplier_ * sq;
-  size_t out = 0;
-  for (size_t p = 0; p < count; ++p) {
-    const uint32_t lane = positions[p];
-    const float sv = suffix[lane];
-    const float estimate = distances[lane] + sv * sv + sq2 - two_m_sq * sv;
-    positions[out] = lane;
-    out += static_cast<size_t>(estimate < threshold);
-  }
-  return out;
+  return LaneTest{aux_[block_index].data() + dims_scanned * n, sq * sq,
+                  2.0f * multiplier_ * sq, threshold};
 }
 
 std::vector<Neighbor> IvfHorizontalBsaSearch(

@@ -74,6 +74,19 @@ class BsaPruner {
     std::vector<float> suffix_norms;  ///< sqrt(res_q(d)), d in [0, dim].
   };
 
+  /// The m-scaled Cauchy-Schwarz test of one step: a lane survives while
+  /// partial + res_v + res_q - 2 m sqrt(res_v res_q) < threshold.
+  struct LaneTest {
+    const float* suffix;  ///< sqrt(res_v(dims_scanned)) of every lane.
+    float sq2;            ///< res_q(dims_scanned).
+    float two_m_sq;       ///< 2 m sqrt(res_q(dims_scanned)).
+    float threshold;
+    bool operator()(uint32_t lane, float partial) const {
+      const float sv = suffix[lane];
+      return partial + sv * sv + sq2 - two_m_sq * sv < threshold;
+    }
+  };
+
   QueryState PrepareQuery(const float* raw_query) const;
   const float* KernelQuery(const QueryState& qs) const {
     return qs.query.data();
@@ -86,14 +99,12 @@ class BsaPruner {
 
   /// Precomputes per-block, dimension-major sqrt-suffix-energy tables
   /// aligned with `store`'s blocks. Must be called (once) with the PDX
-  /// store that FilterSurvivors will be used against.
+  /// store that SurvivalTest will be used against.
   void BuildAux(const PdxStore& store);
 
-  /// Branchless survivor filter using the m-scaled Cauchy-Schwarz estimate.
-  size_t FilterSurvivors(const QueryState& qs, size_t block_index,
-                         const float* distances, size_t dims_scanned,
-                         float threshold, uint32_t* positions,
-                         size_t count) const;
+  /// The test of block `block_index` after `dims_scanned` dims.
+  LaneTest SurvivalTest(const QueryState& qs, size_t block_index,
+                        size_t dims_scanned, float threshold) const;
 
  private:
   size_t dim_ = 0;

@@ -18,18 +18,4 @@ PdxBondPruner::QueryState PdxBondPruner::PrepareQuery(
   return qs;
 }
 
-size_t PdxBondPruner::FilterSurvivors(const QueryState&, size_t,
-                                      const float* distances,
-                                      size_t /*dims_scanned*/,
-                                      float threshold, uint32_t* positions,
-                                      size_t count) const {
-  size_t out = 0;
-  for (size_t p = 0; p < count; ++p) {
-    const uint32_t lane = positions[p];
-    positions[out] = lane;
-    out += static_cast<size_t>(distances[lane] < threshold);
-  }
-  return out;
-}
-
 }  // namespace pdx

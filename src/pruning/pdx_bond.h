@@ -41,6 +41,14 @@ class PdxBondPruner {
     std::vector<uint32_t> visit_order;
   };
 
+  /// Exact test: a lane survives while partial < threshold.
+  struct LaneTest {
+    float threshold;
+    bool operator()(uint32_t, float partial) const {
+      return partial < threshold;
+    }
+  };
+
   /// Query preprocessing = computing the visit order; the paper measures
   /// this at ~microseconds (Table 7's "almost free" row).
   QueryState PrepareQuery(const float* raw_query) const;
@@ -56,11 +64,10 @@ class PdxBondPruner {
 
   void BuildAux(const PdxStore&) {}
 
-  /// Exact filter: survive while partial < threshold.
-  size_t FilterSurvivors(const QueryState& qs, size_t block_index,
-                         const float* distances, size_t dims_scanned,
-                         float threshold, uint32_t* positions,
-                         size_t count) const;
+  LaneTest SurvivalTest(const QueryState&, size_t, size_t,
+                        float threshold) const {
+    return LaneTest{threshold};
+  }
 
  private:
   std::vector<float> means_;

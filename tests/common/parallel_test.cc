@@ -3,12 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+// Global operator new/delete overrides that count each thread's heap
+// allocations, so a test can count what one thread allocates.
+namespace {
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pdx {
 namespace {
@@ -254,6 +281,25 @@ TEST(ThreadPoolTest, ThrowInsideARunStillRunsEveryOtherItem) {
   for (size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+// A pooled loop reuses the pool's job records, so once the caller's
+// thread is warm its ParallelFor calls allocate nothing, even when a late-
+// waking worker still holds the record of the loop before.
+TEST(ThreadPoolTest, WarmParallelForAllocatesNothing) {
+  ThreadPool pool(4);
+  std::atomic<size_t> sum{0};
+  const std::function<void(size_t, size_t)> body = [&sum](size_t i, size_t) {
+    sum.fetch_add(i, std::memory_order_relaxed);
+  };
+  pool.ParallelFor(4, body);  // Warms this thread's frame stack.
+  constexpr size_t kCalls = 2000;
+  const uint64_t before = t_allocations;
+  for (size_t call = 0; call < kCalls; ++call) {
+    pool.ParallelFor(call % 2 == 0 ? 4 : 1000, body);
+  }
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_EQ(sum.load(), 6 + kCalls / 2 * (6 + 499500));
 }
 
 TEST(ThreadPoolTest, ZeroCountIsANoOp) {

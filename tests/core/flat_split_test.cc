@@ -26,18 +26,28 @@ namespace pdx {
 namespace {
 
 constexpr size_t kCapacity = kExactSearchBlockCapacity;
+constexpr size_t kTaskLanes = kSplitTaskLanes;
 
-/// Row counts around the split rule (one task per kCapacity lanes left
-/// after START): one partition after START (no split), exactly two, and
-/// ten, which no pool of 3 or 4 divides evenly.
-const size_t kCounts[] = {2 * kCapacity + 100, 3 * kCapacity,
-                          10 * kCapacity + 3000};
+/// Row counts around the split rule (one task per kTaskLanes lanes left
+/// after START, which is one kCapacity-lane partition on PDX-BOND at
+/// k <= kCapacity): on PDX-BOND, 100 lanes short of two tasks (no split),
+/// exactly two, and four tasks over 22 partitions, which no pool of 3 or 4
+/// divides evenly. Linear's START is one 64-lane block, so it splits all
+/// three, the last over 718 blocks.
+const size_t kCounts[] = {kCapacity + 2 * kTaskLanes - 100,
+                          kCapacity + 2 * kTaskLanes,
+                          kCapacity + 4 * kTaskLanes + 3000};
+
+/// A START row of TiedData that every later partition holds a copy of.
+constexpr VectorId kCopiedRow = 2000;
 
 /// Rows of small integers: every distance is an exact integer, whatever
 /// order the dimensions are summed in, so duplicates and other exact ties
-/// are everywhere. Rows 7 and 5000 (both in START) are also copied into
-/// every later partition, and query 0 is row 7, so its nearest candidates
-/// tie at distance 0 in START and in every task; query 1 is a fresh row.
+/// are everywhere. Rows 7 and kCopiedRow (both in START) are also copied
+/// into every later partition, and query 0 is row 7, so its nearest
+/// candidates tie at distance 0 in START and in every task; query 1 is
+/// row count - 500, in the last task's partitions (on a prefix of the rows,
+/// a row they do not hold).
 Dataset TiedData(size_t count, size_t dim = 8, uint64_t seed = 5) {
   Rng rng(seed);
   Dataset data;
@@ -48,16 +58,15 @@ Dataset TiedData(size_t count, size_t dim = 8, uint64_t seed = 5) {
     for (float& v : row) v = static_cast<float>(rng.UniformInt(4));
     data.data.Append(row.data());
   }
-  for (size_t p = 1; p * kCapacity + 5100 < count; ++p) {
-    for (VectorId source : {VectorId{7}, VectorId{5000}}) {
+  for (size_t p = 1; p * kCapacity + kCopiedRow + 100 < count; ++p) {
+    for (VectorId source : {VectorId{7}, kCopiedRow}) {
       data.data.Update(static_cast<VectorId>(p * kCapacity + source + p),
                        data.data.Vector(source));
     }
   }
   data.queries = VectorSet(dim, 2);
   data.queries.Append(data.data.Vector(7));
-  for (float& v : row) v = static_cast<float>(rng.UniformInt(4));
-  data.queries.Append(row.data());
+  data.queries.Append(data.data.Vector(static_cast<VectorId>(count - 500)));
   return data;
 }
 
@@ -198,11 +207,12 @@ TEST(FlatSplitTest, OneQueryOnAPoolEqualsSearchWith) {
         std::unique_ptr<Searcher> searcher = Build(rows, config);
         ASSERT_NE(searcher, nullptr);
         const size_t block = ResolveConfig(config).block_capacity;
-        // k = 10 on every store; on the largest, k = 1 and a k past one
-        // block (START spans two); on the smallest, k >= count (START takes
-        // every block: nothing is left to split).
+        // k = 10 on every store; on the largest, k = 1 and a k past two
+        // blocks (START spans three, and on PDX-BOND k > kCapacity); on the
+        // smallest, k >= count (START takes every block: nothing is left
+        // to split).
         std::vector<size_t> ks = {10};
-        if (count == kCounts[2]) ks.insert(ks.end(), {1, block + 60});
+        if (count == kCounts[2]) ks.insert(ks.end(), {1, 2 * block + 60});
         if (count == kCounts[0]) ks.push_back(count);
         for (size_t k : ks) {
           for (size_t q = 0; q < data->queries.count(); ++q) {
@@ -275,12 +285,16 @@ TEST(FlatSplitTest, LiveCollectionSplitsItsBase) {
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   MutableSearcher& live = *made.value();
   const size_t nq = data.queries.count();
-  const std::vector<uint64_t> upserts = {3, 90000};
+  // An upsert in START and one in the last task's partitions; deletes of
+  // START rows, of a copy of one in the next partition, and of a row in a
+  // middle task.
+  const std::vector<uint64_t> upserts = {3, kCounts[2] - 2 * kCapacity};
   ASSERT_EQ(upserts.size(), nq);
   ASSERT_TRUE(live.Add(data.queries.data(), nq, upserts.data()).ok());
   ASSERT_TRUE(live.Add(data.queries.data(), nq).ok());
-  for (uint64_t id : {uint64_t{5000}, uint64_t{11}, uint64_t{5000 + kCapacity + 1},
-                      uint64_t{60000}}) {
+  for (uint64_t id : {uint64_t{kCopiedRow}, uint64_t{11},
+                      uint64_t{kCopiedRow + kCapacity + 1},
+                      uint64_t{kCapacity + 2 * kTaskLanes}}) {
     ASSERT_TRUE(live.Delete(id).ok()) << id;
   }
   ThreadPool four(4);

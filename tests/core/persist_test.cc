@@ -134,6 +134,42 @@ TEST(PersistTest, RoundTripMatrixIsByteIdentical) {
   }
 }
 
+// A flat PDX-BOND file keeps the partition size it was packed at: its meta
+// names the capacity. One saved at the paper's 10,240 lanes restores at
+// 10,240, and a default one at kExactSearchBlockCapacity (2,048).
+TEST(PersistTest, FlatBondRestoresAtTheCapacityItWasSavedAt) {
+  const size_t kCount = 25000;  // 3 partitions of 10,240, or 13 of 2,048.
+  Dataset data = MakeData(24, kCount);
+  for (size_t capacity : {size_t{10240}, size_t{0}}) {
+    const size_t resolved =
+        capacity == 0 ? kExactSearchBlockCapacity : capacity;
+    const std::string label = "capacity " + std::to_string(resolved);
+    SearcherConfig config = Config(SearcherLayout::kFlat, PrunerKind::kBond);
+    config.block_capacity = capacity;
+    auto built = MakeSearcher(data.data, config);
+    ASSERT_TRUE(built.ok()) << label << ": " << built.status().message();
+    Searcher& searcher = *built.value();
+    const size_t blocks = (kCount + resolved - 1) / resolved;
+    EXPECT_EQ(searcher.options().block_capacity, resolved) << label;
+    EXPECT_EQ(searcher.shape().num_blocks, blocks) << label;
+
+    const std::string path = TempPath("capacity.pdxc");
+    ASSERT_TRUE(searcher.Save(path).ok()) << label;
+    auto loaded = LoadCollection(path);
+    ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().message();
+    EXPECT_EQ(loaded.value().source, "mmap") << label;
+    Searcher& restored = *loaded.value().searcher;
+    EXPECT_EQ(restored.options().block_capacity, resolved) << label;
+    EXPECT_EQ(restored.shape().num_blocks, blocks) << label;
+    for (size_t q = 0; q < data.queries.count(); ++q) {
+      const float* query = data.queries.Vector(q);
+      ExpectIdenticalResults(restored.Search(query), searcher.Search(query),
+                             label + " query " + std::to_string(q));
+    }
+    std::remove(path.c_str());
+  }
+}
+
 // --- Acceptance: loading does zero build work — no k-means run, no block
 // packing. The stores are views into the image and the IVF structures are
 // decoded, not re-derived. ------------------------------------------------

@@ -86,15 +86,15 @@ Dataset MakeData() {
   return GenerateDataset(spec);
 }
 
-/// The rows of the "flat-split" case: four exact-search partitions and a
-/// partial one, so START leaves 31,720 lanes to split, into three tasks on
-/// a pool of 4 and two on a pool of 2.
+/// The rows of the "flat-split" case: START's one exact-search partition
+/// and 3 x kSplitTaskLanes + 1,000 rows after it, so START leaves 31,720
+/// lanes to split, into three tasks on a pool of 4 and two on a pool of 2.
 const VectorSet& SplitRows() {
   static const VectorSet rows = [] {
     SyntheticSpec spec;
     spec.name = "searcher-surface-split";
     spec.dim = 24;
-    spec.count = 4 * kExactSearchBlockCapacity + 1000;
+    spec.count = kExactSearchBlockCapacity + 3 * kSplitTaskLanes + 1000;
     spec.num_queries = 1;
     spec.num_clusters = 8;
     spec.seed = 4243;

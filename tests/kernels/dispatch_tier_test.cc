@@ -120,13 +120,17 @@ TEST_P(VerticalParityTest, AllFiveKernelsBitExactVsScalarTier) {
   const KernelTable& scalar = GetKernelTable(Isa::kScalar);
   ASSERT_EQ(scalar.isa, Isa::kScalar);
 
-  // Dimension list in a shuffled-ish order and a survivor subset.
+  // Dimension list in a shuffled-ish order, and a sparse survivor list
+  // with runs and uneven gaps, as PRUNE leaves it (the lanes whose square
+  // is below 6 mod 17: runs of 1 to 5 lanes, gaps of 1 to 4), so the
+  // positions kernels gather from scattered lanes into survivor-indexed
+  // distances.
   std::vector<uint32_t> dims(dim);
   for (size_t d = 0; d < dim; ++d) dims[d] = static_cast<uint32_t>(d);
   std::reverse(dims.begin(), dims.end());
   std::vector<uint32_t> positions;
-  for (size_t i = 0; i < n; i += 3) {
-    positions.push_back(static_cast<uint32_t>(i));
+  for (size_t i = 0; i < n; ++i) {
+    if ((i * i) % 17 < 6) positions.push_back(static_cast<uint32_t>(i));
   }
 
   for (const Isa isa : VectorTiers()) {
@@ -151,16 +155,10 @@ TEST_P(VerticalParityTest, AllFiveKernelsBitExactVsScalarTier) {
                                dims.data(), dims.size(), actual.data());
       EXPECT_EQ(expected, actual) << "pdx_accumulate_dims";
 
-      std::fill(expected.begin(), expected.end(), 1.0f);
-      std::fill(actual.begin(), actual.end(), 1.0f);
-      scalar.pdx_accumulate_positions(metric, query_.data(), block_.data(), n,
-                                      0, dim, positions.data(),
-                                      positions.size(), expected.data());
-      tier.pdx_accumulate_positions(metric, query_.data(), block_.data(), n,
-                                    0, dim, positions.data(),
-                                    positions.size(), actual.data());
-      EXPECT_EQ(expected, actual) << "pdx_accumulate_positions";
-
+      // Survivor-indexed: one entry per position, the rest untouched.
+      std::vector<float> lanes(n, 1.0f);
+      scalar.pdx_accumulate_dims(metric, query_.data(), block_.data(), n,
+                                 dims.data(), dims.size(), lanes.data());
       std::fill(expected.begin(), expected.end(), 1.0f);
       std::fill(actual.begin(), actual.end(), 1.0f);
       scalar.pdx_accumulate_dims_positions(
@@ -170,6 +168,33 @@ TEST_P(VerticalParityTest, AllFiveKernelsBitExactVsScalarTier) {
           metric, query_.data(), block_.data(), n, dims.data(), dims.size(),
           positions.data(), positions.size(), actual.data());
       EXPECT_EQ(expected, actual) << "pdx_accumulate_dims_positions";
+      for (size_t p = 0; p < positions.size(); ++p) {
+        ASSERT_EQ(expected[p], lanes[positions[p]]) << "survivor " << p;
+      }
+      for (size_t i = positions.size(); i < n; ++i) {
+        ASSERT_EQ(actual[i], 1.0f) << "entry " << i << " past the survivors";
+      }
+
+      scalar.pdx_accumulate(metric, query_.data(), block_.data(), n, 0, dim,
+                            lanes.data());
+      std::fill(expected.begin(), expected.end(), 1.0f);
+      std::fill(actual.begin(), actual.end(), 1.0f);
+      scalar.pdx_accumulate_dims_positions(
+          metric, query_.data(), block_.data(), n, dims.data(), dims.size(),
+          positions.data(), positions.size(), expected.data());
+      scalar.pdx_accumulate_positions(metric, query_.data(), block_.data(), n,
+                                      0, dim, positions.data(),
+                                      positions.size(), expected.data());
+      tier.pdx_accumulate_dims_positions(
+          metric, query_.data(), block_.data(), n, dims.data(), dims.size(),
+          positions.data(), positions.size(), actual.data());
+      tier.pdx_accumulate_positions(metric, query_.data(), block_.data(), n,
+                                    0, dim, positions.data(),
+                                    positions.size(), actual.data());
+      EXPECT_EQ(expected, actual) << "pdx_accumulate_positions";
+      for (size_t p = 0; p < positions.size(); ++p) {
+        ASSERT_EQ(expected[p], lanes[positions[p]]) << "survivor " << p;
+      }
 
       scalar.pdx_linear_scan(metric, query_.data(), block_.data(), n, dim,
                              expected.data());

@@ -156,25 +156,54 @@ TEST(PdxKernelDimsTest, PartialDimListOnlyTouchesListedDims) {
   }
 }
 
-TEST(PdxKernelPositionsTest, OnlyListedLanesUpdated) {
+// The PRUNE kernels' distances are indexed by survivor: out[p] belongs to
+// lane positions[p], and nothing past the survivors is written.
+TEST(PdxKernelPositionsTest, SurvivorIndexedDistances) {
   const size_t n = 16;
   const size_t dim = 10;
   BlockFixture fx = MakeFixture(n, dim, 7);
   const PdxBlock& block = fx.store.block(0);
 
   const std::vector<uint32_t> positions = {0, 5, 15};
-  std::vector<float> out(n, 0.0f);
+  std::vector<float> out(n, -1.0f);
+  std::fill(out.begin(), out.begin() + positions.size(), 0.0f);
   PdxAccumulatePositions(Metric::kL2, fx.query.data(), block.data(), n, 0,
                          dim, positions.data(), positions.size(), out.data());
-  for (size_t i = 0; i < n; ++i) {
-    const bool listed =
-        std::find(positions.begin(), positions.end(), i) != positions.end();
-    if (listed) {
-      const float expected =
-          ScalarL2(fx.query.data(), fx.vectors.Vector(i), dim);
-      ASSERT_NEAR(out[i], expected, 1e-4f);
-    } else {
-      ASSERT_EQ(out[i], 0.0f) << "lane " << i << " must stay untouched";
+  for (size_t p = 0; p < positions.size(); ++p) {
+    const float expected =
+        ScalarL2(fx.query.data(), fx.vectors.Vector(positions[p]), dim);
+    ASSERT_NEAR(out[p], expected, 1e-4f) << "survivor " << p;
+  }
+  for (size_t i = positions.size(); i < n; ++i) {
+    ASSERT_EQ(out[i], -1.0f) << "entry " << i << " must stay untouched";
+  }
+}
+
+// Each survivor's sum is the lane-indexed kernel's, bit for bit: the same
+// dimensions are added to the same partial in the same order.
+TEST(PdxKernelPositionsTest, SurvivorSumsEqualLaneSums) {
+  const size_t n = 37;
+  const size_t dim = 20;
+  BlockFixture fx = MakeFixture(n, dim, 11);
+  const PdxBlock& block = fx.store.block(0);
+  const std::vector<uint32_t> positions = {2, 3, 17, 18, 30, 36};
+  const std::vector<uint32_t> dims = {19, 0, 7, 4, 12};
+  for (const Metric metric : {Metric::kL2, Metric::kIp, Metric::kL1}) {
+    std::vector<float> lanes(n, 0.25f);
+    PdxAccumulate(metric, fx.query.data(), block.data(), n, 3, 14,
+                  lanes.data());
+    PdxAccumulateDims(metric, fx.query.data(), block.data(), n, dims.data(),
+                      dims.size(), lanes.data());
+    std::vector<float> survivors(positions.size(), 0.25f);
+    PdxAccumulatePositions(metric, fx.query.data(), block.data(), n, 3, 14,
+                           positions.data(), positions.size(),
+                           survivors.data());
+    PdxAccumulateDimsPositions(metric, fx.query.data(), block.data(), n,
+                               dims.data(), dims.size(), positions.data(),
+                               positions.size(), survivors.data());
+    for (size_t p = 0; p < positions.size(); ++p) {
+      ASSERT_EQ(survivors[p], lanes[positions[p]])
+          << MetricName(metric) << " survivor " << p;
     }
   }
 }
@@ -187,18 +216,17 @@ TEST(PdxKernelPositionsTest, DimsPositionsCombination) {
 
   const std::vector<uint32_t> dims = {7, 2, 3};
   const std::vector<uint32_t> positions = {1, 11};
-  std::vector<float> out(n, 0.0f);
+  std::vector<float> out(positions.size(), 0.0f);
   PdxAccumulateDimsPositions(Metric::kL1, fx.query.data(), block.data(), n,
                              dims.data(), dims.size(), positions.data(),
                              positions.size(), out.data());
-  for (uint32_t lane : positions) {
+  for (size_t p = 0; p < positions.size(); ++p) {
     float expected = 0.0f;
     for (uint32_t d : dims) {
-      expected += std::fabs(fx.query[d] - fx.vectors.Vector(lane)[d]);
+      expected += std::fabs(fx.query[d] - fx.vectors.Vector(positions[p])[d]);
     }
-    ASSERT_NEAR(out[lane], expected, 1e-5f);
+    ASSERT_NEAR(out[p], expected, 1e-5f);
   }
-  ASSERT_EQ(out[0], 0.0f);
 }
 
 TEST(PdxKernelTest, EmptyDimRangeIsNoop) {

@@ -69,32 +69,29 @@ TEST(AdSamplingTest, TransformPreservesPairwiseDistances) {
   }
 }
 
-TEST(AdSamplingTest, FilterKeepsOnlyPassingLanes) {
+TEST(AdSamplingTest, SurvivalTestKeepsOnlyPassingLanes) {
   AdSamplingPruner pruner(16, 2.1f);
-  AdSamplingPruner::QueryState qs;  // Filter does not read the state.
+  AdSamplingPruner::QueryState qs;  // The test does not read the state.
   // distances over 8 of 16 dims; threshold 10.
   const float threshold = 10.0f;
   const float bound = threshold * pruner.Ratio(8);
-  std::vector<float> distances = {bound - 1.0f, bound + 1.0f, 0.0f,
-                                  bound - 0.01f};
-  std::vector<uint32_t> positions = {0, 1, 2, 3};
-  const size_t alive = pruner.FilterSurvivors(
-      qs, 0, distances.data(), 8, threshold, positions.data(), 4);
-  ASSERT_EQ(alive, 3u);
-  EXPECT_EQ(positions[0], 0u);
-  EXPECT_EQ(positions[1], 2u);
-  EXPECT_EQ(positions[2], 3u);
+  const AdSamplingPruner::LaneTest survives =
+      pruner.SurvivalTest(qs, 0, 8, threshold);
+  EXPECT_TRUE(survives(0, bound - 1.0f));
+  EXPECT_FALSE(survives(1, bound + 1.0f));
+  EXPECT_TRUE(survives(2, 0.0f));
+  EXPECT_TRUE(survives(3, bound - 0.01f));
+  EXPECT_FALSE(survives(4, bound));  // Strict, as on every lane.
 }
 
-TEST(AdSamplingTest, FilterAtFullDimIsExact) {
+TEST(AdSamplingTest, SurvivalTestAtFullDimIsExact) {
   AdSamplingPruner pruner(4);
   AdSamplingPruner::QueryState qs;
-  std::vector<float> distances = {5.0f, 15.0f};
-  std::vector<uint32_t> positions = {0, 1};
-  const size_t alive = pruner.FilterSurvivors(qs, 0, distances.data(), 4,
-                                              10.0f, positions.data(), 2);
-  ASSERT_EQ(alive, 1u);
-  EXPECT_EQ(positions[0], 0u);
+  const AdSamplingPruner::LaneTest survives =
+      pruner.SurvivalTest(qs, 0, 4, 10.0f);
+  EXPECT_TRUE(survives(0, 5.0f));
+  EXPECT_FALSE(survives(1, 15.0f));
+  EXPECT_FALSE(survives(2, 10.0f));  // Ratio(dim) is 1: the threshold.
 }
 
 TEST(AdSamplingTest, HorizontalSearchHighRecall) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -181,15 +182,14 @@ TEST(PdxBondTest, SequentialOrderHasNoVisitOrder) {
   EXPECT_EQ(pruner.VisitOrder(qs), nullptr);
 }
 
-TEST(PdxBondTest, FilterSurvivorsThresholdSemantics) {
+TEST(PdxBondTest, SurvivalTestThresholdSemantics) {
   PdxBondPruner pruner(std::vector<float>(2, 0.0f));
   PdxBondPruner::QueryState qs;
-  std::vector<float> distances = {1.0f, 10.0f, 5.0f};
-  std::vector<uint32_t> positions = {0, 1, 2};
-  const size_t alive = pruner.FilterSurvivors(qs, 0, distances.data(), 1,
-                                              5.0f, positions.data(), 3);
-  ASSERT_EQ(alive, 1u);  // Only strict < threshold survives.
-  EXPECT_EQ(positions[0], 0u);
+  const PdxBondPruner::LaneTest survives = pruner.SurvivalTest(qs, 0, 1, 5.0f);
+  EXPECT_TRUE(survives(0, 1.0f));
+  EXPECT_FALSE(survives(1, 10.0f));
+  EXPECT_FALSE(survives(2, 5.0f));  // Only strict < threshold survives.
+  EXPECT_TRUE(survives(2, std::nextafter(5.0f, 0.0f)));
 }
 
 }  // namespace

@@ -11,9 +11,10 @@
 //     ctest timeout fails CI);
 //   - accounting: per-dispatcher dispatch counts partition the total.
 //
-// The hot collection is large enough (three exact-search partitions after
-// START) that every one-query batch splits its flat search over the shared
-// pool, so concurrent dispatchers run concurrent splits on one pool.
+// The hot collection is large enough (2 x kSplitTaskLanes + 2,400 lanes
+// after START, so two tasks) that every one-query batch splits its flat
+// search over the shared pool, so concurrent dispatchers run concurrent
+// splits on one pool.
 //
 // The ThreadSanitizer and AddressSanitizer CI jobs run this binary; any
 // data race on the dispatch path (searcher config, slot engines, split
@@ -57,7 +58,7 @@ StressFixture MakeStressFixture(size_t num_shards) {
   SyntheticSpec spec;
   spec.name = "dispatch-stress";
   spec.dim = 24;
-  spec.count = 3 * kExactSearchBlockCapacity + 2400;
+  spec.count = kExactSearchBlockCapacity + 2 * kSplitTaskLanes + 2400;
   spec.num_queries = 16;
   spec.num_clusters = 8;
   spec.seed = 1234;

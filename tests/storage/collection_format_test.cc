@@ -107,7 +107,7 @@ TEST(CollectionFormatTest, GoldenHeaderAndSectionTableLayout) {
 
   // Section table: 32-byte entries {u32 kind, u32 unit, u64 offset,
   // u64 size, u64 checksum}. A flat PDX-BOND collection of 300 x 16 is
-  // three sections: the meta, the store's arena alone (one 10240-lane
+  // three sections: the meta, the store's arena alone (one 2048-lane
   // block of 300 x 16 floats, on a 64-byte file offset for the mmap
   // zero-copy contract; its block counts and lane ids are derived) and
   // BOND's 16 means. Kind numbers, order, offsets and sizes are pinned.

@@ -294,7 +294,10 @@ class AnySearcherImpl final : public Searcher {
   // through the store and every heap keeps the lowest ids among exact ties,
   // so a lane a range prunes (partial >= bound) could not have entered the
   // sequential heap either: the merge returns SearchFlat's ids and distance
-  // bits. Every other batch takes the base fan-out.
+  // bits. START and every range skip the ids knobs.excluded names; when
+  // START's blocks leave fewer than k lanes in its heap, its bound stays
+  // +inf and every range runs a START of its own. Every other batch takes
+  // the base fan-out.
   std::vector<std::vector<Neighbor>> SearchBatchWith(
       size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
       ThreadPool* pool, PdxearchProfile* per_query) override {
@@ -316,18 +319,21 @@ class AnySearcherImpl final : public Searcher {
     TopK& heap = heaps_[slot];
     heap.Reset(k);
     engines_[slot]->SearchBlockRange(qs, 0, plan.first,
-                                     PdxearchEngine<P>::kNoBound, heap);
+                                     PdxearchEngine<P>::kNoBound, heap,
+                                     knobs.excluded);
     work += engines_[slot]->last_profile();
     plan.slot = slot;
     plan.k = k;
     plan.bound = heap.threshold();
     plan.qs = &qs;
+    plan.excluded = knobs.excluded;
     // Two captures keep the callable inside std::function's own storage.
     pool->ParallelFor(plan.tasks, [this, &plan](size_t w, size_t) {
       TopK& own = heaps_[plan.slot + w];
       if (w > 0) own.Reset(plan.k);
       engines_[plan.slot + w]->SearchBlockRange(
-          *plan.qs, plan.Begin(w), plan.Begin(w + 1), plan.bound, own);
+          *plan.qs, plan.Begin(w), plan.Begin(w + 1), plan.bound, own,
+          plan.excluded);
     });
     for (size_t w = 0; w < plan.tasks; ++w) {
       work += engines_[slot + w]->last_profile();
@@ -353,8 +359,9 @@ class AnySearcherImpl final : public Searcher {
     const size_t k = knobs.k > 0 ? knobs.k : config_.k;
     const size_t nprobe = knobs.nprobe > 0 ? knobs.nprobe : config_.nprobe;
     std::vector<Neighbor> result =
-        index_ == nullptr ? engine.SearchFlat(query, k)
-                          : engine.SearchIvf(*index_, query, k, nprobe);
+        index_ == nullptr
+            ? engine.SearchFlat(query, k, knobs.excluded)
+            : engine.SearchIvf(*index_, query, k, nprobe, knobs.excluded);
     if (profile != nullptr) *profile = engine.last_profile();
     return result;
   }
@@ -370,6 +377,7 @@ class AnySearcherImpl final : public Searcher {
     size_t k = 0;
     float bound = 0.0f;
     const typename P::QueryState* qs = nullptr;
+    ExcludedIds excluded;
     size_t num_blocks = 0;
 
     // First block of range w, for w in [0, tasks].

@@ -15,6 +15,7 @@
 #include "common/types.h"
 #include "core/pdxearch.h"
 #include "index/ivf.h"
+#include "index/topk.h"
 #include "pruning/bond.h"
 #include "storage/pdx_store.h"
 #include "storage/vector_set.h"
@@ -136,6 +137,15 @@ SearcherConfig ResolveConfig(SearcherConfig config);
 struct QueryKnobs {
   size_t k = 0;
   size_t nprobe = 0;
+  /// Ids the call must not return, indexed by the searcher's own result
+  /// ids. Only a live collection sets it, and only on the library tier it
+  /// searches as its base (the float facade, the u8 tier or the sharded
+  /// facade): its tombstone bitmap, while it holds the lock that keeps the
+  /// bitmap still. Each tier drops an excluded id where a candidate would
+  /// enter a heap, so the call returns the k nearest of the other ids and
+  /// prunes against their k-th distance. No config, option, wire field or
+  /// file carries it.
+  ExcludedIds excluded = {};
 };
 
 /// What a searcher serves, as Searcher::shape() reports it. Every field

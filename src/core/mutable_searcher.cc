@@ -1,6 +1,7 @@
 #include "core/mutable_searcher.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -361,28 +362,22 @@ Status MutableSearcher::Save(const std::string& path) const {
 
 // -- Search surface ---------------------------------------------------------
 
-std::vector<Neighbor> MutableSearcher::MergeLocked(
-    std::vector<Neighbor> base, const float* query, size_t k,
-    PdxearchProfile* work) const {
-  if (delta_.empty() && base_dead_ == 0) {
-    // Nothing to merge or filter: remap base slots to external ids in
-    // place. This keeps the unmutated serving path allocation-free beyond
-    // what the base searcher itself does.
-    for (Neighbor& n : base) {
-      n.id = static_cast<VectorId>(slot_ids_[n.id]);
-    }
-    return base;
-  }
-  TopK heap(std::max<size_t>(1, k));
-  for (const Neighbor& n : base) {
-    if (!dead_[n.id]) heap.Push(n.id, n.distance);
-  }
+void MutableSearcher::MergeLocked(size_t slot, const float* query, size_t k,
+                                  std::vector<Neighbor>& results,
+                                  PdxearchProfile* work) {
   if (!delta_.empty()) {
-    const KernelTable& kernels = ActiveKernels();
+    std::optional<MergeScratch> own;
+    MergeScratch& scratch =
+        slot < merge_scratch_.size() ? merge_scratch_[slot] : own.emplace();
+    TopK& heap = scratch.heap;
+    heap.Reset(std::max<size_t>(1, k));
+    for (const Neighbor& n : results) heap.Push(n.id, n.distance);
     // No delta block holds more lanes than the delta has rows, whatever
     // capacity the collection was configured (or loaded) with.
-    std::vector<float> distances(
-        std::min(delta_.block_capacity(), delta_.count()));
+    const size_t lanes = std::min(delta_.block_capacity(), delta_.count());
+    if (scratch.distances.size() < lanes) scratch.distances.resize(lanes);
+    float* distances = scratch.distances.data();
+    const KernelTable& kernels = ActiveKernels();
     for (size_t b = 0; b < delta_.num_blocks(); ++b) {
       const PdxBlock& block = delta_.block(b);
       // The dispatched vertical kernel accumulates per lane in ascending
@@ -390,10 +385,10 @@ std::vector<Neighbor> MutableSearcher::MergeLocked(
       // so a vector's distance is bit-identical on either side of the
       // base/delta boundary (the parity tests pin this).
       kernels.pdx_linear_scan(config_.metric, query, block.data(),
-                              block.count(), dim(), distances.data());
+                              block.count(), dim(), distances);
       for (size_t i = 0; i < block.count(); ++i) {
-        const VectorId slot = block.id(i);
-        if (!dead_[slot]) heap.Push(slot, distances[i]);
+        const VectorId slot_id = block.id(i);
+        if (!dead_[slot_id]) heap.Push(slot_id, distances[i]);
       }
       if (work != nullptr) {
         // A linear scan: every value of the block is scanned.
@@ -404,12 +399,11 @@ std::vector<Neighbor> MutableSearcher::MergeLocked(
         work->dims_scanned += dim();
       }
     }
+    heap.SortedResultsInto(results);
   }
-  std::vector<Neighbor> merged = heap.SortedResults();
-  for (Neighbor& n : merged) {
+  for (Neighbor& n : results) {
     n.id = static_cast<VectorId>(slot_ids_[n.id]);
   }
-  return merged;
 }
 
 std::vector<Neighbor> MutableSearcher::SearchWith(size_t slot,
@@ -417,19 +411,19 @@ std::vector<Neighbor> MutableSearcher::SearchWith(size_t slot,
                                                   const float* query,
                                                   PdxearchProfile* profile) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  const size_t k = ResolveKLocked(knobs);
   if (profile != nullptr) *profile = PdxearchProfile{};
   if (LiveCountLocked() == 0) return {};
-  std::vector<Neighbor> base =
-      inner_->SearchWith(slot, BaseKnobsLocked(k, knobs), query, profile);
-  return MergeLocked(std::move(base), query, k, profile);
+  knobs = BaseQueryLocked(knobs);
+  std::vector<Neighbor> results =
+      inner_->SearchWith(slot, knobs, query, profile);
+  MergeLocked(slot, query, knobs.k, results, profile);
+  return results;
 }
 
 std::vector<std::vector<Neighbor>> MutableSearcher::SearchBatchWith(
     size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
     ThreadPool* pool, PdxearchProfile* per_query) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  const size_t k = ResolveKLocked(knobs);
   if (LiveCountLocked() == 0) {
     if (per_query != nullptr) {
       std::fill_n(per_query, num_queries, PdxearchProfile{});
@@ -437,14 +431,14 @@ std::vector<std::vector<Neighbor>> MutableSearcher::SearchBatchWith(
     return std::vector<std::vector<Neighbor>>(num_queries);
   }
   // The base searcher's own batch path runs on the caller's pool, so a
-  // sharded base still tiles (shard x query) — even a one-query batch
-  // spreads across its shards.
-  std::vector<std::vector<Neighbor>> results =
-      inner_->SearchBatchWith(slot, BaseKnobsLocked(k, knobs), queries,
-                              num_queries, pool, per_query);
+  // sharded base still tiles (shard x query), a flat exact one splits a
+  // one-query batch, and either reads the tombstones under this lock.
+  knobs = BaseQueryLocked(knobs);
+  std::vector<std::vector<Neighbor>> results = inner_->SearchBatchWith(
+      slot, knobs, queries, num_queries, pool, per_query);
   for (size_t q = 0; q < num_queries; ++q) {
-    results[q] = MergeLocked(std::move(results[q]), queries + q * dim(), k,
-                             per_query != nullptr ? per_query + q : nullptr);
+    MergeLocked(slot, queries + q * dim(), knobs.k, results[q],
+                per_query != nullptr ? per_query + q : nullptr);
   }
   return results;
 }
@@ -453,6 +447,7 @@ void MutableSearcher::ReserveScratch(size_t slots) {
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
   reserved_slots_ = std::max(reserved_slots_, slots);
   inner_->ReserveScratch(slots);
+  if (merge_scratch_.size() < slots) merge_scratch_.resize(slots);
 }
 
 SearcherShape MutableSearcher::shape() const {

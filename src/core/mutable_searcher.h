@@ -14,6 +14,7 @@
 #include "common/types.h"
 #include "core/any_searcher.h"
 #include "core/sharded_searcher.h"
+#include "index/topk.h"
 #include "storage/delta_store.h"
 #include "storage/vector_set.h"
 
@@ -53,12 +54,16 @@ struct MutationStats {
 /// product over the rows that existed at build time), an append-only
 /// DeltaStore of PDX blocks whose partial tail repacks in place, a tombstone
 /// overlay, and an external-id <-> slot map. A query runs the base searcher
-/// with k widened by the base tombstone count, linear-scans the delta blocks
-/// with the dispatched PDX kernel, drops dead slots, and merges one exact
-/// top-k. Because the vertical kernels accumulate per lane in ascending
-/// dimension order (and are compiled with -ffp-contract=off), a vector's
-/// distance is bit-identical whether it sits in the base or the delta — so
-/// for exact pruners (kLinear always; kBond under
+/// at k with the tombstone bitmap as its QueryKnobs::excluded view (when a
+/// base row is dead), so a dead base row never enters a heap and the base
+/// prunes against the k-th distance of its live rows at any tombstone
+/// count: a query between folds costs what a freshly folded collection
+/// costs. It then linear-scans the delta blocks with the dispatched PDX
+/// kernel, skips dead delta slots, and merges one exact top-k through
+/// per-slot scratch. Because the vertical kernels accumulate per lane in
+/// ascending dimension order (and are compiled with -ffp-contract=off), a
+/// vector's distance is bit-identical whether it sits in the base or the
+/// delta — so for exact pruners (kLinear always; kBond under
 /// DimensionOrder::kSequential) results are byte-identical to a fresh
 /// rebuild over the surviving rows, which the parity tests pin. BOND under
 /// the data-dependent default orders and ADSampling/BSA stay id-exact /
@@ -155,8 +160,8 @@ class MutableSearcher final : public Searcher {
                                    const float* query,
                                    PdxearchProfile* profile) override;
   /// Takes the shared lock once for the whole batch, so every query of it
-  /// sees the same collection state, runs the base searcher's batch, then
-  /// merges the delta and tombstones per query.
+  /// sees the same collection state, runs the base searcher's batch with
+  /// the tombstones excluded, then merges the delta per query.
   std::vector<std::vector<Neighbor>> SearchBatchWith(
       size_t slot, QueryKnobs knobs, const float* queries, size_t num_queries,
       ThreadPool* pool, PdxearchProfile* per_query) override;
@@ -183,24 +188,21 @@ class MutableSearcher final : public Searcher {
   void TombstoneLocked(size_t slot);
   Status ValidateAddLocked(const float* rows, size_t count,
                            const uint64_t* ids) const;
-  /// Filters tombstones out of base results, scans the delta blocks, and
-  /// merges one exact top-`k` (slot-id space). `base` carries base-slot
-  /// ids; the returned list carries external ids. Adds the delta scan work
-  /// to `work` when non-null.
-  std::vector<Neighbor> MergeLocked(std::vector<Neighbor> base,
-                                    const float* query, size_t k,
-                                    PdxearchProfile* work) const;
-  /// The base searcher's knobs for a merged top-`k`: k widened by the base
-  /// tombstone count, so at least k live base candidates survive the
-  /// filter (at most base_dead_ dead ones can outrank a live vector).
-  QueryKnobs BaseKnobsLocked(size_t k, QueryKnobs knobs) const {
-    return QueryKnobs{k + base_dead_, knobs.nprobe};
+  /// The base searcher's knobs for one query: k saturated at the slot
+  /// count (no query returns more, and the merge heap is sized by it), and
+  /// the tombstone bitmap, whose first base_count_ entries are the base's
+  /// ids, as the excluded view when a base row is dead.
+  QueryKnobs BaseQueryLocked(QueryKnobs knobs) const {
+    knobs.k = std::min(knobs.k > 0 ? knobs.k : config_.k, slot_ids_.size());
+    knobs.excluded = base_dead_ > 0 ? ExcludedIds{dead_.data()} : ExcludedIds{};
+    return knobs;
   }
-  /// The query's k, saturated at the slot count: no query returns more,
-  /// and the merge heap (and the base over-fetch above) is sized by it.
-  size_t ResolveKLocked(QueryKnobs knobs) const {
-    return std::min(knobs.k > 0 ? knobs.k : config_.k, slot_ids_.size());
-  }
+  /// Merges the live delta rows into `results`, the base's answer for
+  /// `query` (live base slots, sorted), keeping the `k` nearest through
+  /// slot `slot`'s merge scratch, then maps slots to external ids. Adds the
+  /// delta scan work to `work` when non-null.
+  void MergeLocked(size_t slot, const float* query, size_t k,
+                   std::vector<Neighbor>& results, PdxearchProfile* work);
 
   /// Guards all mutable state below. Searches take it shared, mutations and
   /// the compaction swap take it exclusive. Lock order with owners: any
@@ -224,6 +226,17 @@ class MutableSearcher final : public Searcher {
   uint64_t next_auto_id_ = 0;
   uint64_t compactions_ = 0;
   size_t reserved_slots_ = 0;
+
+  /// One slot's delta-merge scratch: the merge heap and one delta block's
+  /// lane distances. A slot's buffers grow only on calls through that
+  /// slot, so they stop allocating once warm.
+  struct MergeScratch {
+    TopK heap{1};
+    std::vector<float> distances;
+  };
+  /// Grown by ReserveScratch under the exclusive lock; a slot past its end
+  /// merges through scratch of its own, which allocates.
+  std::vector<MergeScratch> merge_scratch_;
 };
 
 }  // namespace pdx

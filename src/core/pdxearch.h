@@ -92,6 +92,13 @@ class NoPruner {
 /// many dimensions are fetched per step and when computation is broken
 /// off — so the underlying algorithm's exactness/recall is preserved.
 ///
+/// Every search takes an ExcludedIds view (index/topk.h) of ids it must
+/// not return: START's lanes and a block's final survivors are tested
+/// against it just before they would enter the heap, so an excluded lane
+/// never enters a heap and never sets the threshold. Excluded lanes are
+/// still scanned and pruned like any other, so excluding ids that could
+/// never have entered a full heap leaves the work record as it was.
+///
 /// The Pruner policy must provide:
 ///   struct QueryState;
 ///   struct LaneTest;  // bool operator()(uint32_t lane, float partial) const
@@ -128,9 +135,10 @@ class PdxearchEngine {
     positions_.resize(max_lanes);
   }
 
-  /// Exact/flat search for the `k` nearest: visits every block in store
-  /// order.
-  std::vector<Neighbor> SearchFlat(const float* raw_query, size_t k) {
+  /// Exact/flat search for the `k` nearest ids `excluded` does not name:
+  /// visits every block in store order.
+  std::vector<Neighbor> SearchFlat(const float* raw_query, size_t k,
+                                   ExcludedIds excluded = {}) {
     profile_ = PdxearchProfile{};
     Timer timer;
     typename Pruner::QueryState qs = pruner_->PrepareQuery(raw_query);
@@ -141,7 +149,7 @@ class PdxearchEngine {
     // results, and the heap is sized by it.
     TopK heap(std::min(k, store_->count()));
     for (size_t b = 0; b < store_->num_blocks(); ++b) {
-      SearchBlock(qs, b, heap, kNoBound);
+      SearchBlock(qs, b, heap, kNoBound, excluded);
     }
     return heap.SortedResults();
   }
@@ -153,22 +161,27 @@ class PdxearchEngine {
   /// until the heap is full. A finite `bound` is the k-th distance of a
   /// full heap over lanes that precede every lane of the range (START's);
   /// the range then prunes from its first block, even while its own heap
-  /// is not full. `qs` is the pruner's PrepareQuery of the query, shared
-  /// read-only by the ranges other engines run at the same time.
-  /// last_profile() then holds this range's work alone.
+  /// is not full; START's heap counts only lanes `excluded` lets in, so
+  /// one that ends short of k passes kNoBound on. `qs` is the pruner's
+  /// PrepareQuery of the query, shared read-only by the ranges other
+  /// engines run at the same time. last_profile() then holds this range's
+  /// work alone.
   void SearchBlockRange(const typename Pruner::QueryState& qs, size_t first,
-                        size_t last, float bound, TopK& heap) {
+                        size_t last, float bound, TopK& heap,
+                        ExcludedIds excluded = {}) {
     profile_ = PdxearchProfile{};
-    for (size_t b = first; b < last; ++b) SearchBlock(qs, b, heap, bound);
+    for (size_t b = first; b < last; ++b) {
+      SearchBlock(qs, b, heap, bound, excluded);
+    }
   }
 
   /// IVF search for the `k` nearest: ranks buckets by centroid distance
   /// (on the index's PDX centroid store), then runs PDXearch over the
-  /// `nprobe` nearest buckets' blocks. `index` must be the index the store
-  /// was grouped by.
+  /// `nprobe` nearest buckets' blocks, skipping the ids `excluded` names.
+  /// `index` must be the index the store was grouped by.
   std::vector<Neighbor> SearchIvf(const IvfIndex& index,
                                   const float* raw_query, size_t k,
-                                  size_t nprobe) {
+                                  size_t nprobe, ExcludedIds excluded = {}) {
     profile_ = PdxearchProfile{};
     Timer timer;
     typename Pruner::QueryState qs = pruner_->PrepareQuery(raw_query);
@@ -185,7 +198,7 @@ class PdxearchEngine {
     for (size_t r = 0; r < probes; ++r) {
       const auto [first, last] = store_->GroupBlockRange(ranked[r]);
       for (size_t b = first; b < last; ++b) {
-        SearchBlock(qs, b, heap, kNoBound);
+        SearchBlock(qs, b, heap, kNoBound, excluded);
       }
     }
     return heap.SortedResults();
@@ -198,10 +211,10 @@ class PdxearchEngine {
   static constexpr float kNoBound = std::numeric_limits<float>::infinity();
 
  private:
-  // Searches one block, updating the heap; `bound` caps the pruning
-  // threshold (see SearchBlockRange).
+  // Searches one block, updating the heap with the lanes `excluded` lets
+  // in; `bound` caps the pruning threshold (see SearchBlockRange).
   void SearchBlock(const typename Pruner::QueryState& qs, size_t block_index,
-                   TopK& heap, float bound) {
+                   TopK& heap, float bound, ExcludedIds excluded) {
     const PdxBlock& block = store_->block(block_index);
     const size_t n = block.count();
     const size_t dim = block.dim();
@@ -228,7 +241,10 @@ class PdxearchEngine {
       }
       profile_.values_scanned += uint64_t(n) * dim;
       profile_.dims_scanned += dim;
-      for (size_t i = 0; i < n; ++i) heap.Push(block.id(i), distances[i]);
+      for (size_t i = 0; i < n; ++i) {
+        const VectorId id = block.id(i);
+        if (!excluded.Excludes(id)) heap.Push(id, distances[i]);
+      }
       if (timed) profile_.distance_ms += timer.ElapsedMillis();
       return;
     }
@@ -320,8 +336,9 @@ class PdxearchEngine {
     if (timed) timer.Reset();
     for (size_t p = 0; p < alive; ++p) {
       const uint32_t lane = positions[p];
-      heap.Push(block.id(lane),
-                pruning_phase ? survivor_distances[p] : distances[lane]);
+      const VectorId id = block.id(lane);
+      if (excluded.Excludes(id)) continue;
+      heap.Push(id, pruning_phase ? survivor_distances[p] : distances[lane]);
     }
     if (timed) profile_.distance_ms += timer.ElapsedMillis();
   }

@@ -28,15 +28,16 @@ namespace {
 /// skipping inside each shard stays intact, ids are remapped to global.
 class ShardedSearcher final : public Searcher {
  public:
-  /// Global-id remap for one shard. A contiguous shard is just a base
-  /// offset; only round-robin needs the explicit table — the distinction
-  /// keeps the facade's footprint O(1) per vector count on the common
-  /// contiguous assignment.
+  /// Global-id remap for one shard: local id i is global id first + i *
+  /// step. A contiguous shard starts at its first global id with step 1;
+  /// round-robin shard s starts at s with step num_shards. The same pair
+  /// slices a caller's exclusion view for the shard, so the facade keeps
+  /// O(1) state per shard and a query pays no O(count) work.
   struct ShardMap {
-    VectorId base = 0;
-    std::vector<VectorId> ids;  ///< Empty => global = base + local.
+    size_t first = 0;
+    size_t step = 1;
     VectorId Global(VectorId local) const {
-      return ids.empty() ? base + local : ids[local];
+      return static_cast<VectorId>(first + size_t{local} * step);
     }
   };
 
@@ -62,7 +63,8 @@ class ShardedSearcher final : public Searcher {
     for (size_t s = 0; s < shards_.size(); ++s) {
       PdxearchProfile shard_profile;
       partial[s] = shards_[s]->SearchWith(
-          slot, knobs, query, profile != nullptr ? &shard_profile : nullptr);
+          slot, ShardKnobs(knobs, s), query,
+          profile != nullptr ? &shard_profile : nullptr);
       if (profile != nullptr) *profile += shard_profile;
     }
     return MergeShards(partial, knobs.k);
@@ -98,7 +100,7 @@ class ShardedSearcher final : public Searcher {
       const size_t s = t / num_queries;
       const size_t q = t % num_queries;
       partial[s][q] = shards_[s]->SearchWith(
-          slot + w, knobs, queries + q * d,
+          slot + w, ShardKnobs(knobs, s), queries + q * d,
           per_query != nullptr ? &task_work[t] : nullptr);
     });
     std::vector<std::vector<Neighbor>> results(num_queries);
@@ -165,6 +167,14 @@ class ShardedSearcher final : public Searcher {
     return knobs;
   }
 
+  /// Shard `s`'s knobs: the caller's, with the exclusion view sliced to
+  /// the shard's ids.
+  QueryKnobs ShardKnobs(QueryKnobs knobs, size_t s) const {
+    knobs.excluded =
+        knobs.excluded.Slice(shard_maps_[s].first, shard_maps_[s].step);
+    return knobs;
+  }
+
   /// Exact global top-k over the per-shard top-k lists, shard-local ids
   /// remapped to global. Ordered exactly as TopK::SortedResults orders the
   /// unsharded result (ascending distance, ties by id), so exact pruners
@@ -222,17 +232,16 @@ std::vector<std::vector<VectorId>> AssignShardIds(
   return shard_ids;
 }
 
-/// Collapses the id lists into the compact per-shard remaps: a base offset
-/// for contiguous shards, the explicit table only for round-robin.
+/// The per-shard remaps of AssignShardIds' lists: each list is first,
+/// first + step, first + 2 * step, ...
 std::vector<ShardedSearcher::ShardMap> MapsFromShardIds(
     ShardAssignment assignment,
-    std::vector<std::vector<VectorId>>&& shard_ids) {
+    const std::vector<std::vector<VectorId>>& shard_ids) {
   std::vector<ShardedSearcher::ShardMap> maps(shard_ids.size());
   for (size_t s = 0; s < shard_ids.size(); ++s) {
-    if (assignment == ShardAssignment::kContiguous) {
-      maps[s].base = shard_ids[s].empty() ? 0 : shard_ids[s].front();
-    } else {
-      maps[s].ids = std::move(shard_ids[s]);
+    maps[s].first = shard_ids[s].empty() ? 0 : shard_ids[s].front();
+    if (assignment == ShardAssignment::kRoundRobin) {
+      maps[s].step = shard_ids.size();
     }
   }
   return maps;
@@ -264,9 +273,8 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcher(
   const size_t num_shards = std::min(sharding.num_shards, count);
   if (num_shards == 1) return MakeSearcher(vectors, std::move(config));
 
-  // Per-shard id lists feed VectorSet::Select; the retained remap is a
-  // base offset for contiguous shards and the explicit list only for
-  // round-robin.
+  // Per-shard id lists feed VectorSet::Select; the retained remap is each
+  // list's first id and step.
   std::vector<std::vector<VectorId>> shard_ids =
       AssignShardIds(count, num_shards, sharding.assignment);
 
@@ -280,11 +288,9 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcher(
     if (!made.ok()) return made.status();
     shards.push_back(std::move(made).value());
   }
-  std::vector<ShardedSearcher::ShardMap> shard_maps =
-      MapsFromShardIds(sharding.assignment, std::move(shard_ids));
-  return std::unique_ptr<Searcher>(
-      new ShardedSearcher(std::move(config), std::move(shards),
-                          std::move(shard_maps), sharding.assignment));
+  return std::unique_ptr<Searcher>(new ShardedSearcher(
+      std::move(config), std::move(shards),
+      MapsFromShardIds(sharding.assignment, shard_ids), sharding.assignment));
 }
 
 Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
@@ -321,13 +327,11 @@ Result<std::unique_ptr<Searcher>> MakeShardedSearcherFromImage(
     if (!made.ok()) return made.status();
     shards.push_back(std::move(made).value());
   }
-  std::vector<ShardedSearcher::ShardMap> shard_maps =
-      MapsFromShardIds(sharding.assignment, std::move(shard_ids));
   // Each shard pins the image its stores view; the facade itself views
   // nothing of it (the maps were recomputed above).
-  return std::unique_ptr<Searcher>(
-      new ShardedSearcher(std::move(config), std::move(shards),
-                          std::move(shard_maps), sharding.assignment));
+  return std::unique_ptr<Searcher>(new ShardedSearcher(
+      std::move(config), std::move(shards),
+      MapsFromShardIds(sharding.assignment, shard_ids), sharding.assignment));
 }
 
 }  // namespace pdx

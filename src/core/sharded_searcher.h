@@ -53,6 +53,11 @@ struct ShardingOptions {
 ///     batch against one collection, saturates the whole pool. With no
 ///     pool it runs SearchWith query by query. Only k-sized result lists
 ///     cross shard boundaries.
+///   - A call's QueryKnobs::excluded view (global ids) reaches each shard
+///     as a slice of the same flags under the shard's local ids, through
+///     ExcludedIds::Slice: a contiguous shard's slice starts at its first
+///     global id with stride 1, round-robin shard s's at global id s with
+///     stride num_shards. Slicing copies nothing and allocates nothing.
 ///
 /// The sharded facade owns all parallelism: it queries each shard only
 /// through SearchWith, so no shard ever runs a pool of its own.

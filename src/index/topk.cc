@@ -40,9 +40,14 @@ void TopK::Push(VectorId id, float distance) {
 }
 
 std::vector<Neighbor> TopK::SortedResults() const {
-  std::vector<Neighbor> out = heap_;
-  std::sort(out.begin(), out.end(), Before);
+  std::vector<Neighbor> out;
+  SortedResultsInto(out);
   return out;
+}
+
+void TopK::SortedResultsInto(std::vector<Neighbor>& out) const {
+  out.assign(heap_.begin(), heap_.end());
+  std::sort(out.begin(), out.end(), Before);
 }
 
 void TopK::SiftUp(size_t pos) {

@@ -2,6 +2,7 @@
 #define PDX_INDEX_TOPK_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -16,6 +17,26 @@ struct Neighbor {
   float distance = std::numeric_limits<float>::infinity();
 
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
+};
+
+/// A per-call view of the ids a search must not return: id i is excluded
+/// when flags[i * stride] is non-zero; the default view excludes nothing.
+/// A search tests it where a candidate would enter a heap, so an excluded
+/// id never enters one and never sets a pruning threshold. Slice hands a
+/// sub-searcher the same flags under its own ids, with no copy.
+struct ExcludedIds {
+  const uint8_t* flags = nullptr;
+  size_t stride = 1;
+
+  bool Excludes(VectorId id) const {
+    return flags != nullptr && flags[size_t{id} * stride] != 0;
+  }
+
+  /// The view of a sub-searcher whose id i is id first + i * step here.
+  ExcludedIds Slice(size_t first, size_t step) const {
+    if (flags == nullptr) return {};
+    return {flags + first * stride, stride * step};
+  }
 };
 
 /// Bounded max-heap that keeps the k smallest candidates seen so far — the
@@ -61,6 +82,10 @@ class TopK {
   /// Heap contents sorted by (distance, id). Does not consume the
   /// collector.
   std::vector<Neighbor> SortedResults() const;
+
+  /// The same list written over `out`, whose capacity it reuses: no
+  /// allocation when `out` already held as many neighbors.
+  void SortedResultsInto(std::vector<Neighbor>& out) const;
 
   /// Removes all entries, keeping k.
   void Clear() { heap_.clear(); }

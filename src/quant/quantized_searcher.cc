@@ -68,8 +68,9 @@ class QuantizedSearcher final : public Searcher {
     qstore_.TransformQuery(query, s.query_prime.data(), s.weights.data());
     if (timed) result_profile.preprocess_ms = phase.ElapsedMillis();
 
-    // Code-space scan: select k * rerank_factor candidates (or the final
-    // k when reranking is off). An over-fetch of count() candidates
+    // Code-space scan: select k * rerank_factor candidates among the ids
+    // knobs.excluded lets in (or the final k when reranking is off), so
+    // exclusions never widen the rerank. An over-fetch of count() candidates
     // already reranks every scanned vector, so the product saturates
     // there — a huge rerank_factor can neither overflow nor over-allocate.
     const size_t rerank = config_.rerank_factor;
@@ -87,7 +88,8 @@ class QuantizedSearcher final : public Searcher {
       accumulate(s.query_prime.data(), s.weights.data(), qstore_.BlockData(b),
                  n, 0, dim, distances);
       for (size_t i = 0; i < n; ++i) {
-        candidates.Push(qstore_.BlockId(b, i), distances[i]);
+        const VectorId id = qstore_.BlockId(b, i);
+        if (!knobs.excluded.Excludes(id)) candidates.Push(id, distances[i]);
       }
       result_profile.blocks_visited += 1;
       result_profile.values_scanned += n * dim;

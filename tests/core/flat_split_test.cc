@@ -10,17 +10,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchlib/datagen.h"
+#include "benchlib/recall.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/any_searcher.h"
 #include "core/mutable_searcher.h"
 #include "core/persist.h"
+#include "index/flat.h"
+#include "kernels/nary_kernels.h"
 
 namespace pdx {
 namespace {
@@ -274,9 +279,12 @@ TEST(FlatSplitTest, SplitWorkRecordRepeatsAndCoversEveryBlock) {
 }
 
 TEST(FlatSplitTest, LiveCollectionSplitsItsBase) {
-  // Delta rows and tombstones in START and in later tasks: the live merge
-  // runs on the split base answer exactly as on the sequential one.
+  // Delta rows and tombstones in START and in later tasks: the base skips
+  // the tombstones inside its search, START and every range alike, and the
+  // live answer split over a pool is the sequential one and a fresh
+  // rebuild's over the survivors, ids and distance bits.
   const Dataset data = TiedData(kCounts[2]);
+  const size_t count = data.data.count();
   SearcherConfig config;
   config.layout = SearcherLayout::kFlat;
   config.pruner = PrunerKind::kBond;
@@ -285,32 +293,199 @@ TEST(FlatSplitTest, LiveCollectionSplitsItsBase) {
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   MutableSearcher& live = *made.value();
   const size_t nq = data.queries.count();
-  // An upsert in START and one in the last task's partitions; deletes of
-  // START rows, of a copy of one in the next partition, and of a row in a
-  // middle task.
-  const std::vector<uint64_t> upserts = {3, kCounts[2] - 2 * kCapacity};
+  // An upsert in START and one in the last task's partitions, and two rows
+  // under new ids.
+  const std::vector<uint64_t> upserts = {3, count - 2 * kCapacity};
   ASSERT_EQ(upserts.size(), nq);
   ASSERT_TRUE(live.Add(data.queries.data(), nq, upserts.data()).ok());
-  ASSERT_TRUE(live.Add(data.queries.data(), nq).ok());
-  for (uint64_t id : {uint64_t{kCopiedRow}, uint64_t{11},
-                      uint64_t{kCopiedRow + kCapacity + 1},
-                      uint64_t{kCapacity + 2 * kTaskLanes}}) {
-    ASSERT_TRUE(live.Delete(id).ok()) << id;
+  auto added = live.Add(data.queries.data(), nq);
+  ASSERT_TRUE(added.ok());
+  const std::vector<uint64_t>& added_ids = added.value();
+  // Deletes: START rows, a copy of one in the next partition, a row in a
+  // middle task, every lane of the second partition, and each query's 10
+  // nearest base rows (query 0's are row 7 and its copies, one in every
+  // partition, START and later ranges alike). With the second partition
+  // gone, START at k = 2 x kCapacity + 60 (three partitions) ends with
+  // fewer than k live lanes, so every range runs a START of its own.
+  std::vector<bool> dead(count, false);
+  for (uint64_t id : upserts) dead[id] = true;
+  std::vector<uint64_t> deletes = {kCopiedRow, 11, kCopiedRow + kCapacity + 1,
+                                   kCapacity + 2 * kTaskLanes};
+  for (size_t id = kCapacity; id < 2 * kCapacity; ++id) deletes.push_back(id);
+  for (const std::vector<VectorId>& nearest :
+       ComputeGroundTruth(data.data, data.queries, 10)) {
+    deletes.insert(deletes.end(), nearest.begin(), nearest.end());
   }
-  ThreadPool four(4);
+  for (uint64_t id : deletes) {
+    if (dead[id]) continue;
+    ASSERT_TRUE(live.Delete(id).ok()) << id;
+    dead[id] = true;
+  }
+  // The survivors in slot order, so that ties resolve alike: the live base
+  // rows, then the delta rows.
+  VectorSet survivors(data.dim(), count + 2 * nq);
+  std::vector<uint64_t> external;
+  for (VectorId id = 0; id < count; ++id) {
+    if (dead[id]) continue;
+    survivors.Append(data.data.Vector(id));
+    external.push_back(id);
+  }
+  for (const std::vector<uint64_t>* ids : {&upserts, &added_ids}) {
+    for (size_t r = 0; r < nq; ++r) {
+      survivors.Append(data.queries.Vector(static_cast<VectorId>(r)));
+      external.push_back((*ids)[r]);
+    }
+  }
+  std::unique_ptr<Searcher> fresh = Build(survivors, config);
+  ASSERT_NE(fresh, nullptr);
+
+  ThreadPool two(2);
   ThreadPool three(3);
-  for (size_t k : {size_t{1}, size_t{10}}) {
-    for (size_t q = 0; q < data.queries.count(); ++q) {
+  ThreadPool four(4);
+  for (size_t k : {size_t{1}, size_t{10}, 2 * kCapacity + 60}) {
+    for (size_t q = 0; q < nq; ++q) {
       const float* query = data.queries.Vector(static_cast<VectorId>(q));
+      const std::string label = "k " + std::to_string(k) + " q" +
+                                std::to_string(q);
       const std::vector<Neighbor> expected =
           live.SearchWith(0, QueryKnobs{k, 0}, query, nullptr);
-      for (ThreadPool* pool : {&four, &three}) {
+      std::vector<Neighbor> rebuilt =
+          fresh->SearchWith(0, QueryKnobs{k, 0}, query);
+      for (Neighbor& n : rebuilt) n.id = static_cast<VectorId>(external[n.id]);
+      ExpectSameNeighbors(expected, rebuilt, label + " fresh rebuild");
+      for (ThreadPool* pool : {&two, &three, &four}) {
         ExpectSameNeighbors(OneQuery(live, *pool, 0, k, query), expected,
-                            "k " + std::to_string(k) + " q" +
-                                std::to_string(q) + " pool " +
+                            label + " pool " +
                                 std::to_string(pool->num_threads()));
       }
     }
+  }
+}
+
+TEST(FlatSplitTest, FarTombstonesLeaveTheBaseSearchAsItWas) {
+  // Rows farther from every query than its k-th nearest row in the first
+  // partition can never enter a full heap: START's heap holds k nearer
+  // ones, and the threshold only falls. Deleting them must leave each
+  // query's answer and work record exactly as on the untouched
+  // collection, sequentially and split: tombstones must not widen the
+  // base search.
+  SyntheticSpec spec;
+  spec.name = "far-tombstones";
+  spec.dim = 24;
+  spec.count = kCapacity + 3 * kTaskLanes + 1000;
+  spec.num_queries = 4;
+  spec.num_clusters = 8;
+  spec.seed = 4243;
+  spec.distribution = ValueDistribution::kNormal;
+  const Dataset data = GenerateDataset(spec);
+  constexpr size_t kK = 10;
+  constexpr size_t kDeletes = 350;
+  const size_t nq = data.queries.count();
+
+  // Each query's k-th distance over the first partition, then every row
+  // farther than that from every query, by a margin that no rounding of
+  // the engine's sums can close.
+  const VectorSet first = Prefix(data.data, kCapacity);
+  std::vector<float> kth(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    const float* query = data.queries.Vector(static_cast<VectorId>(q));
+    kth[q] = FlatSearchNary(first, query, kK, Metric::kL2).back().distance;
+  }
+  std::vector<uint64_t> far;
+  for (VectorId id = 0; id < data.data.count(); ++id) {
+    bool beyond = true;
+    for (size_t q = 0; q < nq && beyond; ++q) {
+      beyond = NaryL2(data.queries.Vector(static_cast<VectorId>(q)),
+                      data.data.Vector(id), data.dim()) > 1.01f * kth[q];
+    }
+    if (beyond) far.push_back(id);
+  }
+  ASSERT_GE(far.size(), kDeletes);
+  // 350 of them, spread over every partition.
+  std::vector<uint64_t> doomed;
+  for (size_t i = 0; i < kDeletes; ++i) {
+    doomed.push_back(far[i * far.size() / kDeletes]);
+  }
+  ASSERT_LT(doomed.front(), kCapacity);
+
+  SearcherConfig config;
+  config.layout = SearcherLayout::kFlat;
+  config.pruner = PrunerKind::kBond;
+  config.bond_order = DimensionOrder::kSequential;
+  auto untouched = MutableSearcher::Make(data.data, config);
+  auto deleted = MutableSearcher::Make(data.data, config);
+  ASSERT_TRUE(untouched.ok() && deleted.ok());
+  ASSERT_EQ(deleted.value()->DeleteBatch(doomed.data(), doomed.size()),
+            kDeletes);
+
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (size_t q = 0; q < nq; ++q) {
+    const float* query = data.queries.Vector(static_cast<VectorId>(q));
+    auto run = [&](MutableSearcher& live, ThreadPool* pool,
+                   PdxearchProfile* work) {
+      return pool == nullptr
+                 ? live.SearchWith(0, QueryKnobs{kK, 0}, query, work)
+                 : OneQuery(live, *pool, 0, kK, query, work);
+    };
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
+      const std::string label =
+          "q" + std::to_string(q) + " pool " +
+          std::to_string(pool == nullptr ? 1 : pool->num_threads());
+      PdxearchProfile expected_work;
+      PdxearchProfile actual_work;
+      const std::vector<Neighbor> expected =
+          run(*untouched.value(), pool, &expected_work);
+      ExpectSameNeighbors(run(*deleted.value(), pool, &actual_work), expected,
+                          label);
+      EXPECT_EQ(Counters(actual_work), Counters(expected_work)) << label;
+    }
+  }
+}
+
+TEST(FlatSplitTest, LiveSplitRunsBesideWriters) {
+  // The split's tasks read the tombstone bitmap on pool threads while the
+  // caller holds the collection's shared lock; a writer deleting and
+  // adding rows meanwhile waits for the exclusive lock (the TSan job runs
+  // this). Once the writer is done, the split answers as the sequential
+  // search does.
+  const Dataset data = NormalData(kCapacity + 2 * kTaskLanes + 500);
+  SearcherConfig config;
+  config.layout = SearcherLayout::kFlat;
+  config.pruner = PrunerKind::kBond;
+  config.bond_order = DimensionOrder::kSequential;
+  auto made = MutableSearcher::Make(data.data, config);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  MutableSearcher& live = *made.value();
+  ThreadPool four(4);
+  live.ReserveScratch(four.num_threads());
+  // Relaxed atomics only pace the two threads: they order nothing, so the
+  // collection's lock alone must keep the bitmap's readers and writer
+  // apart.
+  std::atomic<size_t> searches{0};
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (uint64_t id = 0; id < 3000; id += 20) {
+      const size_t seen = searches.load(std::memory_order_relaxed);
+      EXPECT_TRUE(live.Delete(id).ok()) << id;
+      if (id % 200 == 0) EXPECT_TRUE(live.Add(data.data.Vector(id), 1).ok());
+      while (searches.load(std::memory_order_relaxed) == seen) {
+        std::this_thread::yield();
+      }
+    }
+    writing.store(false, std::memory_order_relaxed);
+  });
+  while (writing.load(std::memory_order_relaxed)) {
+    const size_t q = searches.load(std::memory_order_relaxed) % 2;
+    EXPECT_EQ(OneQuery(live, four, 0, 10, data.queries.Vector(q)).size(), 10u);
+    searches.fetch_add(1, std::memory_order_relaxed);
+  }
+  writer.join();
+  for (size_t q = 0; q < data.queries.count(); ++q) {
+    const float* query = data.queries.Vector(static_cast<VectorId>(q));
+    ExpectSameNeighbors(OneQuery(live, four, 0, 10, query),
+                        live.SearchWith(0, QueryKnobs{10, 0}, query, nullptr),
+                        "q" + std::to_string(q));
   }
 }
 

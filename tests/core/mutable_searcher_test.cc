@@ -2,18 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <new>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "benchlib/recall.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/any_searcher.h"
 #include "core/sharded_searcher.h"
 #include "index/kmeans.h"
 #include "storage/pdx_store.h"
 #include "storage/vector_set.h"
+
+// Global operator new/delete overrides that count each thread's heap
+// allocations, so a test can count what one thread allocates.
+namespace {
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same heap the deletes below free into; a sanitizer runtime
+// would otherwise serve them from its own.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocations;
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocations;
+  return std::malloc(size);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pdx {
 namespace {
@@ -150,24 +192,37 @@ TEST(MutableSearcherTest, InterleavedMutationsMatchFreshRebuild) {
     SearcherLayout layout;
     PrunerKind pruner;
     size_t shards;
+    ShardAssignment assignment = ShardAssignment::kContiguous;
   };
+  // Round-robin shards slice the tombstone view with a stride, contiguous
+  // ones with an offset.
   const Variant variants[] = {
       {SearcherLayout::kFlat, PrunerKind::kLinear, 1},
       {SearcherLayout::kFlat, PrunerKind::kLinear, 3},
+      {SearcherLayout::kFlat, PrunerKind::kLinear, 3,
+       ShardAssignment::kRoundRobin},
       {SearcherLayout::kIvf, PrunerKind::kLinear, 1},
       {SearcherLayout::kIvf, PrunerKind::kLinear, 3},
+      {SearcherLayout::kIvf, PrunerKind::kLinear, 3,
+       ShardAssignment::kRoundRobin},
       {SearcherLayout::kFlat, PrunerKind::kBond, 1},
       {SearcherLayout::kFlat, PrunerKind::kBond, 3},
+      {SearcherLayout::kFlat, PrunerKind::kBond, 3,
+       ShardAssignment::kRoundRobin},
       {SearcherLayout::kIvf, PrunerKind::kBond, 1},
       {SearcherLayout::kIvf, PrunerKind::kBond, 3},
+      {SearcherLayout::kIvf, PrunerKind::kBond, 3,
+       ShardAssignment::kRoundRobin},
   };
   for (const Variant& v : variants) {
     const std::string label = std::string(SearcherLayoutName(v.layout)) +
                               "/" + PrunerKindName(v.pruner) + "/shards" +
-                              std::to_string(v.shards);
+                              std::to_string(v.shards) + "/" +
+                              ShardAssignmentName(v.assignment);
     SearcherConfig config = Config(v.layout, v.pruner);
     ShardingOptions sharding;
     sharding.num_shards = v.shards;
+    sharding.assignment = v.assignment;
     MutationConfig mutation;
     mutation.compact_threshold = 0;  // Mutations only; compaction is below.
     mutation.delta_block_capacity = 16;  // Several delta blocks by the end.
@@ -553,6 +608,166 @@ TEST(MutableSearcherTest, ShardedBaseShapeSumsOverShards) {
     EXPECT_EQ(shape.num_blocks, 21u);
     EXPECT_EQ(shape.quantized_bytes,
               quantization == QuantizationKind::kU8 ? 300u * 8u : 0u);
+  }
+}
+
+// --- Tombstones inside the base search -----------------------------------
+
+TEST(MutableSearcherTest, WarmQueriesAllocateAsOftenAsOnAnUntouchedOne) {
+  // The base skips tombstones inside its search, and the live merge folds
+  // the delta into the base's answer through per-slot scratch: a warm
+  // query allocates exactly what it allocates on an untouched collection,
+  // sequentially and split over a pool. The count is the calling thread's;
+  // a warm pool's threads allocate nothing.
+  const size_t dim = 8;
+  const VectorSet base = RandomVectors(
+      kExactSearchBlockCapacity + 2 * kSplitTaskLanes + 500, dim, 30);
+  const VectorSet queries = RandomVectors(8, dim, 31);
+  auto made = MutableSearcher::Make(
+      base, Config(SearcherLayout::kFlat, PrunerKind::kBond));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  MutableSearcher& live = *made.value();
+  ThreadPool four(4);
+  live.ReserveScratch(four.num_threads());
+  // Allocations of warm one-query batches through slot 0, one per query.
+  auto allocations = [&](ThreadPool* pool) {
+    PdxearchProfile work;
+    auto batch = [&] {
+      for (size_t q = 0; q < queries.count(); ++q) {
+        (void)live.SearchBatchWith(0, QueryKnobs{}, queries.Vector(q), 1, pool,
+                                   &work);
+      }
+    };
+    batch();  // Warm.
+    const uint64_t before = t_allocations;
+    batch();
+    return t_allocations - before;
+  };
+  const uint64_t split = allocations(&four);
+  const uint64_t sequential = allocations(nullptr);
+
+  for (uint64_t id = 0; id < base.count(); id += 97) {
+    ASSERT_TRUE(live.Delete(id).ok()) << id;
+  }
+  EXPECT_EQ(allocations(&four), split) << "tombstones";
+  EXPECT_EQ(allocations(nullptr), sequential) << "tombstones";
+
+  // Delta rows over three delta blocks, the queries among them so that the
+  // merge changes answers, and tombstones in the delta too.
+  Rng rng(32);
+  ASSERT_TRUE(live.Add(queries.data(), queries.count()).ok());
+  std::vector<uint64_t> added;
+  for (size_t i = 0; i < 150; ++i) {
+    const std::vector<float> row = RandomRow(rng, dim);
+    auto ids = live.Add(row.data(), 1);
+    ASSERT_TRUE(ids.ok());
+    added.push_back(ids.value()[0]);
+  }
+  for (size_t i = 0; i < added.size(); i += 5) {
+    ASSERT_TRUE(live.Delete(added[i]).ok());
+  }
+  ASSERT_GT(live.mutation_stats().delta_blocks, 2u);
+  EXPECT_EQ(allocations(&four), split) << "delta and tombstones";
+  EXPECT_EQ(allocations(nullptr), sequential) << "delta and tombstones";
+}
+
+TEST(MutableSearcherTest, U8RerankStaysAtKTimesTheFactor) {
+  // The u8 tier picks its k x rerank_factor candidates among the live base
+  // rows, so tombstones never widen the rerank, and a deleted row never
+  // comes back.
+  const size_t dim = 8;
+  const VectorSet base = RandomVectors(600, dim, 33);
+  const VectorSet queries = RandomVectors(6, dim, 34);
+  for (SearcherLayout layout : {SearcherLayout::kFlat, SearcherLayout::kIvf}) {
+    const std::string label = SearcherLayoutName(layout);
+    SearcherConfig config = Config(layout, PrunerKind::kLinear);
+    config.quantization = QuantizationKind::kU8;
+    auto made = MutableSearcher::Make(base, config);
+    ASSERT_TRUE(made.ok()) << label << ": " << made.status().ToString();
+    MutableSearcher& live = *made.value();
+    std::set<uint64_t> deleted;
+    // Each round deletes every query's answer and 30 more rows: 0 to about
+    // 270 tombstones.
+    for (size_t round = 0; round < 4; ++round) {
+      EXPECT_EQ(live.mutation_stats().tombstones, deleted.size()) << label;
+      std::vector<uint64_t> doomed;
+      for (size_t q = 0; q < queries.count(); ++q) {
+        PdxearchProfile work;
+        const std::vector<Neighbor> hits =
+            live.SearchWith(0, QueryKnobs{}, queries.Vector(q), &work);
+        EXPECT_EQ(work.rerank_candidates, config.k * config.rerank_factor)
+            << label << " round " << round;
+        ASSERT_EQ(hits.size(), config.k) << label;
+        for (const Neighbor& n : hits) {
+          EXPECT_EQ(deleted.count(n.id), 0u) << label << " id " << n.id;
+          doomed.push_back(n.id);
+        }
+      }
+      for (size_t i = 0; i < 30; ++i) {
+        doomed.push_back((round * 31 + i * 19) % base.count());
+      }
+      for (uint64_t id : doomed) {
+        if (deleted.insert(id).second) ASSERT_TRUE(live.Delete(id).ok());
+      }
+    }
+  }
+}
+
+TEST(MutableSearcherTest, ApproximateTiersKeepTheirRecallUnderHeavyTombstones) {
+  // ADSampling and BSA prune against the k-th distance of the live base
+  // rows: with a third of the base and each query's 10 nearest rows
+  // deleted, no deleted row comes back, and recall against brute force
+  // over the survivors is at least a fresh searcher's over them.
+  const size_t dim = 16;
+  const size_t k = 10;
+  const VectorSet base = RandomVectors(2000, dim, 35);
+  const VectorSet queries = RandomVectors(20, dim, 36);
+  std::vector<bool> dead(base.count(), false);
+  for (size_t id = 0; id < base.count(); id += 3) dead[id] = true;
+  for (const std::vector<VectorId>& nearest :
+       ComputeGroundTruth(base, queries, k)) {
+    for (VectorId id : nearest) dead[id] = true;
+  }
+  VectorSet survivors(dim, base.count());
+  std::vector<uint64_t> external;
+  for (size_t id = 0; id < base.count(); ++id) {
+    if (dead[id]) continue;
+    survivors.Append(base.Vector(id));
+    external.push_back(id);
+  }
+  // Brute force over the survivors, in external ids.
+  std::vector<std::set<uint64_t>> truth(queries.count());
+  const std::vector<std::vector<VectorId>> nearest =
+      ComputeGroundTruth(survivors, queries, k);
+  for (size_t q = 0; q < queries.count(); ++q) {
+    for (VectorId r : nearest[q]) truth[q].insert(external[r]);
+  }
+  for (SearcherLayout layout : {SearcherLayout::kFlat, SearcherLayout::kIvf}) {
+    for (PrunerKind pruner : {PrunerKind::kAdsampling, PrunerKind::kBsa}) {
+      const std::string label = std::string(SearcherLayoutName(layout)) +
+                                "/" + PrunerKindName(pruner);
+      const SearcherConfig config = Config(layout, pruner, k);
+      auto made = MutableSearcher::Make(base, config);
+      auto fresh = MakeSearcher(survivors, config);
+      ASSERT_TRUE(made.ok() && fresh.ok()) << label;
+      MutableSearcher& live = *made.value();
+      for (size_t id = 0; id < base.count(); ++id) {
+        if (dead[id]) ASSERT_TRUE(live.Delete(id).ok()) << label;
+      }
+      size_t live_hits = 0;
+      size_t fresh_hits = 0;
+      for (size_t q = 0; q < queries.count(); ++q) {
+        for (const Neighbor& n : live.Search(queries.Vector(q))) {
+          EXPECT_FALSE(dead[n.id]) << label << " id " << n.id;
+          live_hits += truth[q].count(n.id);
+        }
+        for (const Neighbor& n : fresh.value()->Search(queries.Vector(q))) {
+          fresh_hits += truth[q].count(external[n.id]);
+        }
+      }
+      EXPECT_GE(live_hits, fresh_hits) << label;
+      EXPECT_GT(fresh_hits, queries.count() * k * 9 / 10) << label;
+    }
   }
 }
 
